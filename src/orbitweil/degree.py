@@ -6,7 +6,7 @@ geometrically when heights grow like C n^l alpha^n, while the root
 estimator h_n^{1/n} is kept as a diagnostic because its error decays only
 polynomially (for n 2^n data the root at n = 20 is still two percent off).
 Ratios are computed exactly as Fractions whenever the two heights have a
-small rational log-ratio; otherwise a certified float enclosure midpoint is
+rational log-ratio; otherwise a certified float enclosure midpoint is
 used.  Heights are clipped at 1 (h+ = max(h, 1)) before taking roots so
 that height-zero points stay well-defined.
 """
@@ -32,14 +32,11 @@ def _hplus_float(h: LogMag) -> float:
 
 
 def _ratio_entry(hi: LogMag, lo: LogMag):
-    """h_{n+1}/h_n as an exact Fraction when detectable, else a float."""
+    """h_{n+1}/h_n as an exact Fraction when rational, else a float."""
     if lo.is_zero():
         return hi.to_float() / _hplus_float(lo)
-    r = hi.ratio_exact(lo)
-    if r is not None:
-        return r
-    a, b = hi.ratio_interval(lo)
-    return 0.5 * (a + b)
+    exact, (a, b) = hi.ratio(lo)
+    return exact if exact is not None else 0.5 * (a + b)
 
 
 @dataclass(frozen=True)

@@ -202,7 +202,14 @@ def integer_nth_root(n: int, r: int) -> int:
         return n
     if r == 2:
         return math.isqrt(n)
-    x = 1 << (-(-n.bit_length() // r))
+    # Newton's method needs a start at or above the root.  The float k
+    # below is log2 of the root to within 2**-51 + k * 2**-52; padded by
+    # (k + 1) * 2**-40 it gives a start a relative ~k * 2**-40 above the
+    # root, from which the steps converge quadratically instead of
+    # creeping down from a power of two.
+    k = math.log2(n) / r
+    s = max(int(k) - 60, 0)
+    x = (int(2.0 ** (k * (1 + 2.0**-40) + 2.0**-40 - s)) + 1) << s
     while True:
         y = ((r - 1) * x + n // x ** (r - 1)) // r
         if y >= x:
@@ -213,6 +220,13 @@ def integer_nth_root(n: int, r: int) -> int:
 def _perfect_power(n: int, r: int) -> Optional[int]:
     root = integer_nth_root(n, r)
     return root if root**r == n else None
+
+
+def _is_power(n: int, base: int, e: int) -> bool:
+    # n == base**e, rejecting first any power more than two bits longer than n
+    if base > 1 and e * math.log2(base) > n.bit_length() + 1:
+        return False
+    return base**e == n
 
 
 def padic_valuation(x: RationalLike, p: int) -> int:
@@ -318,6 +332,13 @@ def _iv_endpoints(x):
     # representation to obtain true mpf endpoints
     lo, hi = x._mpi_
     return mp.make_mpf(lo), mp.make_mpf(hi)
+
+
+def _mpf_fraction(x) -> Fraction:
+    # exact value of a finite mpf
+    sign, man, exp, _ = x._mpf_
+    v = Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
+    return -v if sign else v
 
 
 def _iv_log_fraction(q: Fraction):
@@ -536,44 +557,73 @@ class LogMag:
     # -- ratios --------------------------------------------------------------
 
     def ratio_exact(self, other: "LogMag") -> Optional[Fraction]:
-        """self/other as an exact rational, if a small one verifiably exists."""
-        if self._m is None or other._m is None:
-            return None
-        if other._m == 1:
+        """self/other as an exact Fraction whenever it is rational.
+
+        Decides every rational ratio of two exact values from a certified
+        enclosure and exact root extraction; every power it builds is at
+        most two bits longer than a numerator or denominator of the
+        operands.  None means the ratio is irrational, an operand is
+        certified, or other is zero.
+        """
+        if self._m is None or other._m is None or other._m == 1:
             return None
         if self._m == 1:
             return Fraction(0)
+        m1, m2 = self._m, other._m
+        # log m1 / log m2 = p/q in lowest terms (q > 0) exactly when
+        # m1 = c**p and m2 = c**q for one rational c != 1: then c is the
+        # q-th root of m2, so the larger of m2's numerator and denominator
+        # is at least 2**q and q <= Q, its bit length.  Two distinct
+        # rationals with denominators <= Q are at least 1/Q**2 apart, so
+        # once the enclosure of rho = log m1 / log m2 is narrower than
+        # that, a rational rho is the fraction with denominator <= Q
+        # nearest the midpoint, and that is the only candidate to verify.
+        # The escalation ends: log m2 != 0 is bounded away from 0 by the
+        # size of m2, and the width shrinks with every doubling of
+        # precision.
+        big = max(m2.numerator, m2.denominator).bit_length()
+        gap = Fraction(1, big * big)
+        saved = iv.prec
         try:
-            est = self.to_float() / other.to_float()
-        except (OverflowError, ZeroDivisionError):
+            while True:
+                den = _iv_log_fraction(m2)
+                if not den.a <= 0 <= den.b:
+                    rho = _iv_log_fraction(m1) / den
+                    lo, hi = (_mpf_fraction(e) for e in _iv_endpoints(rho))
+                    if hi - lo < gap:
+                        break
+                iv.prec *= 2
+        finally:
+            iv.prec = saved
+        cand = ((lo + hi) / 2).limit_denominator(big)
+        if not lo <= cand <= hi:
             return None
-        seen: set[Fraction] = set()
-        for den in (1, 2, 3, 4, 6, 8, 12, 16, 24, 48, 64):
-            cand = Fraction(est).limit_denominator(den)
-            if cand in seen:
-                continue
-            seen.add(cand)
-            if self._verify_ratio(other, cand):
-                return cand
-        return None
-
-    def _verify_ratio(self, other: "LogMag", cand: Fraction) -> bool:
-        # self/other == cand  <=>  log(m1)*r2*q == log(m2)*r1*p
         p, q = cand.numerator, cand.denominator
-        e1 = q * other._root
-        e2 = abs(p) * self._root
-        try:
-            _check_bits(self._m, e1)
-            _check_bits(other._m, e2)
-        except PrecisionExhausted:
-            return False
-        lhs = self._m**e1
-        rhs = other._m**e2
-        if p < 0:
-            return lhs * rhs == 1
-        if p == 0:
-            return self._m == 1
-        return lhs == rhs
+        a = _perfect_power(m2.numerator, q)
+        b = _perfect_power(m2.denominator, q) if a is not None else None
+        if b is None:
+            return None
+        # m1 == (a/b)**p, with a/b in lowest terms
+        top, bot = (a, b) if p > 0 else (b, a)
+        e = abs(p)
+        if not (_is_power(m1.numerator, top, e) and _is_power(m1.denominator, bot, e)):
+            return None
+        return cand * other._root / self._root
+
+    def ratio(self, other: "LogMag") -> tuple[Optional[Fraction], tuple[float, float]]:
+        """(exact self/other or None, outward float bounds of self/other).
+
+        The bounds enclose the ratio in both cases; for an exact ratio they
+        are the nearest floats on either side, equal only when the ratio
+        is itself a float.
+        """
+        exact = self.ratio_exact(other)
+        if exact is None:
+            return None, self.ratio_interval(other)
+        f = float(exact)
+        lo = f if Fraction(f) <= exact else math.nextafter(f, -math.inf)
+        hi = f if Fraction(f) >= exact else math.nextafter(f, math.inf)
+        return exact, (lo, hi)
 
     def ratio_interval(self, other: "LogMag") -> tuple[float, float]:
         """Certified float enclosure of self/other (other must be nonzero)."""

@@ -87,15 +87,6 @@ def _audit_row(d: DivisorPresentation, x: ProjPoint, h_raw: LogMag) -> LogMag:
     return total
 
 
-def _ratio_parts(lam: LogMag, h: LogMag):
-    """(exact Fraction or None, outward float bounds) for lam/h, h > 0."""
-    exact = lam.ratio_exact(h)
-    if exact is not None:
-        fv = float(exact)
-        return exact, (fv, fv)
-    return None, lam.ratio_interval(h)
-
-
 @dataclass(frozen=True)
 class RatioRow:
     n: int
@@ -181,7 +172,7 @@ def _series_rows(cfg: ExperimentConfig, cache):
             skips += 1
             continue
         lam = weil_sum(d, x, list(cfg.places))
-        exact, bounds = _ratio_parts(lam, h_line)
+        exact, bounds = lam.ratio(h_line)
         rows.append(RatioRow(step.n, x, h_line, lam, lam_all, exact, bounds, False))
     if skips == len(rows):
         raise ValueError("every orbit step lies on the divisor support")
@@ -562,16 +553,13 @@ def thm17_set_membership(cfg: ExperimentConfig, eps=None, cache=None) -> Thm17Re
     if len(usable) < 5:
         raise ValueError("need at least 5 usable rows for a liminf proxy")
 
-    def _all_ratio(r):
-        exact = r.lambda_all.ratio_exact(r.h)
-        if exact is not None:
-            return exact
-        lo, hi = r.lambda_all.ratio_interval(r.h)
-        return 0.5 * (lo + hi)
+    def _ratio_value(num: LogMag, den: LogMag):
+        exact, (lo, hi) = num.ratio(den)
+        return exact if exact is not None else 0.5 * (lo + hi)
 
     k = max(1, math.ceil(len(usable) / 3))
     tail = usable[-k:]
-    tail_vals = [_all_ratio(r) for r in tail]
+    tail_vals = [_ratio_value(r.lambda_all, r.h) for r in tail]
     if all(isinstance(v, Fraction) for v in tail_vals):
         liminf = min(tail_vals)
     else:
@@ -584,15 +572,12 @@ def thm17_set_membership(cfg: ExperimentConfig, eps=None, cache=None) -> Thm17Re
         out_term = r.lambda_all - r.lambda_S
         if isinstance(threshold, Fraction):
             hit = out_term.compare(r.h * threshold) <= 0
-            out_val = out_term.ratio_exact(r.h)
-            if out_val is None:
-                lo, hi = out_term.ratio_interval(r.h)
-                out_val = 0.5 * (lo + hi)
+            out_val = _ratio_value(out_term, r.h)
         else:
             lo, hi = out_term.ratio_interval(r.h)
             out_val = 0.5 * (lo + hi)
             hit = out_val <= threshold + 1e-12
-        report_rows.append((r.n, _all_ratio(r), out_val))
+        report_rows.append((r.n, _ratio_value(r.lambda_all, r.h), out_val))
         if hit:
             flagged.append(r.n)
             flagged_points.append(r.point)

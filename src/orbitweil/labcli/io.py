@@ -3,10 +3,10 @@
 CSV files use exactly the header `n,h,lambda_S,ratio,skipped`, twelve
 fractional digits in every numeric cell, and LF line endings, so two runs
 of the same experiment produce byte-identical files.  The orbit cache is
-a small versioned text format with a sha256 trailer; loads revalidate the
-checksum and recompute the first few steps before trusting a file, and
-writes go through an atomic rename so concurrent readers never see a
-partial file.
+a small versioned text format, coordinates in hex, with a sha256 trailer;
+loads revalidate the checksum and recompute the first few steps before
+trusting a file, and writes go through an atomic rename so concurrent
+readers never see a partial file.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from ..polydyn import (
 )
 
 CACHE_ENV = "ORBITWEIL_CACHE"
-_CACHE_MAGIC = "orbitcache 1"
+_CACHE_MAGIC = "orbitcache 2"
 
 
 class CacheInvalid(Exception):
@@ -165,6 +165,11 @@ def write_ratio_svg(series, path: str) -> None:
     _write_lines(path, svg)
 
 
+def _hex_coords(p: ProjPoint) -> str:
+    # hex, because int <-> decimal str conversion is capped at 4,300 digits
+    return " ".join(format(c, "x") for c in p.coords)
+
+
 def default_cache_dir() -> str:
     env = os.environ.get(CACHE_ENV)
     if env:
@@ -194,11 +199,11 @@ class OrbitCache:
     def store(self, orbit: OrbitRecord) -> str:
         lines = [_CACHE_MAGIC, f"map {orbit.map_id}"]
         seed = orbit.steps[0].point
-        lines.append("seed " + " ".join(str(c) for c in seed.coords))
+        lines.append("seed " + _hex_coords(seed))
         lines.append(f"depth {orbit.depth}")
         for step in orbit.steps:
             lines.append(
-                f"step {step.n} " + " ".join(str(c) for c in step.point.coords)
+                f"step {step.n} " + _hex_coords(step.point)
             )
         payload = "\n".join(lines) + "\n"
         digest = hashlib.sha256(payload.encode("utf-8")).hexdigest()
@@ -235,7 +240,7 @@ class OrbitCache:
         if lines[1] != f"map {f.map_id}":
             raise CacheInvalid("cached orbit belongs to a different map")
         try:
-            seed_coords = tuple(Fraction(tok) for tok in lines[2].split()[1:])
+            seed_coords = tuple(int(tok, 16) for tok in lines[2].split()[1:])
             depth = int(lines[3].split()[1])
             points = []
             for i, line in enumerate(lines[4:-1]):
@@ -243,7 +248,7 @@ class OrbitCache:
                 if parts[0] != "step" or int(parts[1]) != i:
                     raise CacheInvalid("step lines out of order")
                 points.append(
-                    ProjPoint.normalize(tuple(Fraction(tok) for tok in parts[2:]))
+                    ProjPoint.normalize(tuple(int(tok, 16) for tok in parts[2:]))
                 )
         except (ValueError, IndexError, ZeroDivisionError) as exc:
             raise CacheInvalid(f"unparsable cache file: {exc}") from None

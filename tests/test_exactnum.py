@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from orbitweil.exactnum import (
     LogMag,
@@ -13,6 +14,7 @@ from orbitweil.exactnum import (
     abs_value,
     factorize,
     hensel_sqrt,
+    integer_nth_root,
     is_prime,
     legendre,
     logmag_sum,
@@ -201,6 +203,93 @@ def test_logmag_compare_and_ratio():
     # interval ratio encloses log3/log4
     lo, hi = LogMag.exact(3).ratio_interval(b)
     assert lo <= math.log(3) / math.log(4) <= hi and hi - lo < 1e-12
+
+
+def test_ratio_exact_decides_every_rational_ratio():
+    # denominators past any fixed candidate list
+    assert LogMag.exact(2**101).ratio_exact(LogMag.exact(2**67)) == Fraction(101, 67)
+    c = 2**20 + 7
+    assert LogMag.exact(c**1003).ratio_exact(LogMag.exact(c**1000)) == Fraction(1003, 1000)
+    # negative ratios and root indices on both operands
+    m = Fraction(3, 2)
+    assert LogMag.exact(m**-7).ratio_exact(LogMag.exact(m**11)) == Fraction(-7, 11)
+    assert LogMag.exact(m**7, 5).ratio_exact(LogMag.exact(m**-11, 3)) == Fraction(-21, 55)
+    assert LogMag.exact(8, 2).ratio_exact(LogMag.exact(4, 3)) == Fraction(9, 4)
+    # magnitudes so close to 1 that the first enclosure straddles 0
+    near = Fraction(2**400 + 1, 2**400)
+    assert LogMag.exact(near**3).ratio_exact(LogMag.exact(near**5, 7)) == Fraction(21, 5)
+    assert LogMag.exact(near).ratio_exact(LogMag.exact(3)) is None
+    assert LogMag.exact(3).ratio_exact(LogMag.exact(near)) is None
+    # 2^a 3^b vs 2^c 3^d: rational exactly when (a, b) and (c, d) are proportional
+    for a, b_, c_, d in [(5, 7, 10, 13), (1000, 1, 999, 1), (1, 0, 0, 1), (3, 2, 2, 3)]:
+        assert a * d != b_ * c_
+        assert LogMag.exact(2**a * 3**b_).ratio_exact(LogMag.exact(2**c_ * 3**d)) is None
+    assert LogMag.exact(2**6 * 3**9).ratio_exact(LogMag.exact(2**4 * 3**6)) == Fraction(3, 2)
+    # zero numerator, zero denominator, certified operand
+    assert LogMag.zero().ratio_exact(LogMag.exact(5)) == 0
+    assert LogMag.exact(5).ratio_exact(LogMag.zero()) is None
+    cert = abs_value(QuadField(2).element(1, 1), places_above(INF, QuadField(2))[0])
+    assert cert.ratio_exact(LogMag.exact(2)) is None
+
+
+_rationals = st.builds(
+    Fraction, st.integers(1, 10**6), st.integers(1, 10**6)
+).filter(lambda c: c != 1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    c=_rationals,
+    p=st.integers(-60, 60),
+    q=st.integers(-60, 60).filter(bool),
+    r1=st.integers(1, 12),
+    r2=st.integers(1, 12),
+)
+def test_ratio_exact_recovers_common_base_ratios(c, p, q, r1, r2):
+    got = LogMag.exact(c**p, r1).ratio_exact(LogMag.exact(c**q, r2))
+    assert got == Fraction(p * r2, q * r1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    base=st.integers(0, 2**300),
+    r=st.integers(1, 300),
+    n=st.integers(0, 2**3000),
+    offset=st.sampled_from([-1, 0, 1, None]),
+)
+def test_integer_nth_root_is_the_floor(base, r, n, offset):
+    if offset is not None:
+        n = max(base**r + offset, 0) if base.bit_length() * r <= 20000 else n
+    x = integer_nth_root(n, r)
+    assert x**r <= n < (x + 1) ** r
+
+
+def _exponents(m: Fraction) -> dict:
+    out = {}
+    for n, sign in ((m.numerator, 1), (m.denominator, -1)):
+        p = 2
+        while n > 1:
+            while n % p == 0:
+                out[p] = out.get(p, 0) + sign
+                n //= p
+            p += 1
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    m1=st.builds(Fraction, st.integers(1, 2000), st.integers(1, 2000)),
+    m2=st.builds(Fraction, st.integers(1, 2000), st.integers(1, 2000)).filter(lambda m: m != 1),
+)
+def test_ratio_exact_matches_exponent_vectors(m1, m2):
+    # by unique factorization, log m1 / log m2 is rational exactly when the
+    # prime exponent vectors are proportional, and then it is their ratio
+    v1, v2 = _exponents(m1), _exponents(m2)
+    k = next(iter(v2))
+    want = Fraction(v1.get(k, 0), v2[k])
+    if any(v1.get(p, 0) != want * v2.get(p, 0) for p in v1.keys() | v2.keys()):
+        want = None
+    assert LogMag.exact(m1).ratio_exact(LogMag.exact(m2)) == want
 
 
 def test_logmag_certified():

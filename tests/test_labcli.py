@@ -144,6 +144,16 @@ def test_ratio_series_exact_constant():
     assert series.verdict_value == Fraction(1)
 
 
+def test_ratio_bounds_enclose_exact_ratio():
+    # lambda_inf = h and the twist is 3, so every ratio is exactly 1/3,
+    # which no float equals: the bounds must lie strictly around it
+    series = run_ratio_experiment(axis_cfg(twist=3, depth=4))
+    for r in series.rows:
+        assert r.ratio == Fraction(1, 3)
+        lo, hi = r.ratio_bounds
+        assert Fraction(lo) < Fraction(1, 3) < Fraction(hi)
+
+
 def test_ratio_single_row_inconclusive():
     series = run_ratio_experiment(squaring_cfg(depth=0))
     assert len(series.rows) == 1
@@ -480,6 +490,17 @@ def test_cache_round_trip(tmp_path):
     assert cache.load(cfg.map, other) is None
 
 
+def test_cache_round_trip_past_decimal_digit_limit(tmp_path):
+    # 2**(2**14) has 4,933 decimal digits, past the int <-> str limit of 4,300
+    cfg = squaring_cfg()
+    cache = OrbitCache(str(tmp_path))
+    orbit = cache.fetch(cfg.map, cfg.seed, 14)
+    assert orbit.steps[14].point.coords == (2 ** 2**14, 1)
+    again = cache.load(cfg.map, cfg.seed)
+    assert [s.point.coords for s in again.steps] == [s.point.coords for s in orbit.steps]
+    assert cache.fetch(cfg.map, cfg.seed, 14).steps[14].h == orbit.steps[14].h
+
+
 def test_cache_rejects_corruption(tmp_path):
     cfg = squaring_cfg(depth=4)
     cache = OrbitCache(str(tmp_path))
@@ -488,7 +509,7 @@ def test_cache_rejects_corruption(tmp_path):
     assert len(files) == 1
     path = tmp_path / files[0]
     body = path.read_text()
-    path.write_text(body.replace("step 2 16", "step 2 17"))
+    path.write_text(body.replace("step 2 10", "step 2 11"))  # hex 16 -> 17
     with pytest.raises(CacheInvalid):
         cache.load(cfg.map, cfg.seed)
     # fetch falls back to recomputation and heals the file
