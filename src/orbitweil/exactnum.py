@@ -341,6 +341,17 @@ def _mpf_fraction(x) -> Fraction:
     return -v if sign else v
 
 
+def _escalate(step):
+    """step() at doubling iv.prec until it is not None; iv.prec is restored."""
+    saved = iv.prec
+    try:
+        while (out := step()) is None:
+            iv.prec *= 2
+        return out
+    finally:
+        iv.prec = saved
+
+
 def _iv_log_fraction(q: Fraction):
     if q <= 0:
         raise ValueError("log of a nonpositive rational")
@@ -583,18 +594,16 @@ class LogMag:
         # precision.
         big = max(m2.numerator, m2.denominator).bit_length()
         gap = Fraction(1, big * big)
-        saved = iv.prec
-        try:
-            while True:
-                den = _iv_log_fraction(m2)
-                if not den.a <= 0 <= den.b:
-                    rho = _iv_log_fraction(m1) / den
-                    lo, hi = (_mpf_fraction(e) for e in _iv_endpoints(rho))
-                    if hi - lo < gap:
-                        break
-                iv.prec *= 2
-        finally:
-            iv.prec = saved
+
+        def narrow():
+            den = _iv_log_fraction(m2)
+            if den.a <= 0 <= den.b:
+                return None
+            rho = _iv_log_fraction(m1) / den
+            lo, hi = (_mpf_fraction(e) for e in _iv_endpoints(rho))
+            return (lo, hi) if hi - lo < gap else None
+
+        lo, hi = _escalate(narrow)
         cand = ((lo + hi) / 2).limit_denominator(big)
         if not lo <= cand <= hi:
             return None
@@ -627,10 +636,17 @@ class LogMag:
 
     def ratio_interval(self, other: "LogMag") -> tuple[float, float]:
         """Certified float enclosure of self/other (other must be nonzero)."""
-        num, den = self.interval(), other.interval()
-        if den.a <= 0 <= den.b:
-            raise UndecidableComparison("ratio denominator straddles zero")
-        lo, hi = _iv_endpoints(num / den)
+
+        def quotient():
+            den = other.interval()
+            if not den.a <= 0 <= den.b:
+                return self.interval() / den
+            # log m != 0 for exact m != 1: more precision will exclude 0
+            if other._m is None or other._m == 1:
+                raise UndecidableComparison("ratio denominator straddles zero")
+            return None
+
+        lo, hi = _iv_endpoints(_escalate(quotient))
         return (
             math.nextafter(float(lo), -math.inf),
             math.nextafter(float(hi), math.inf),

@@ -17,7 +17,6 @@ from fractions import Fraction
 
 from ..degree import alpha_estimate
 from ..exactnum import LogMag
-from ..polydyn import iterate
 from ..singular import (
     ExponentMatrix,
     MonomialIdeal,
@@ -31,6 +30,7 @@ from ..weil import SupportHit, weil_local
 from .config import ConfigError, load_config
 from .experiments import (
     AuditFailure,
+    _get_orbit,
     run_gap_experiment,
     run_ratio_experiment,
     thm14_hypothesis_report,
@@ -39,6 +39,7 @@ from .experiments import (
 from .io import (
     CACHE_ENV,
     OrbitCache,
+    _point_str,
     fmt12,
     write_gap_csv,
     write_orbit_csv,
@@ -64,10 +65,6 @@ def _load(args):
     return cfg
 
 
-def _pt(p) -> str:
-    return "(" + ":".join(str(c) for c in p.coords) + ")"
-
-
 def _num(v) -> str:
     if v is None:
         return "-"
@@ -82,13 +79,9 @@ def _num(v) -> str:
 
 def cmd_orbit(args) -> int:
     cfg = _load(args).require("map", "seed")
-    cache = _cache(args)
-    if cache is None:
-        orbit = iterate(cfg.map, cfg.seed, cfg.depth)
-    else:
-        orbit = cache.fetch(cfg.map, cfg.seed, cfg.depth)
+    orbit = _get_orbit(cfg.map, cfg.seed, cfg.depth, _cache(args))
     for step in orbit.steps:
-        print(f"n={step.n:3d}  h={fmt12(step.h)}  x={_pt(step.point)}")
+        print(f"n={step.n:3d}  h={fmt12(step.h)}  x={_point_str(step.point)}")
     if args.out:
         write_orbit_csv(orbit, args.out)
         print(f"wrote {args.out}")
@@ -110,11 +103,7 @@ def cmd_weil(args) -> int:
 
 def cmd_alpha(args) -> int:
     cfg = _load(args).require("map", "seed")
-    cache = _cache(args)
-    if cache is None:
-        orbit = iterate(cfg.map, cfg.seed, cfg.depth)
-    else:
-        orbit = cache.fetch(cfg.map, cfg.seed, cfg.depth)
+    orbit = _get_orbit(cfg.map, cfg.seed, cfg.depth, _cache(args))
     est = alpha_estimate(orbit)
     print(f"ratio tail : {[_num(r) for r in est.ratio_seq[-4:]]}")
     print(f"root tail  : {[f'{r:.9g}' for r in est.root_seq[-4:]]}")
@@ -207,7 +196,7 @@ def cmd_gap(args) -> int:
     print(f"eps' = {series.eps_prime}")
     print(f"negative-gap points: {neg}")
     for p in series.negatives[:10]:
-        print(f"  {_pt(p)}")
+        print(f"  {_point_str(p)}")
     if neg > 10:
         print(f"  ... and {neg - 10} more")
     print(f"closure proxy: {series.closure}")

@@ -28,12 +28,7 @@ from ..polydyn import (
     wellformed_check,
 )
 from ..singular import COMPOSE_CAP, EfdEstimate, efd_estimate, remark44_m0
-from ..weil import (
-    DivisorPresentation,
-    galois_symmetrized,
-    weil_global,
-    weil_sum,
-)
+from ..weil import LocalTable
 from .config import ConfigError, ExperimentConfig
 
 DEGENERATE = "degenerate"
@@ -70,18 +65,18 @@ def _get_orbit(f: Morphism, seed: ProjPoint, depth: int, cache):
     return cache.fetch(f, seed, depth)
 
 
-def _audit_row(d: DivisorPresentation, x: ProjPoint, h_raw: LogMag) -> LogMag:
+def _audit_row(table: LocalTable, h_raw: LogMag) -> LogMag:
     """Check sum-over-all-places lambda = weight*deg*h at one point."""
+    d = table.divisor
     target = h_raw * (d.weight * d.degree)
+    total = table.all_places()
     if d.field is None:
-        total = weil_global(d, x)
         ok = total == target
     else:
-        total = galois_symmetrized(d, x)
         ok = total.compare(target, tol=_GALOIS_AUDIT_TOL) == 0
     if not ok:
         raise AuditFailure(
-            f"height identity violated at {x.coords}: "
+            f"height identity violated at {table.point.coords}: "
             f"sum of local terms != {d.weight * d.degree} * h"
         )
     return total
@@ -163,7 +158,8 @@ def _series_rows(cfg: ExperimentConfig, cache):
             rows.append(RatioRow(step.n, x, None, None, None, None, None, True, "support"))
             skips += 1
             continue
-        lam_all = _audit_row(d, x, step.h)
+        table = LocalTable(d, x)
+        lam_all = _audit_row(table, step.h)
         h_line = step.h * cfg.twist
         if h_line.is_zero():
             rows.append(
@@ -171,7 +167,7 @@ def _series_rows(cfg: ExperimentConfig, cache):
             )
             skips += 1
             continue
-        lam = weil_sum(d, x, list(cfg.places))
+        lam = table.lambda_S(cfg.places)
         exact, bounds = lam.ratio(h_line)
         rows.append(RatioRow(step.n, x, h_line, lam, lam_all, exact, bounds, False))
     if skips == len(rows):
@@ -308,8 +304,9 @@ def run_gap_experiment(cfg: ExperimentConfig, eps_prime=None, cache=None) -> Gap
             rows.append(GapRow(n, x, None, None, None, None, True, "support"))
             skips += 1
             continue
-        _audit_row(d, x, h_raw)
-        lam = weil_sum(d, x, list(cfg.places))
+        table = LocalTable(d, x)
+        _audit_row(table, h_raw)
+        lam = table.lambda_S(cfg.places)
         gap = h_raw * coef - lam
         sgn = gap.sign()
         if sgn < 0:

@@ -357,7 +357,10 @@ class ProjPoint:
         first = next(c for c in ints if c != 0)
         if first < 0:
             ints = [-c for c in ints]
-        return cls(tuple(ints))
+        # coprime with a positive lead already: skip __post_init__'s second gcd
+        point = object.__new__(cls)
+        object.__setattr__(point, "coords", tuple(ints))
+        return point
 
     @property
     def dim_ambient(self) -> int:

@@ -12,6 +12,11 @@ max, +infinity inside the min).  The default presentation of a degree-e
 hypersurface uses all monomials of degree e against the constant 1, which
 makes lambda exact at every place for integer points and sums over all
 places to e * h(x) on the nose.
+
+LocalTable holds lambda_D(x, w) for one point, each place evaluated
+once.  It is the one implementation of the sum over S (weil_sum) and of
+the sum over all places of Q or Q(sqrt d) (weil_global,
+galois_symmetrized); the experiment runners read both from one table.
 """
 
 from __future__ import annotations
@@ -30,6 +35,8 @@ from .exactnum import (
     QuadField,
     abs_value,
     factorize,
+    logmag_max,
+    logmag_min,
     logmag_sum,
     places_above,
 )
@@ -206,34 +213,16 @@ def weil_local(d: DivisorPresentation, x: ProjPoint, v: Place) -> LogMag:
     candidates = []
     for g in d.numer:
         a = _abs_or_none(g.evaluate(x.coords), w)
-        if a is None:
-            continue
-        best = None
-        for b in denom_vals:
-            term = a - b - sd_val
-            if best is None or term.compare(best) < 0:
-                best = term
-        candidates.append(best)
+        if a is not None:
+            candidates.append(logmag_min([a - b - sd_val for b in denom_vals]))
     if not candidates:
         raise ArithmeticError("numerator family vanishes at the point")
-    out = candidates[0]
-    for t in candidates[1:]:
-        if t.compare(out) > 0:
-            out = t
-    return out * d.weight
+    return logmag_max(candidates) * d.weight
 
 
 def weil_sum(d: DivisorPresentation, x: ProjPoint, places: list[Place]) -> LogMag:
     """Sum of lambda_D(x, v) over a duplicate-free list of places."""
-    if len(set(places)) != len(places):
-        raise ValueError("duplicate places in S")
-    return logmag_sum([weil_local(d, x, v) for v in places])
-
-
-def _as_integer(val: Fraction, what: str) -> int:
-    if val.denominator != 1:
-        raise ExactnessLost(f"{what} is not integral; residual aggregation invalid")
-    return abs(val.numerator)
+    return LocalTable(d, x).lambda_S(places)
 
 
 def _support_primes(values: list[Fraction], default_ok: bool) -> tuple[list[int], Fraction]:
@@ -269,6 +258,65 @@ def _support_primes(values: list[Fraction], default_ok: bool) -> tuple[list[int]
     return sorted(primes), Fraction(res_num, res_den)
 
 
+def _support_value(g: HomogPoly, x: ProjPoint, field: Optional[QuadField]) -> Fraction:
+    """g(x) over Q; over F = Q(sqrt d) its norm, which has the same primes."""
+    val = g.evaluate(x.coords)
+    if isinstance(val, QuadElem):
+        return val.norm()
+    return Fraction(val) if field is None else Fraction(val) ** 2
+
+
+class LocalTable:
+    """lambda_D(x, w) at one point, evaluated once per place w and kept."""
+
+    def __init__(self, d: DivisorPresentation, x: ProjPoint):
+        self.divisor = d
+        self.point = x
+        self._terms: dict[Place, LogMag] = {}
+
+    def _local(self, w: Place) -> LogMag:
+        lam = self._terms.get(w)
+        if lam is None:
+            lam = self._terms[w] = weil_local(self.divisor, self.point, w)
+        return lam
+
+    def lambda_S(self, places) -> LogMag:
+        """Sum of lambda_D(x, v) over a duplicate-free list of places, in order."""
+        if len(set(places)) != len(places):
+            raise ValueError("duplicate places in S")
+        return logmag_sum([self._local(_choose_place(self.divisor, v)) for v in places])
+
+    def all_places(self, parts: bool = False):
+        """Sum of [F_w:Q_v]/[F:Q] * lambda_D(x, w) over all places w of F.
+
+        F = Q or Q(sqrt d) is the field of D; parts=True adds the (place,
+        weighted term) rows, the residual for unfactored support last.
+        """
+        d, x = self.divisor, self.point
+        field = d.field
+        gens = (d.sd,) if d.is_default else (d.sd, *d.numer, *d.denom)
+        values = [_support_value(g, x, field) for g in gens]
+        if values[0] == 0:
+            raise SupportHit(x)
+        primes, residual = _support_primes(values, d.is_default)
+        field_degree = 1 if field is None else 2
+        rows: list[tuple[Optional[Place], LogMag]] = []
+        for v in [Place.archimedean()] + [Place.finite(p) for p in primes]:
+            for w in [v] if field is None else places_above(v, field):
+                lam = self._local(w)
+                weight = Fraction(w.local_degree, field_degree)
+                # weight-1 terms are all exact, and exact * 1 is the same value
+                rows.append((w, lam if weight == 1 else lam * weight))
+        total = logmag_sum([lm for _, lm in rows])
+        if residual != 1:
+            # unfactored prime support lies only in s_D(x); each hidden p adds
+            # weight * ord_p * log p / [F:Q], in total weight * log(residual) / [F:Q]
+            extra = LogMag.exact(residual) * (d.weight / field_degree)
+            total = total + extra
+            rows.append((None, extra))
+        return (total, rows) if parts else total
+
+
 def weil_global(d: DivisorPresentation, x: ProjPoint, *, parts: bool = False):
     """Sum of lambda_D(x, v) over all places of Q (exact for integral data).
 
@@ -277,32 +325,7 @@ def weil_global(d: DivisorPresentation, x: ProjPoint, *, parts: bool = False):
     """
     if d.field is not None:
         raise FieldMismatch("divisor over a quadratic field: use galois_symmetrized")
-    sd_val = d.sd.evaluate(x.coords)
-    if sd_val == 0:
-        raise SupportHit(x)
-    values = [Fraction(sd_val)]
-    if not d.is_default:
-        for g in (*d.numer, *d.denom):
-            v = g.evaluate(x.coords)
-            if v != 0:
-                values.append(Fraction(v))
-    primes, residual = _support_primes(values, d.is_default)
-    breakdown: list[tuple[Place, LogMag]] = []
-    v_inf = Place.archimedean()
-    breakdown.append((v_inf, weil_local(d, x, v_inf)))
-    for p in primes:
-        v = Place.finite(p)
-        breakdown.append((v, weil_local(d, x, v)))
-    total = logmag_sum([lm for _, lm in breakdown])
-    if residual != 1:
-        # unfactored prime support lies only in s_D(x); each hidden p
-        # contributes weight * ord_p * log p, in total weight * log(residual)
-        extra = LogMag.exact(residual) * d.weight
-        total = total + extra
-        breakdown.append((None, extra))
-    if parts:
-        return total, breakdown
-    return total
+    return LocalTable(d, x).all_places(parts)
 
 
 def galois_symmetrized(d: DivisorPresentation, x: ProjPoint, *, parts: bool = False):
@@ -312,43 +335,11 @@ def galois_symmetrized(d: DivisorPresentation, x: ProjPoint, *, parts: bool = Fa
     the quadratic machinery; for default presentations it equals
     weight * deg(D) * h(x) up to the certified archimedean enclosure.
     """
-    field = d.field
-    if field is None:
+    if d.field is None:
         raise FieldMismatch("divisor is rational: use weil_global")
-    sd_val = d.sd.evaluate(x.coords)
-    if isinstance(sd_val, QuadElem):
-        norm = sd_val.norm()
-    else:
-        norm = Fraction(sd_val) ** 2
-    if norm == 0:
-        raise SupportHit(x)
-    values = [norm]
-    if not d.is_default:
-        for g in (*d.numer, *d.denom):
-            v = g.evaluate(x.coords)
-            nv = v.norm() if isinstance(v, QuadElem) else Fraction(v) ** 2
-            if nv != 0:
-                values.append(nv)
-    primes, residual = _support_primes(values, d.is_default)
-    half = Fraction(1, 2)
-    breakdown = []
-    base_places = [Place.archimedean()] + [Place.finite(p) for p in primes]
-    for v in base_places:
-        for w in places_above(v, field):
-            lam = weil_local(d, x, w) * (half * w.local_degree)
-            breakdown.append((w, lam))
-    total = logmag_sum([lm for _, lm in breakdown])
-    if residual != 1:
-        extra = LogMag.exact(residual) * (half * d.weight)
-        total = total + extra
-        breakdown.append((None, extra))
-    if parts:
-        return total, breakdown
-    return total
+    return LocalTable(d, x).all_places(parts)
 
 
 def weil_all_places(d: DivisorPresentation, x: ProjPoint) -> LogMag:
-    """Dispatch to weil_global or galois_symmetrized by coefficient field."""
-    if d.field is None:
-        return weil_global(d, x)
-    return galois_symmetrized(d, x)
+    """Weighted sum of lambda_D(x, w) over all places of the field of D."""
+    return LocalTable(d, x).all_places()

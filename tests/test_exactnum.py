@@ -2,13 +2,17 @@ import math
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
+
+from mpmath import iv
 
 from orbitweil.exactnum import (
     LogMag,
     Place,
     QuadField,
+    UndecidableComparison,
     ValuationOfZero,
     FieldMismatch,
     abs_value,
@@ -203,6 +207,23 @@ def test_logmag_compare_and_ratio():
     # interval ratio encloses log3/log4
     lo, hi = LogMag.exact(3).ratio_interval(b)
     assert lo <= math.log(3) / math.log(4) <= hi and hi - lo < 1e-12
+
+
+def test_ratio_interval_escalates_for_exact_denominators():
+    # log(1 + 2^-400) is below 2^-320, so its 320-bit enclosure straddles 0
+    near = LogMag.exact(Fraction(2**400 + 1, 2**400))
+    lo, hi = LogMag.exact(3).ratio_interval(near)
+    with mpmath.workprec(1000):
+        want = mpmath.log(3) / mpmath.log(1 + mpmath.mpf(2) ** -400)
+    assert lo <= want <= hi and (hi - lo) / lo < 1e-15
+    assert LogMag.exact(3).ratio(near) == (None, (lo, hi))
+    assert iv.prec == 320
+    with pytest.raises(UndecidableComparison):
+        LogMag.exact(3).ratio_interval(LogMag.zero())
+    straddling = LogMag.certified(iv.mpf(["-1e-100", "1e-100"]))
+    with pytest.raises(UndecidableComparison):
+        LogMag.exact(3).ratio_interval(straddling)
+    assert iv.prec == 320
 
 
 def test_ratio_exact_decides_every_rational_ratio():

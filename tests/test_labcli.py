@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from orbitweil.exactnum import LogMag
+from orbitweil.exactnum import LogMag, Place
 from orbitweil.labcli import (
     AuditFailure,
     CacheInvalid,
@@ -209,6 +209,15 @@ def test_ratio_audit_aborts_on_broken_identity():
     broken = dataclasses.replace(cfg, divisor=cfg.divisor.with_extra_numerator(extra))
     with pytest.raises(AuditFailure):
         run_ratio_experiment(broken)
+
+
+def test_runners_reject_duplicate_places_in_hand_built_config():
+    inf = Place.archimedean()
+    cfg = dataclasses.replace(squaring_cfg(depth=3), places=(inf, Place.finite(3), inf))
+    with pytest.raises(ValueError, match="duplicate places"):
+        run_ratio_experiment(cfg)
+    with pytest.raises(ValueError, match="duplicate places"):
+        run_gap_experiment(cfg, eps_prime=Fraction(1))
 
 
 def test_ratio_quadratic_divisor_runs():

@@ -44,6 +44,10 @@ def test_normalize():
         ProjPoint((2, 4))
     with pytest.raises(ValueError):
         ProjPoint((-1, 2))
+    with pytest.raises(ZeroPoint):
+        ProjPoint((0, 0))
+    # normalize builds its point without the constructor's checks
+    assert P(-4, 6) == ProjPoint((2, -3)) and hash(P(-4, 6)) == hash(ProjPoint((2, -3)))
 
 
 def _height_oracle(coords):

@@ -2,11 +2,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from orbitweil.exactnum import LogMag, Place, QuadField, abs_value, places_above
+from orbitweil.exactnum import LogMag, Place, QuadField, abs_value, logmag_sum, places_above
 from orbitweil.polydyn import HomogPoly, ProjPoint, height
 from orbitweil.weil import (
     DivisorPresentation,
+    LocalTable,
     SupportHit,
     galois_symmetrized,
     monomials_of_degree,
@@ -200,3 +202,82 @@ def test_presentation_validation():
         DivisorPresentation.hypersurface(HomogPoly.zero(2, 1))
     with pytest.raises(ValueError):
         DivisorPresentation.hypersurface(D_X3Y.sd, weight=0)
+
+
+def test_local_table_evaluates_each_place_once(monkeypatch):
+    import orbitweil.weil as weil
+
+    calls = []
+    real = weil.weil_local
+
+    def counting(d, x, v):
+        calls.append(v)
+        return real(d, x, v)
+
+    monkeypatch.setattr(weil, "weil_local", counting)
+    x = P(16, 1)  # s_D(x) = 13
+    table = LocalTable(D_X3Y, x)
+    assert table.all_places() == LogMag.exact(16)
+    assert calls == [INF, Place.finite(13)]
+    S = [Place.finite(2), INF, Place.finite(13)]
+    assert table.lambda_S(S) == LogMag.exact(16)
+    assert calls == [INF, Place.finite(13), Place.finite(2)]  # only the new place
+    assert table.all_places(parts=True) == (LogMag.exact(16), [
+        (INF, LogMag.exact(Fraction(16, 13))), (Place.finite(13), LogMag.exact(13))])
+    assert len(calls) == 3
+    with pytest.raises(ValueError):
+        table.lambda_S([INF, INF])
+
+
+_F2 = QuadField(2)
+_PLACES_Q = [INF] + [Place.finite(p) for p in (2, 3, 5, 7, 11, 13, 10007)]
+_PLACES_F = _PLACES_Q + places_above(Place.finite(7), _F2)  # 7 splits in Q(sqrt 2)
+_points = st.tuples(st.integers(-10**5, 10**5), st.integers(-10**5, 10**5)).filter(any)
+
+
+def _lambda_S_reference(d, x, S):
+    return logmag_sum([weil_local(d, x, v) for v in S])
+
+
+def _default_divisor(coeffs, weight):
+    terms = dict(zip(monomials_of_degree(2, len(coeffs) - 1), coeffs))
+    return DivisorPresentation.hypersurface(HomogPoly.from_terms(2, terms), weight=weight)
+
+
+_divisors_Q = st.builds(
+    _default_divisor,
+    st.lists(st.integers(-30, 30), min_size=2, max_size=4).filter(any),
+    st.sampled_from([1, 2, Fraction(1, 2), Fraction(3, 4)]),
+)
+_divisors_F = st.builds(
+    _default_divisor,
+    st.lists(
+        st.builds(_F2.element, st.integers(-30, 30), st.integers(-30, 30)),
+        min_size=2,
+        max_size=3,
+    ).filter(lambda cs: any(c.b for c in cs)),
+    st.sampled_from([1, 2, Fraction(1, 2)]),
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(d=_divisors_Q, coords=_points, S=st.lists(st.sampled_from(_PLACES_Q), unique=True))
+def test_table_height_identity_and_lambda_S_over_Q(d, coords, S):
+    x = P(*coords)
+    assume(not d.support_test(x))
+    table = LocalTable(d, x)
+    assert weil_global(d, x) == table.all_places() == height(x) * (d.weight * d.degree)
+    assert weil_all_places(d, x) == table.all_places()
+    assert table.lambda_S(S) == weil_sum(d, x, S) == _lambda_S_reference(d, x, S)
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=_divisors_F, coords=_points, S=st.lists(st.sampled_from(_PLACES_F), unique=True))
+def test_table_height_identity_and_lambda_S_over_Q_sqrt2(d, coords, S):
+    x = P(*coords)
+    assume(not d.support_test(x))
+    table = LocalTable(d, x)
+    total = galois_symmetrized(d, x)
+    assert total == table.all_places() == weil_all_places(d, x)
+    assert total.compare(height(x) * (d.weight * d.degree), tol=1e-22) == 0
+    assert table.lambda_S(S) == weil_sum(d, x, S) == _lambda_S_reference(d, x, S)
