@@ -18,12 +18,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from decimal import Decimal, ROUND_HALF_EVEN, localcontext
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Optional, Sequence, Union
 
-import mpmath
 from mpmath import iv, mp
 
 # Working precision for certified enclosures.  300+ bits keeps every
@@ -229,6 +227,52 @@ def _is_power(n: int, base: int, e: int) -> bool:
     return base**e == n
 
 
+def integer_normal_form(values: Sequence[RationalLike]) -> tuple[list[int], Fraction]:
+    """(ints, c) with values == c * ints, ints coprime, first nonzero positive.
+
+    Raises ValueError when every value is zero.
+    """
+    den = math.lcm(*(v.denominator for v in values))
+    ints = [v.numerator * (den // v.denominator) for v in values]
+    g = math.gcd(*ints)
+    if g == 0:
+        raise ValueError("no integer normal form of an all-zero vector")
+    if next(i for i in ints if i) < 0:
+        g = -g
+    return [i // g for i in ints], Fraction(g, den)
+
+
+def bareiss(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int], int]:
+    """Fraction-free row echelon form of an integer matrix (Bareiss, 1968).
+
+    Returns (echelon, pivot_cols, swap_sign).  Row k of the echelon form
+    vanishes left of pivot_cols[k], and below row k every entry is a
+    (k+1)-minor of the row-swapped input on the pivot columns, so each
+    division is exact; for a nonsingular square matrix the last pivot is
+    swap_sign * det.
+    """
+    m = [list(r) for r in rows]
+    pivot_cols: list[int] = []
+    sign, prev = 1, 1
+    for col in range(len(m[0]) if m else 0):
+        k = len(pivot_cols)
+        if k == len(m):
+            break
+        piv = next((r for r in range(k, len(m)) if m[r][col] != 0), None)
+        if piv is None:
+            continue
+        if piv != k:
+            m[k], m[piv] = m[piv], m[k]
+            sign = -sign
+        p = m[k][col]
+        for r in range(k + 1, len(m)):
+            a = m[r][col]
+            m[r] = [(p * x - a * y) // prev for x, y in zip(m[r], m[k])]
+        prev = p
+        pivot_cols.append(col)
+    return m, pivot_cols, sign
+
+
 def padic_valuation(x: RationalLike, p: int) -> int:
     """ord_p(x) for a nonzero rational x and prime p."""
     if p < 2 or not is_prime(p):
@@ -370,6 +414,15 @@ def _float_log_fraction(q: Fraction) -> float:
     return math.log(q.numerator) - math.log(q.denominator)
 
 
+def decimal_fraction(q: Fraction, places: int = 12) -> str:
+    """q rounded half-even to `places` fractional digits, fixed point, no "-0"."""
+    n = round(q * 10**places)
+    digits = str(abs(n)).rjust(places + 1, "0")
+    if places:
+        digits = digits[:-places] + "." + digits[-places:]
+    return "-" + digits if n < 0 else digits
+
+
 # ---------------------------------------------------------------------------
 # LogMag: the log-magnitude value type
 # ---------------------------------------------------------------------------
@@ -449,17 +502,8 @@ class LogMag:
 
     def decimal_str(self, places: int = 12) -> str:
         """Deterministic fixed-point rendering with `places` fractional digits."""
-        lo, hi = _iv_endpoints(self.interval())
-        with mp.workprec(IV_PREC + 20):
-            mid = (lo + hi) / 2
-            s = mpmath.nstr(mid, 40, strip_zeros=False)
-        with localcontext() as ctx:
-            ctx.prec = 60
-            d = Decimal(s).quantize(Decimal(1).scaleb(-places), rounding=ROUND_HALF_EVEN)
-        out = format(d, "f")
-        if out.startswith("-") and Decimal(out) == 0:
-            out = out[1:]
-        return out
+        lo, hi = (_mpf_fraction(e) for e in _iv_endpoints(self.interval()))
+        return decimal_fraction((lo + hi) / 2, places)
 
     def __repr__(self) -> str:
         if self._m is not None:
@@ -961,8 +1005,7 @@ def _abs_rational(q: Fraction, v: Place) -> LogMag:
 def _split_valuation(y: QuadElem, p: int, index: int) -> int:
     """ord_w(y) at the split place with the given root index."""
     d = y.field.d
-    c = math.lcm(y.a.denominator, y.b.denominator)
-    A, B = int(y.a * c), int(y.b * c)
+    (A, B), c = integer_normal_form([y.a, y.b])
     norm = A * A - d * B * B
     if norm == 0:
         raise ValuationOfZero("absolute value of zero")
@@ -978,8 +1021,7 @@ def _split_valuation(y: QuadElem, p: int, index: int) -> int:
         if t != 0:
             val = padic_valuation(t, p)
             if val < prec:
-                cval = padic_valuation(c, p) if c % p == 0 else 0
-                return val - cval
+                return val + padic_valuation(c, p)
         prec *= 2
 
 

@@ -26,7 +26,7 @@ from ..singular import (
     lct_monomial,
     lct_valuation_search,
 )
-from ..weil import SupportHit, weil_local
+from ..weil import LocalTable, SupportHit
 from .config import ConfigError, load_config
 from .experiments import (
     AuditFailure,
@@ -92,12 +92,10 @@ def cmd_weil(args) -> int:
     cfg = _load(args).require("seed", "divisor")
     if not cfg.places:
         raise ConfigError("weil needs a nonempty places list")
-    total = None
+    table = LocalTable(cfg.divisor, cfg.seed)
     for place in cfg.places:
-        lam = weil_local(cfg.divisor, cfg.seed, place)
-        total = lam if total is None else total + lam
-        print(f"lambda[{place}] = {fmt12(lam)}")
-    print(f"sum over S     = {fmt12(total)}")
+        print(f"lambda[{place}] = {fmt12(table.local(place))}")
+    print(f"sum over S     = {fmt12(table.lambda_S(cfg.places))}")
     return 0
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from ..degree import AlphaEstimate, alpha_estimate
-from ..exactnum import LogMag
+from ..exactnum import LogMag, bareiss, integer_normal_form
 from ..polydyn import (
     FAILED,
     PROBABLE,
@@ -235,7 +235,7 @@ def _sample_points(nvars: int, bound: int, count, rng_seed: int) -> list[ProjPoi
                     continue
                 if math.gcd(abs(a), b) != 1:
                     continue
-                p = ProjPoint.normalize((Fraction(a), Fraction(b)))
+                p = ProjPoint.normalize((a, b))
                 seen.setdefault(p.coords, p)
         return list(seen.values())
     rng = random.Random(rng_seed)
@@ -244,7 +244,7 @@ def _sample_points(nvars: int, bound: int, count, rng_seed: int) -> list[ProjPoi
     attempts = 0
     while len(out) < count and attempts < 200 * count:
         attempts += 1
-        tup = tuple(Fraction(rng.randint(-bound, bound)) for _ in range(nvars))
+        tup = tuple(rng.randint(-bound, bound) for _ in range(nvars))
         if all(c == 0 for c in tup):
             continue
         p = ProjPoint.normalize(tup)
@@ -327,48 +327,25 @@ def run_gap_experiment(cfg: ExperimentConfig, eps_prime=None, cache=None) -> Gap
 
 
 def _kernel_vector(rows):
-    """One nonzero rational kernel vector of the row matrix, or None."""
+    """One nonzero kernel vector of an integer row matrix, or None.
+
+    It is zero on every free column but the first, fc, and is returned in
+    integer normal form.
+    """
     if not rows:
         return None
     width = len(rows[0])
-    mat = [list(r) for r in rows]
-    pivot_cols: list[int] = []
-    rank = 0
-    for col in range(width):
-        piv = None
-        for r in range(rank, len(mat)):
-            if mat[r][col] != 0:
-                piv = r
-                break
-        if piv is None:
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        pv = mat[rank][col]
-        mat[rank] = [c / pv for c in mat[rank]]
-        for r in range(len(mat)):
-            if r != rank and mat[r][col] != 0:
-                factor = mat[r][col]
-                mat[r] = [a - factor * b for a, b in zip(mat[r], mat[rank])]
-        pivot_cols.append(col)
-        rank += 1
-        if rank == len(mat):
-            break
-    free = [c for c in range(width) if c not in pivot_cols]
-    if not free:
+    echelon, pivot_cols, _ = bareiss(rows)
+    fc = next((c for c in range(width) if c not in pivot_cols), None)
+    if fc is None:
         return None
-    fc = free[0]
-    vec = [Fraction(0)] * width
-    vec[fc] = Fraction(1)
-    for i, pc in enumerate(pivot_cols):
-        vec[pc] = -mat[i][fc]
-    den = math.lcm(*(v.denominator for v in vec))
-    ints = [int(v * den) for v in vec]
-    g = math.gcd(*(abs(v) for v in ints))
-    ints = [v // g for v in ints]
-    lead = next(v for v in ints if v != 0)
-    if lead < 0:
-        ints = [-v for v in ints]
-    return tuple(ints)
+    # columns 0..fc-1 are pivots; with x_fc = the last of their pivots, a
+    # minor of the input, Cramer's rule makes every back-substitution exact
+    vec = [0] * width
+    vec[fc] = echelon[fc - 1][fc - 1] if fc else 1
+    for i in reversed(range(fc)):
+        vec[i] = -sum(echelon[i][j] * vec[j] for j in range(i + 1, fc + 1)) // echelon[i][i]
+    return tuple(integer_normal_form(vec)[0])
 
 
 def _poly_str(coeffs, exps) -> str:
@@ -406,7 +383,7 @@ def _closure_proxy(points) -> str:
     lin_exps = [
         tuple(1 if j == i else 0 for j in range(nvars)) for i in range(nvars)
     ]
-    vec = _kernel_vector([[Fraction(c) for c in p.coords] for p in points])
+    vec = _kernel_vector([list(p.coords) for p in points])
     if vec is not None:
         return f"contained in the hyperplane {{{_poly_str(vec, lin_exps)} = 0}}"
     if nvars == 3:
@@ -415,8 +392,7 @@ def _closure_proxy(points) -> str:
         quad = monomials_of_degree(3, 2)
         rows = []
         for p in points:
-            cs = [Fraction(c) for c in p.coords]
-            rows.append([math.prod(c**e for c, e in zip(cs, exp)) for exp in quad])
+            rows.append([math.prod(c**e for c, e in zip(p.coords, exp)) for exp in quad])
         vec = _kernel_vector(rows)
         if vec is not None:
             return f"contained in the conic {{{_poly_str(vec, quad)} = 0}}"

@@ -11,13 +11,12 @@ readers never see a partial file.
 
 from __future__ import annotations
 
-import decimal
 import hashlib
 import os
 import tempfile
 from fractions import Fraction
 
-from ..exactnum import LogMag
+from ..exactnum import LogMag, decimal_fraction
 from ..polydyn import (
     Morphism,
     OrbitRecord,
@@ -37,17 +36,6 @@ class CacheInvalid(Exception):
     """A cache file failed checksum or consistency validation."""
 
 
-def _dec_fraction(q: Fraction, places: int = 12) -> str:
-    with decimal.localcontext() as ctx:
-        ctx.prec = 60
-        d = decimal.Decimal(q.numerator) / decimal.Decimal(q.denominator)
-        quant = decimal.Decimal(1).scaleb(-places)
-        s = str(d.quantize(quant, rounding=decimal.ROUND_HALF_EVEN))
-    if s.startswith("-") and Fraction(s) == 0:
-        s = s[1:]
-    return s
-
-
 def fmt12(value) -> str:
     """Render a cell: LogMag, Fraction, float, int, or None (empty)."""
     if value is None:
@@ -55,7 +43,7 @@ def fmt12(value) -> str:
     if isinstance(value, LogMag):
         return value.decimal_str(12)
     if isinstance(value, Fraction):
-        return _dec_fraction(value, 12)
+        return decimal_fraction(value, 12)
     if isinstance(value, int):
         return str(value)
     return f"{value:.12f}"

@@ -10,12 +10,19 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import Mapping, Optional, Sequence, Union
 
-from .exactnum import FieldMismatch, LogMag, QuadElem, QuadField
+from .exactnum import (
+    FieldMismatch,
+    LogMag,
+    QuadElem,
+    QuadField,
+    bareiss,
+    integer_normal_form,
+)
 
-Coeff = Union[Fraction, QuadElem]
+Coeff = Union[int, Fraction, QuadElem]
 
 
 class ZeroPoint(ValueError):
@@ -34,6 +41,14 @@ def _is_zero_coeff(c: Coeff) -> bool:
     return c.is_zero if isinstance(c, QuadElem) else c == 0
 
 
+def _coeff(c) -> Coeff:
+    # integral rationals are stored as ints, so evaluation stays in ints
+    if isinstance(c, (int, QuadElem)):
+        return c
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
 def _coeff_str(c: Coeff) -> str:
     if isinstance(c, QuadElem):
         return f"{c.a}+{c.b}r{c.field.d}"
@@ -41,7 +56,10 @@ def _coeff_str(c: Coeff) -> str:
 
 
 class HomogPoly:
-    """Sparse homogeneous polynomial with rational or quadratic coefficients."""
+    """Sparse homogeneous polynomial with rational or quadratic coefficients.
+
+    A rational coefficient is an int when it is integral, else a Fraction.
+    """
 
     __slots__ = ("nvars", "degree", "terms")
 
@@ -57,12 +75,8 @@ class HomogPoly:
                 raise ValueError(f"bad exponent vector {exps}")
             if sum(exps) != degree:
                 raise ValueError(f"term {exps} is not of degree {degree}")
-            if not isinstance(c, QuadElem):
-                c = Fraction(c)
-            if _is_zero_coeff(c):
-                continue
             cur = clean.get(exps)
-            total = c if cur is None else cur + c
+            total = _coeff(c if cur is None else cur + c)
             if _is_zero_coeff(total):
                 clean.pop(exps, None)
             else:
@@ -201,12 +215,12 @@ class HomogPoly:
     def evaluate(self, coords: Sequence[Union[int, Fraction]]) -> Coeff:
         if len(coords) != self.nvars:
             raise ValueError("coordinate count mismatch")
-        total: Coeff = Fraction(0)
+        total: Coeff = 0
         for e, c in self.terms.items():
             term = c
             for x, k in zip(coords, e):
                 if k:
-                    term = term * (Fraction(x) ** k)
+                    term = term * x**k
             total = term + total
         return total
 
@@ -258,29 +272,18 @@ class HomogPoly:
 
         Quadratic coefficients contribute both components a, b.
         """
-        nums: list[int] = []
-        dens: list[int] = []
-        for c in self.terms.values():
-            comps = (c.a, c.b) if isinstance(c, QuadElem) else (c,)
-            for q in comps:
-                if q != 0:
-                    nums.append(abs(q.numerator))
-                    dens.append(q.denominator)
-        if not nums:
+        if self.is_zero:
             return Fraction(1)
-        g = 0
-        for n in nums:
-            g = gcd(g, n)
-        l = 1
-        for d in dens:
-            l = lcm(l, d)
-        return Fraction(g, l)
+        comps = [
+            q
+            for c in self.terms.values()
+            for q in ((c.a, c.b) if isinstance(c, QuadElem) else (c,))
+        ]
+        return abs(integer_normal_form(comps)[1])
 
     def primitive(self) -> "HomogPoly":
         c = self.content()
-        if c == 1 or c == 0:
-            return self
-        return self * Fraction(1, c)
+        return self if c == 1 else self * (1 / c)
 
     def coeff_bound(self) -> Fraction:
         """Rational upper bound for sum_t |coeff_t| under any archimedean embedding."""
@@ -332,10 +335,7 @@ class ProjPoint:
     def __post_init__(self) -> None:
         if not self.coords or all(c == 0 for c in self.coords):
             raise ZeroPoint("all coordinates vanish")
-        g = 0
-        for c in self.coords:
-            g = gcd(g, abs(c))
-        if g != 1:
+        if gcd(*self.coords) != 1:
             raise ValueError("coordinates are not coprime; use ProjPoint.normalize")
         first = next(c for c in self.coords if c != 0)
         if first < 0:
@@ -343,20 +343,9 @@ class ProjPoint:
 
     @classmethod
     def normalize(cls, raw: Sequence[Union[int, Fraction]]) -> "ProjPoint":
-        fracs = [Fraction(c) for c in raw]
-        if all(c == 0 for c in fracs):
+        if not any(raw):
             raise ZeroPoint("all coordinates vanish")
-        denom = 1
-        for c in fracs:
-            denom = lcm(denom, c.denominator)
-        ints = [int(c * denom) for c in fracs]
-        g = 0
-        for c in ints:
-            g = gcd(g, abs(c))
-        ints = [c // g for c in ints]
-        first = next(c for c in ints if c != 0)
-        if first < 0:
-            ints = [-c for c in ints]
+        ints, _ = integer_normal_form(raw)
         # coprime with a positive lead already: skip __post_init__'s second gcd
         point = object.__new__(cls)
         object.__setattr__(point, "coords", tuple(ints))
@@ -441,26 +430,12 @@ class Morphism:
 
     @property
     def map_id(self) -> str:
-        # joint scaling (c*F_0, ..., c*F_n) defines the same map, so the
-        # hash is taken over a jointly-normalized representative
-        nums: list[int] = []
-        dens: list[int] = []
-        for form in self.forms:
-            for c in form.terms.values():
-                nums.append(abs(c.numerator))
-                dens.append(c.denominator)
-        g = 0
-        for n in nums:
-            g = gcd(g, n)
-        l = 1
-        for d in dens:
-            l = lcm(l, d)
-        scale = Fraction(l, g) if g else Fraction(1)
-        first = next(f for f in self.forms if not f.is_zero)
-        lead = first.terms[min(first.terms)]
-        if lead < 0:
-            scale = -scale
-        payload = "||".join((f * scale).canonical_key() for f in self.forms)
+        # joint scaling (c*F_0, ..., c*F_n) defines the same map, so the hash
+        # is taken over the joint integer normal form, whose lead is the
+        # coefficient of the smallest exponent of the first nonzero form
+        coeffs = [c for f in self.forms for _, c in sorted(f.terms.items())]
+        _, scale = integer_normal_form(coeffs)
+        payload = "||".join((f * (1 / scale)).canonical_key() for f in self.forms)
         return hashlib.sha256(payload.encode()).hexdigest()
 
     def with_report(self, report: WellformedReport) -> "Morphism":
@@ -505,12 +480,7 @@ def iterate(f: Morphism, seed: ProjPoint, depth: int) -> OrbitRecord:
     """Orbit x, f(x), ..., f^depth(x) with exact heights at every step."""
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    steps = [OrbitStep(0, seed, height(seed))]
-    x = seed
-    for n in range(1, depth + 1):
-        x = evaluate(f, x)
-        steps.append(OrbitStep(n, x, height(x)))
-    return OrbitRecord(f.map_id, seed, tuple(steps))
+    return extend_orbit(OrbitRecord(f.map_id, seed, (OrbitStep(0, seed, height(seed)),)), f, depth)
 
 
 def extend_orbit(record: OrbitRecord, f: Morphism, depth: int) -> OrbitRecord:
@@ -545,36 +515,16 @@ def _resultant_binary(F: HomogPoly, G: HomogPoly) -> Fraction:
     including the root at infinity (both leading coefficients zero).
     """
     d = F.degree
-    a = [Fraction(0)] * (d + 1)
-    b = [Fraction(0)] * (d + 1)
-    for e, c in F.terms.items():
-        a[e[0]] = Fraction(c)  # coefficient of x^i y^(d-i)
-    for e, c in G.terms.items():
-        b[e[0]] = Fraction(c)
-    n = 2 * d
-    M = [[Fraction(0)] * n for _ in range(n)]
-    for row in range(d):
-        for i in range(d + 1):
-            M[row][row + i] = a[d - i]
-    for row in range(d):
-        for i in range(d + 1):
-            M[d + row][row + i] = b[d - i]
-    # fraction-free is unnecessary at these sizes; plain elimination
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if M[r][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            M[col], M[piv] = M[piv], M[col]
-            det = -det
-        det *= M[col][col]
-        inv = 1 / M[col][col]
-        for r in range(col + 1, n):
-            if M[r][col] != 0:
-                factor = M[r][col] * inv
-                M[r] = [x - factor * y for x, y in zip(M[r], M[col])]
-    return det
+    if F.is_zero or G.is_zero:
+        return Fraction(0)
+    # Res(c*F, G) = c**d * Res(F, G): eliminate the integer normal forms
+    scale, rows = Fraction(1), []
+    for form in (F, G):
+        ints, c = integer_normal_form([form.terms.get((i, d - i), 0) for i in range(d, -1, -1)])
+        scale *= c**d
+        rows += [[0] * r + ints + [0] * (d - 1 - r) for r in range(d)]
+    echelon, pivot_cols, sign = bareiss(rows)
+    return scale * sign * echelon[-1][-1] if len(pivot_cols) == 2 * d else Fraction(0)
 
 
 def _small_box_witness(f: Morphism, radius: int = 2) -> Optional[ProjPoint]:
@@ -605,32 +555,13 @@ def _fp_scan(f: Morphism, p: int) -> Optional[tuple[int, ...]]:
     from itertools import product
 
     nv = f.nvars
-    polys = []
-    for form in f.forms:
-        rows = []
-        for e, c in form.terms.items():
-            c = Fraction(c)
-            num = c.numerator % p
-            den = pow(c.denominator % p, -1, p)
-            rows.append((e, num * den % p))
-        polys.append(rows)
-
-    def eval_mod(rows, pt):
-        total = 0
-        for e, c in rows:
-            t = c
-            for x, k in zip(pt, e):
-                if k:
-                    t = t * pow(x, k, p) % p
-            total = (total + t) % p
-        return total
-
-    # canonical representatives: first nonzero coordinate = 1
+    # canonical representatives: first nonzero coordinate = 1; a value with
+    # denominator prime to p vanishes mod p when p divides its numerator
     for lead in range(nv):
         prefix = (0,) * lead + (1,)
         for rest in product(range(p), repeat=nv - lead - 1):
             pt = prefix + rest
-            if all(eval_mod(rows, pt) == 0 for rows in polys):
+            if all(form.evaluate(pt).numerator % p == 0 for form in f.forms):
                 return pt
     return None
 
@@ -657,7 +588,7 @@ def wellformed_check(f: Morphism, trials: int = 3, seed: int = 0) -> WellformedR
 
     rng = random.Random(seed)
     candidates = [p for p in (53, 61, 71, 83, 97, 101, 103, 107, 109, 113)
-                  if all(Fraction(c).denominator % p != 0
+                  if all(c.denominator % p != 0
                          for form in f.forms for c in form.terms.values())]
     rng.shuffle(candidates)
     hits = 0

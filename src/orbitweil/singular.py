@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
+from .exactnum import integer_normal_form
 from .polydyn import FAILED, UNCHECKED, HomogPoly, Morphism, pullback, wellformed_check
 
 Rational = Fraction
@@ -336,14 +337,7 @@ def lct_monomial(ideal: MonomialIdeal) -> LctResult:
         raise ArithmeticError("nonpositive optimum for a non-unit ideal")
     value = 1 / mu
 
-    denom_lcm = 1
-    for ui in x[:n]:
-        denom_lcm = denom_lcm * ui.denominator // gcd(denom_lcm, ui.denominator)
-    w = [int(ui * denom_lcm) for ui in x[:n]]
-    g0 = 0
-    for v in w:
-        g0 = gcd(g0, v)
-    witness = tuple(v // g0 for v in w)
+    witness = tuple(integer_normal_form(x[:n])[0])
 
     ordw = ideal.ord_along(witness)
     if ordw <= 0 or Fraction(sum(witness), ordw) != value:
@@ -359,12 +353,7 @@ def lct_monomial(ideal: MonomialIdeal) -> LctResult:
 def _bounded_weight_vectors(n: int, bound: int):
     """Primitive nonzero vectors in {0..bound}^n, in lexicographic order."""
     for v in itertools.product(range(bound + 1), repeat=n):
-        if not any(v):
-            continue
-        g = 0
-        for e in v:
-            g = gcd(g, e)
-        if g == 1:
+        if gcd(*v) == 1:
             yield v
 
 

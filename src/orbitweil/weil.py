@@ -23,8 +23,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations_with_replacement
-from math import gcd
+from math import lcm
 from typing import Optional, Union
 
 from .exactnum import (
@@ -36,7 +37,6 @@ from .exactnum import (
     abs_value,
     factorize,
     logmag_max,
-    logmag_min,
     logmag_sum,
     places_above,
 )
@@ -119,7 +119,7 @@ class DivisorPresentation:
     def degree(self) -> int:
         return self.sd.degree
 
-    @property
+    @cached_property
     def field(self) -> Optional[QuadField]:
         for g in (self.sd, *self.numer, *self.denom):
             f = g.field
@@ -162,13 +162,8 @@ class DivisorPresentation:
         if not self._full_monomials():
             return None
         bound = self.sd.coeff_bound() * max(t.coeff_bound() for t in self.denom)
-        dens = 1
-        for g in (self.sd, *self.denom):
-            for c in g.terms.values():
-                comps = (c.a, c.b) if isinstance(c, QuadElem) else (c,)
-                for q in comps:
-                    dens = dens * q.denominator // gcd(dens, q.denominator)
-        bound = bound * dens
+        # the denominator of a content is the lcm of its form's denominators
+        bound = bound * lcm(*(g.content().denominator for g in (self.sd, *self.denom)))
         if bound < 1:
             bound = Fraction(1)
         return LogMag.exact(bound) * abs(self.weight)
@@ -210,14 +205,11 @@ def weil_local(d: DivisorPresentation, x: ProjPoint, v: Place) -> LogMag:
     denom_vals = [t for t in (_abs_or_none(g.evaluate(x.coords), w) for g in d.denom) if t is not None]
     if not denom_vals:
         raise ArithmeticError("denominator family vanishes at the point")
-    candidates = []
-    for g in d.numer:
-        a = _abs_or_none(g.evaluate(x.coords), w)
-        if a is not None:
-            candidates.append(logmag_min([a - b - sd_val for b in denom_vals]))
-    if not candidates:
+    numer_vals = [t for t in (_abs_or_none(g.evaluate(x.coords), w) for g in d.numer) if t is not None]
+    if not numer_vals:
         raise ArithmeticError("numerator family vanishes at the point")
-    return logmag_max(candidates) * d.weight
+    # max_j min_i (log|s_j| - log|t_i| - log|s_D|) = max_j log|s_j| - max_i log|t_i| - log|s_D|
+    return (logmag_max(numer_vals) - logmag_max(denom_vals) - sd_val) * d.weight
 
 
 def weil_sum(d: DivisorPresentation, x: ProjPoint, places: list[Place]) -> LogMag:
@@ -274,7 +266,9 @@ class LocalTable:
         self.point = x
         self._terms: dict[Place, LogMag] = {}
 
-    def _local(self, w: Place) -> LogMag:
+    def local(self, v: Place) -> LogMag:
+        """lambda_D(x, w) at the place w that weil_local chooses for v."""
+        w = _choose_place(self.divisor, v)
         lam = self._terms.get(w)
         if lam is None:
             lam = self._terms[w] = weil_local(self.divisor, self.point, w)
@@ -284,7 +278,7 @@ class LocalTable:
         """Sum of lambda_D(x, v) over a duplicate-free list of places, in order."""
         if len(set(places)) != len(places):
             raise ValueError("duplicate places in S")
-        return logmag_sum([self._local(_choose_place(self.divisor, v)) for v in places])
+        return logmag_sum([self.local(v) for v in places])
 
     def all_places(self, parts: bool = False):
         """Sum of [F_w:Q_v]/[F:Q] * lambda_D(x, w) over all places w of F.
@@ -303,7 +297,7 @@ class LocalTable:
         rows: list[tuple[Optional[Place], LogMag]] = []
         for v in [Place.archimedean()] + [Place.finite(p) for p in primes]:
             for w in [v] if field is None else places_above(v, field):
-                lam = self._local(w)
+                lam = self.local(w)
                 weight = Fraction(w.local_degree, field_degree)
                 # weight-1 terms are all exact, and exact * 1 is the same value
                 rows.append((w, lam if weight == 1 else lam * weight))

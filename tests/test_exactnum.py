@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -6,7 +7,7 @@ import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mpmath import iv
+from mpmath import iv, libmp, mp
 
 from orbitweil.exactnum import (
     LogMag,
@@ -16,9 +17,12 @@ from orbitweil.exactnum import (
     ValuationOfZero,
     FieldMismatch,
     abs_value,
+    bareiss,
+    decimal_fraction,
     factorize,
     hensel_sqrt,
     integer_nth_root,
+    integer_normal_form,
     is_prime,
     legendre,
     logmag_sum,
@@ -335,6 +339,89 @@ def test_logmag_decimal_str():
     assert LogMag.zero().decimal_str(12) == "0.000000000000"
     assert (-LogMag.exact(2)).decimal_str(12) == "-0.693147180560"
     assert LogMag.exact(2**256).decimal_str(12) == "177.445678223346"
+
+
+def _dyadic_logmag(lo: Fraction, hi: Fraction) -> LogMag:
+    # certified value with exact dyadic endpoints lo <= hi
+    lo_mpf, hi_mpf = (
+        mp.make_mpf(libmp.from_man_exp(q.numerator, -(q.denominator.bit_length() - 1)))
+        for q in (lo, hi)
+    )
+    return LogMag.certified(iv.mpf([lo_mpf, hi_mpf]))
+
+
+def test_decimal_rendering_rounds_the_exact_value_half_even():
+    # ties at the 12th digit: 2**-13 = 0.0001220703125, 3 * 2**-13 = 0.0003662109375
+    for q, want in (
+        (Fraction(1, 2**13), "0.000122070312"),
+        (Fraction(3, 2**13), "0.000366210938"),
+        (Fraction(-3, 2**13), "-0.000366210938"),
+    ):
+        assert decimal_fraction(q) == want
+        assert _dyadic_logmag(q, q).decimal_str(12) == want
+    # a negative midpoint that rounds to zero prints without its sign
+    assert _dyadic_logmag(Fraction(-1, 2**50), Fraction(1, 2**52)).decimal_str(12) == "0.000000000000"
+    assert decimal_fraction(Fraction(-1, 10**13)) == "0.000000000000"
+    # within 2**-200 above the tie 5e-13: a 40-digit intermediate would read
+    # an exact tie and round down to 0; the exact midpoint rounds up
+    above = Fraction(-(-5 * 2**200 // 10**13), 2**200)
+    assert _dyadic_logmag(above, above).decimal_str(12) == "0.000000000001"
+    assert decimal_fraction(Fraction(7, 2), 0) == "4"
+    assert decimal_fraction(Fraction(-1, 8), 2) == "-0.12"
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.one_of(st.integers(-(10**30), 10**30), st.fractions(max_denominator=10**6)),
+        min_size=1,
+        max_size=6,
+    )
+)
+def test_integer_normal_form_properties(values):
+    if not any(values):
+        with pytest.raises(ValueError):
+            integer_normal_form(values)
+        return
+    ints, c = integer_normal_form(values)
+    assert all(type(i) is int for i in ints)
+    assert [c * i for i in ints] == values
+    assert math.gcd(*ints) == 1
+    assert next(i for i in ints if i) > 0
+
+
+def test_integer_normal_form_examples():
+    assert integer_normal_form([Fraction(-2, 3), 4]) == ([1, -6], Fraction(-2, 3))
+    assert integer_normal_form([0, 6, Fraction(9, 2)]) == ([0, 4, 3], Fraction(3, 2))
+    for zeros in ([], [0], [Fraction(0), 0]):
+        with pytest.raises(ValueError):
+            integer_normal_form(zeros)
+
+
+def _leibniz_det(m):
+    n = len(m)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        total += (-1) ** inversions * math.prod(m[i][perm[i]] for i in range(n))
+    return total
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 5).flatmap(
+        lambda n: st.lists(
+            st.lists(st.integers(-4, 4), min_size=n, max_size=n), min_size=n, max_size=n
+        )
+    )
+)
+def test_bareiss_determinant_is_the_leibniz_expansion(m):
+    echelon, pivot_cols, sign = bareiss(m)
+    for k, col in enumerate(pivot_cols):
+        assert echelon[k][col] != 0 and not any(echelon[k][:col])
+    assert all(type(x) is int for row in echelon for x in row)
+    det = sign * echelon[-1][-1] if len(pivot_cols) == len(m) else 0
+    assert det == _leibniz_det(m)
 
 
 def test_quadelem_arithmetic():

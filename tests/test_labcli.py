@@ -1,17 +1,20 @@
 import dataclasses
 import json
+import math
 import os
 import random
 import xml.etree.ElementTree as ET
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from orbitweil.exactnum import LogMag, Place
 from orbitweil.labcli import (
     AuditFailure,
     CacheInvalid,
     ConfigError,
+    fmt12,
     OrbitCache,
     load_config,
     parse_config,
@@ -26,7 +29,7 @@ from orbitweil.labcli import (
 from orbitweil.labcli.cli import main
 from orbitweil.labcli.experiments import _closure_proxy, _kernel_vector, _sample_points
 from orbitweil.polydyn import HomogPoly, OrbitRecord, OrbitStep, ProjPoint, height, iterate
-from orbitweil.weil import weil_sum
+from orbitweil.weil import weil_local, weil_sum
 
 
 def squaring_cfg(**overrides):
@@ -220,6 +223,35 @@ def test_runners_reject_duplicate_places_in_hand_built_config():
         run_gap_experiment(cfg, eps_prime=Fraction(1))
 
 
+def test_cli_weil_prints_terms_and_sum_of_one_table_over_quadratic_places(tmp_path, capsys):
+    path = tmp_path / "weil.json"
+    path.write_text(json.dumps({
+        "seed": ["3", "1"],
+        "divisor": {"field": {"d": 2}, "form": {"1,0": "1", "0,1": {"a": 0, "b": -1}}},
+        "places": ["inf", 7, 2],
+    }))
+    assert main(["weil", str(path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    cfg = load_config(str(path))
+    terms = [weil_local(cfg.divisor, cfg.seed, v) for v in cfg.places]
+    # 3 - sqrt 2 has norm 7: a certified real term and a nonzero split term
+    assert not terms[0].is_exact and terms[1] == LogMag.exact(7)
+    assert lines[:-1] == [f"lambda[{v}] = {fmt12(t)}" for v, t in zip(cfg.places, terms)]
+    assert lines[-1] == f"sum over S     = {fmt12(weil_sum(cfg.divisor, cfg.seed, cfg.places))}"
+
+
+def test_fmt12_renders_fractions_in_fixed_point_half_even():
+    assert fmt12(Fraction(5, 10**13)) == "0.000000000000"
+    assert fmt12(Fraction(15, 10**13)) == "0.000000000002"
+    assert fmt12(Fraction(25, 10**13)) == "0.000000000002"
+    assert fmt12(Fraction(-15, 10**13)) == "-0.000000000002"
+    assert fmt12(Fraction(-5, 10**13)) == "0.000000000000"
+    assert fmt12(Fraction(0)) == "0.000000000000"
+    assert fmt12(Fraction(1, 10**7)) == "0.000000100000"
+    assert fmt12(Fraction(-2, 3)) == "-0.666666666667"
+    assert fmt12(Fraction(10**50 + 1, 2)) == "5" + "0" * 49 + ".500000000000"
+
+
 def test_ratio_quadratic_divisor_runs():
     cfg = parse_config({
         "map": {"forms": [{"2,0": "1"}, {"0,2": "1"}]},
@@ -334,6 +366,36 @@ def test_kernel_vector_exact():
     assert sum(v * c for v, c in zip(vec, rows[0])) == 0
     full = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]
     assert _kernel_vector(full) is None
+    assert _kernel_vector([]) is None
+
+
+def test_kernel_vector_stays_integral_with_a_pivot_in_the_last_column():
+    for rows, want in (
+        ([[1, 2, 0], [0, 0, 1]], (2, -1, 0)),
+        ([[0, 0, 3]], (1, 0, 0)),
+        ([[2, 4, 6], [1, 3, 5], [1, 1, 1]], (1, -2, 1)),
+        ([[3, 0, 0, 1], [0, 0, 5, 2]], (0, 1, 0, 0)),
+    ):
+        vec = _kernel_vector(rows)
+        assert vec == want
+        assert all(type(v) is int for v in vec)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), width=st.integers(1, 6))
+def test_kernel_vector_annihilates_rank_deficient_rows(data, width):
+    rank = data.draw(st.integers(0, width - 1))
+    vectors = st.lists(st.integers(-9, 9), min_size=width, max_size=width)
+    basis = data.draw(st.lists(vectors, min_size=rank, max_size=rank))
+    mixes = st.lists(st.integers(-3, 3), min_size=rank, max_size=rank)
+    rows = [
+        [sum(c * b[j] for c, b in zip(mix, basis)) for j in range(width)]
+        for mix in data.draw(st.lists(mixes, min_size=1, max_size=7))
+    ]
+    vec = _kernel_vector(rows)
+    assert all(type(v) is int for v in vec)
+    assert math.gcd(*vec) == 1 and next(v for v in vec if v) > 0
+    assert all(sum(v * x for v, x in zip(vec, row)) == 0 for row in rows)
 
 
 def test_thm14_report_squaring():

@@ -1,8 +1,10 @@
+import math
 import random
 from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from orbitweil.exactnum import LogMag, Place, abs_value, logmag_sum, rational_support
 from orbitweil.polydyn import (
@@ -14,6 +16,7 @@ from orbitweil.polydyn import (
     Morphism,
     ProjPoint,
     ZeroPoint,
+    _resultant_binary,
     evaluate,
     extend_orbit,
     height,
@@ -122,6 +125,45 @@ def test_map_id_joint_scaling():
     f3 = Morphism((X2 * 2, Y2))
     assert f1.map_id == f2.map_id
     assert f1.map_id != f3.map_id
+
+
+def test_map_id_digests_are_pinned():
+    # orbit-cache files are keyed by these digests; they must not move
+    squaring = "107f6937b276feae4b7933f42487b8ebdcdc19a91b6d963d7f1c250255f0131b"
+    assert SQUARING.map_id == squaring
+    assert Morphism((X2 * Fraction(-3, 7), Y2 * Fraction(-3, 7))).map_id == squaring
+    fibonacci = Morphism(
+        tuple(HomogPoly.monomial(e) for e in ((1, 1, 0), (1, 0, 1), (0, 0, 2)))
+    )
+    assert fibonacci.map_id == "c7da59d34ad94f838c180de2c3aa058836183e6465cf8a5ee45133419728c941"
+
+
+_ROOTS = st.tuples(st.integers(-5, 5), st.integers(-5, 5)).filter(any)
+
+
+def _form_with_roots(c: Fraction, roots) -> HomogPoly:
+    # c * prod (b x - a y), which vanishes exactly at the points (a : b)
+    form = HomogPoly(2, 0, {(0, 0): c})
+    for a, b in roots:
+        form = form * HomogPoly(2, 1, {(1, 0): b, (0, 1): -a})
+    return form
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    data=st.data(),
+    d=st.integers(1, 4),
+    cf=st.fractions(max_denominator=9).filter(bool),
+    cg=st.fractions(max_denominator=9).filter(bool),
+)
+def test_resultant_vanishes_exactly_on_a_shared_root(data, d, cf, cg):
+    ra = data.draw(st.lists(_ROOTS, min_size=d, max_size=d))
+    rb = data.draw(st.lists(_ROOTS, min_size=d, max_size=d))
+    res = _resultant_binary(_form_with_roots(cf, ra), _form_with_roots(cg, rb))
+    shared = any(a * d2 == b * c2 for a, b in ra for c2, d2 in rb)
+    assert (res == 0) == shared
+    # the resultant is multiplicative; Res(b x - a y, d x - c y) = a d - b c
+    assert res == cf**d * cg**d * math.prod(a * d2 - b * c2 for a, b in ra for c2, d2 in rb)
 
 
 def test_pullback():
