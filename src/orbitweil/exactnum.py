@@ -71,13 +71,16 @@ def _sieve(limit: int) -> list[int]:
 
 _SMALL_PRIMES = _sieve(1000)
 
-# Deterministic Miller-Rabin base set: correct for all n < 3.317e24,
-# which covers every prime this package ever certifies exactly.
+# The first 13 prime bases decide every n < _MR_BOUND (Sorenson and Webster,
+# Math. Comp. 86, 2017); past it an answer would only be probable.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3_317_044_064_679_887_385_961_981
 
 
 def is_prime(n: int) -> bool:
-    """Miller-Rabin primality test (deterministic below 3.3e24)."""
+    """Deterministic Miller-Rabin; raises ExactnumError for n >= 3.317e24."""
+    if n >= _MR_BOUND:
+        raise ExactnumError(f"cannot prove {n} prime: not below the Miller-Rabin bound")
     if n < 2:
         return False
     for p in _SMALL_PRIMES[:25]:
@@ -103,43 +106,12 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _pollard_brent(n: int, seed: int, max_steps: int) -> Optional[int]:
-    # Brent's cycle variant of Pollard rho; returns a proper factor or None
-    # once the step budget runs out.
-    if n % 2 == 0:
-        return 2
-    y, c, m = (seed % (n - 1)) + 1, (seed // 7 % (n - 1)) + 1, 128
-    g = r = q = 1
-    steps = 0
-    x = ys = y
-    while g == 1 and steps < max_steps:
-        x = y
-        for _ in range(r):
-            y = (y * y + c) % n
-        k = 0
-        while k < r and g == 1:
-            ys = y
-            for _ in range(min(m, r - k)):
-                y = (y * y + c) % n
-                q = q * abs(x - y) % n
-            g = math.gcd(q, n)
-            k += m
-            steps += min(m, r - k + m)
-        r *= 2
-    if g == n:
-        g = 1
-        while g == 1:
-            ys = (ys * ys + c) % n
-            g = math.gcd(abs(x - ys), n)
-    return g if 1 < g < n else None
+def factorize(n: int) -> tuple[dict[int, int], int]:
+    """Trial division of n >= 1 by the primes below 1,000, plus a cofactor.
 
-
-def factorize(n: int, *, rho_steps: int = 200_000) -> tuple[dict[int, int], int]:
-    """Partial factorization of n >= 1 under a deterministic step budget.
-
-    Returns (factors, cofactor): ``factors`` maps primes to exponents,
-    ``cofactor`` is 1 or a leftover integer coprime to every found prime
-    (its own prime support stayed out of reach of the budget).
+    Returns (factors, cofactor), factors mapping primes to exponents.  A
+    leftover is a factor if below 1,000^2 or proved prime by is_prime, else
+    the cofactor (1 if none); no primality test runs past the bound.
     """
     if n < 1:
         raise ValueError("factorize expects a positive integer")
@@ -152,30 +124,10 @@ def factorize(n: int, *, rho_steps: int = 200_000) -> tuple[dict[int, int], int]
             n //= p
     if n == 1:
         return factors, 1
-    # the stack holds the remaining composite part as a multiset of factors
-    stack = [n]
-    cofactor = 1
-    while stack:
-        m = stack.pop()
-        if m == 1:
-            continue
-        if is_prime(m):
-            factors[m] = factors.get(m, 0) + 1
-            continue
-        root = math.isqrt(m)
-        if root * root == m:
-            stack.extend((root, root))
-            continue
-        found = None
-        for seed in (1, 3, 5):
-            found = _pollard_brent(m, seed, rho_steps)
-            if found:
-                break
-        if found is None:
-            cofactor *= m
-        else:
-            stack.extend((found, m // found))
-    return factors, cofactor
+    if n < 1000**2 or (n < _MR_BOUND and is_prime(n)):
+        factors[n] = 1
+        return factors, 1
+    return factors, n
 
 
 def rational_support(q: RationalLike) -> list[int]:
@@ -277,17 +229,24 @@ def padic_valuation(x: RationalLike, p: int) -> int:
     """ord_p(x) for a nonzero rational x and prime p."""
     if p < 2 or not is_prime(p):
         raise ValueError(f"{p} is not a prime")
-    q = Fraction(x)
-    if q == 0:
+    return multiplicity(Fraction(x), p)
+
+
+def multiplicity(x: RationalLike, b: int) -> int:
+    """Exponent of b > 1 in the numerator of a nonzero x minus that in its denominator.
+
+    For a prime b this is ord_b(x); nothing here checks that b is prime.
+    """
+    if x == 0:
         raise ValuationOfZero("ord_p(0) is +infinity")
     v = 0
-    n = q.numerator
-    while n % p == 0:
-        n //= p
+    n = x.numerator
+    while n % b == 0:
+        n //= b
         v += 1
-    d = q.denominator
-    while d % p == 0:
-        d //= p
+    d = x.denominator
+    while d % b == 0:
+        d //= b
         v -= 1
     return v
 
@@ -779,10 +738,12 @@ class QuadField:
         if self.d in (0, 1):
             raise ValueError("d must not be 0 or 1")
         fac, cof = factorize(abs(self.d))
-        if cof != 1:
-            raise ValueError(f"cannot certify {self.d} squarefree")
-        if any(e > 1 for e in fac.values()):
+        # a cofactor below 1,000^3 is composite with no prime factor below
+        # 1,000, so it is p * q: squarefree unless a square
+        if any(e > 1 for e in fac.values()) or math.isqrt(cof) ** 2 == cof > 1:
             raise ValueError(f"{self.d} is not squarefree")
+        if cof >= 10**9:
+            raise ValueError(f"cannot certify {self.d} squarefree")
 
     @property
     def is_real(self) -> bool:
@@ -998,7 +959,7 @@ def _abs_rational(q: Fraction, v: Place) -> LogMag:
         raise ValuationOfZero("absolute value of zero")
     if v.is_archimedean:
         return LogMag.exact(abs(q))
-    k = padic_valuation(q, v.p)
+    k = multiplicity(q, v.p)
     return LogMag.exact(Fraction(v.p) ** (-k))
 
 
@@ -1009,7 +970,7 @@ def _split_valuation(y: QuadElem, p: int, index: int) -> int:
     norm = A * A - d * B * B
     if norm == 0:
         raise ValuationOfZero("absolute value of zero")
-    prec = padic_valuation(norm, p) + 2 if norm % p == 0 else 2
+    prec = multiplicity(norm, p) + 2 if norm % p == 0 else 2
     prec = max(prec, 3)
     while True:
         if prec > _HENSEL_CAP:
@@ -1019,9 +980,9 @@ def _split_valuation(y: QuadElem, p: int, index: int) -> int:
             s = p**prec - s
         t = (A + B * s) % p**prec
         if t != 0:
-            val = padic_valuation(t, p)
+            val = multiplicity(t, p)
             if val < prec:
-                return val + padic_valuation(c, p)
+                return val + multiplicity(c, p)
         prec *= 2
 
 
@@ -1038,7 +999,7 @@ def _abs_quad(y: QuadElem, v: Place) -> LogMag:
     d = y.field.d
     kind = ext.kind
     if kind in (INERT, RAMIFIED):
-        k = padic_valuation(y.norm(), v.p)
+        k = multiplicity(y.norm(), v.p)
         return LogMag.exact(Fraction(v.p) ** (-k), 2)
     if kind == SPLIT:
         k = _split_valuation(y, v.p, ext.index)

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import jsonschema
 
-from ..exactnum import Place, QuadElem, QuadField, is_prime
+from ..exactnum import ExactnumError, Place, QuadElem, QuadField, is_prime
 from ..polydyn import HomogPoly, Morphism, ProjPoint
 from ..weil import DivisorPresentation
 
@@ -199,7 +199,11 @@ def _parse_place(spec) -> Place:
     if spec == "inf":
         return Place.archimedean()
     p = int(spec)
-    if not is_prime(p):
+    try:
+        prime = is_prime(p)
+    except ExactnumError as exc:
+        raise ConfigError(f"place {p}: {exc}") from None
+    if not prime:
         raise ConfigError(f"place {p} is not prime")
     return Place.finite(p)
 

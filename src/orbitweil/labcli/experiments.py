@@ -159,6 +159,8 @@ def _series_rows(cfg: ExperimentConfig, cache):
             skips += 1
             continue
         table = LocalTable(d, x)
+        # lambda_S first: the audit then checks each of its places as a row
+        lam = table.lambda_S(cfg.places)
         lam_all = _audit_row(table, step.h)
         h_line = step.h * cfg.twist
         if h_line.is_zero():
@@ -167,7 +169,6 @@ def _series_rows(cfg: ExperimentConfig, cache):
             )
             skips += 1
             continue
-        lam = table.lambda_S(cfg.places)
         exact, bounds = lam.ratio(h_line)
         rows.append(RatioRow(step.n, x, h_line, lam, lam_all, exact, bounds, False))
     if skips == len(rows):
@@ -305,8 +306,8 @@ def run_gap_experiment(cfg: ExperimentConfig, eps_prime=None, cache=None) -> Gap
             skips += 1
             continue
         table = LocalTable(d, x)
-        _audit_row(table, h_raw)
         lam = table.lambda_S(cfg.places)
+        _audit_row(table, h_raw)
         gap = h_raw * coef - lam
         sgn = gap.sign()
         if sgn < 0:

@@ -17,6 +17,8 @@ LocalTable holds lambda_D(x, w) for one point, each place evaluated
 once.  It is the one implementation of the sum over S (weil_sum) and of
 the sum over all places of Q or Q(sqrt d) (weil_global,
 galois_symmetrized); the experiment runners read both from one table.
+The sum over all places factors nothing past trial division; over Q
+the support left over goes into one coprime base of exact log terms.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations_with_replacement
-from math import lcm
+from math import gcd, lcm
 from typing import Optional, Union
 
 from .exactnum import (
@@ -38,6 +40,7 @@ from .exactnum import (
     factorize,
     logmag_max,
     logmag_sum,
+    multiplicity,
     places_above,
 )
 from .polydyn import HomogPoly, ProjPoint
@@ -56,7 +59,7 @@ class SupportHit(ArithmeticError):
 
 
 class ExactnessLost(ArithmeticError):
-    """A factoring budget ran out where the aggregation shortcut is invalid."""
+    """Unfactored support over Q(sqrt d) where the presentation is not default."""
 
 
 def monomials_of_degree(nvars: int, degree: int) -> list[tuple[int, ...]]:
@@ -217,45 +220,56 @@ def weil_sum(d: DivisorPresentation, x: ProjPoint, places: list[Place]) -> LogMa
     return LocalTable(d, x).lambda_S(places)
 
 
-def _support_primes(values: list[Fraction], default_ok: bool) -> tuple[list[int], Fraction]:
-    """Primes dividing any value, plus the unfactored residual (default route).
+def _coprime_base(ns) -> list[int]:
+    """Pairwise coprime b > 1, ascending, with every n a product of their powers.
 
-    The residual multiplies together the cofactors that the budget left
-    unfactored (denominator cofactors go below the bar, keeping the sign of
-    their contribution right); for default presentations its prime part
-    contributes exactly log(residual) to the global sum, so exactness
-    survives partial factoring.
+    Pairwise-gcd refinement (Bernstein, J. Algorithms 54, 2005, in its
+    quadratic form): a and b with g = gcd(a, b) > 1 become a/g, g, b/g,
+    which divides the product of all elements by g, so the loop ends.
     """
-    primes: set[int] = set()
-    res_num = 1
-    res_den = 1
-    for q in values:
-        for n, is_den in ((abs(q.numerator), False), (q.denominator, True)):
-            if n in (0, 1):
-                continue
-            fac, cof = factorize(n)
-            primes.update(fac)
-            if cof != 1:
-                if not default_ok:
-                    raise ExactnessLost(
-                        f"cannot factor {n} and the presentation is not default-monomial"
-                    )
-                if is_den:
-                    res_den *= cof
-                else:
-                    res_num *= cof
-    for p in primes:
-        if res_num % p == 0 or res_den % p == 0:
-            raise ExactnessLost("residual shares a prime with the factored part")
-    return sorted(primes), Fraction(res_num, res_den)
+    base: list[int] = []
+    todo = [n for n in ns if n > 1]
+    while todo:
+        a = todo.pop()
+        for i, b in enumerate(base):
+            g = gcd(a, b)
+            if g != 1:
+                del base[i]
+                todo += [m for m in (b // g, g, a // g) if m > 1]
+                break
+        else:
+            base.append(a)
+    return sorted(base)
 
 
-def _support_value(g: HomogPoly, x: ProjPoint, field: Optional[QuadField]) -> Fraction:
-    """g(x) over Q; over F = Q(sqrt d) its norm, which has the same primes."""
-    val = g.evaluate(x.coords)
-    if isinstance(val, QuadElem):
-        return val.norm()
-    return Fraction(val) if field is None else Fraction(val) ** 2
+def _base_exponent(d: DivisorPresentation, values: list[Fraction], b: int) -> int:
+    """E_b(s_D) + min_i E_b(t_i) - min_j E_b(s_j), zero sections skipped.
+
+    E_b is exactnum.multiplicity, and values are _support_values(d, x).
+    """
+    k = multiplicity(values[0], b)
+    if not d.is_default:
+        j = 1 + len(d.numer)
+        k += min(multiplicity(v, b) for v in values[j:] if v)
+        k -= min(multiplicity(v, b) for v in values[1:j] if v)
+    return k
+
+
+def _support_values(d: DivisorPresentation, x: ProjPoint) -> list[Fraction]:
+    """s_D(x), then (unless D is default) the s_j(x) and t_i(x); norms over Q(sqrt d).
+
+    A default presentation needs s_D(x) alone: at coprime integer
+    coordinates its monomials and its 1 are units at every prime.
+    """
+    out = []
+    for g in (d.sd,) if d.is_default else (d.sd, *d.numer, *d.denom):
+        val = g.evaluate(x.coords)
+        if isinstance(val, QuadElem):
+            val = val.norm()
+        elif d.field is not None:
+            val = val * val
+        out.append(Fraction(val))
+    return out
 
 
 class LocalTable:
@@ -283,31 +297,49 @@ class LocalTable:
     def all_places(self, parts: bool = False):
         """Sum of [F_w:Q_v]/[F:Q] * lambda_D(x, w) over all places w of F.
 
-        F = Q or Q(sqrt d) is the field of D; parts=True adds the (place,
-        weighted term) rows, the residual for unfactored support last.
+        F = Q or Q(sqrt d) is the field of D.  The places are those found by
+        factorize in the values of D's sections, and the places the table
+        holds that divide them, so a lambda_S read first is audited place by
+        place.  The support left over goes into one coprime base (over
+        Q(sqrt d) only for default D).  parts=True adds the (place, weighted
+        term) rows, then one (None, term) row per base element.
         """
         d, x = self.divisor, self.point
         field = d.field
-        gens = (d.sd,) if d.is_default else (d.sd, *d.numer, *d.denom)
-        values = [_support_value(g, x, field) for g in gens]
+        values = _support_values(d, x)
         if values[0] == 0:
             raise SupportHit(x)
-        primes, residual = _support_primes(values, d.is_default)
+        primes: set[int] = set()
+        cofactors = []
+        for q in values:
+            for n in (abs(q.numerator), q.denominator):
+                if n > 1:
+                    fac, cof = factorize(n)
+                    primes.update(fac)
+                    cofactors.append(cof)
+        primes.update(w.p for w in self._terms if w.p and any(c % w.p == 0 for c in cofactors))
+        # a prime is its own base element, so the others are prime to every place row
+        big = [p for p in primes if p > 1000]
+        base = [b for b in _coprime_base(cofactors + big) if b not in primes]
+        if base and field is not None and not d.is_default:
+            raise ExactnessLost("a base of norms cannot tell split places apart")
         field_degree = 1 if field is None else 2
         rows: list[tuple[Optional[Place], LogMag]] = []
-        for v in [Place.archimedean()] + [Place.finite(p) for p in primes]:
+        for v in [Place.archimedean()] + [Place.finite(p) for p in sorted(primes)]:
             for w in [v] if field is None else places_above(v, field):
                 lam = self.local(w)
                 weight = Fraction(w.local_degree, field_degree)
                 # weight-1 terms are all exact, and exact * 1 is the same value
                 rows.append((w, lam if weight == 1 else lam * weight))
+        # Every prime p | b has ord_p(v) = E_b(v) * ord_p(b) in each value v, as
+        # the rest of v is prime to b.  So lambda_D(x, p) = weight * ord_p(b) *
+        # _base_exponent * log p, and the primes of b sum to weight *
+        # _base_exponent * log b.  Over Q(sqrt d) the values are norms of a
+        # default s_D, and the places above p sum to half of that.
+        for b in base:
+            k = _base_exponent(d, values, b)
+            rows.append((None, LogMag.exact(b) * (d.weight * k / field_degree)))
         total = logmag_sum([lm for _, lm in rows])
-        if residual != 1:
-            # unfactored prime support lies only in s_D(x); each hidden p adds
-            # weight * ord_p * log p / [F:Q], in total weight * log(residual) / [F:Q]
-            extra = LogMag.exact(residual) * (d.weight / field_degree)
-            total = total + extra
-            rows.append((None, extra))
         return (total, rows) if parts else total
 
 

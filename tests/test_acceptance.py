@@ -320,7 +320,7 @@ def test_09_ratio_experiment():
         "seed": ["6", "1"],
         "divisor": {"form": {"1,0": "1", "0,1": "-3"}},
         "places": ["inf", 3],
-        "depth": 5,
+        "depth": 8,
     }))
     miss = _closed_form_miss(series, 2) or _closed_form_miss(six, 6)
     rows = {r.n: r for r in series.rows}

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from mpmath import iv, libmp, mp
 
 from orbitweil.exactnum import (
+    ExactnumError,
     LogMag,
     Place,
     QuadField,
@@ -180,10 +181,49 @@ def test_is_prime_and_factorize():
     fac, cof = factorize(2**10 * 3**4 * 10007)
     assert cof == 1 and fac == {2: 10, 3: 4, 10007: 1}
     p, q = 2**89 - 1, 2**107 - 1
-    fac, cof = factorize(p * q, rho_steps=50)
-    assert fac == {} and cof == p * q  # budget too small: exact residual kept
+    fac, cof = factorize(p * q)
+    assert fac == {} and cof == p * q  # past trial division: exact residual kept
     fac, cof = factorize(1)
     assert fac == {} and cof == 1
+
+
+MR_BOUND = 3_317_044_064_679_887_385_961_981  # strong pseudoprime to bases 2..41
+
+
+def test_factorize_is_trial_division_plus_a_cofactor():
+    # a leftover below 1000^2 is prime; one below the bound only if proved prime
+    assert factorize(2**3 * 999983) == ({2: 3, 999983: 1}, 1)
+    assert factorize(7 * (2**61 - 1)) == ({7: 1, 2**61 - 1: 1}, 1)
+    assert factorize(1009 * 1013) == ({}, 1009 * 1013)
+    assert factorize(3 * 1009**2) == ({3: 1}, 1009**2)
+    # at and past the bound no primality test runs, prime or not
+    assert factorize(MR_BOUND) == ({}, MR_BOUND)
+    assert factorize(5 * (2**89 - 1)) == ({5: 1}, 2**89 - 1)
+
+
+def test_is_prime_refuses_at_the_deterministic_bound():
+    largest = 3_317_044_064_679_887_385_961_813  # the largest prime below the bound
+    assert is_prime(largest)
+    assert not any(is_prime(n) for n in range(largest + 1, MR_BOUND))
+    for n in (MR_BOUND, MR_BOUND + 2, 2**89 - 1):
+        with pytest.raises(ExactnumError, match="cannot prove"):
+            is_prime(n)
+    with pytest.raises(ExactnumError):
+        Place.finite(2**89 - 1)
+    with pytest.raises(ExactnumError):
+        padic_valuation(6, MR_BOUND)
+    assert padic_valuation(Fraction(2, largest**3), largest) == -3
+
+
+def test_quadfield_squarefree_check_without_factoring():
+    assert QuadField(1009 * 1013).d == 1009 * 1013
+    assert QuadField(-2 * 1009 * 1013).d == -2 * 1009 * 1013
+    assert QuadField(999983 * 3).d == 999983 * 3
+    for d in (1009**2, 12, -2 * 1009**2):
+        with pytest.raises(ValueError, match="not squarefree"):
+            QuadField(d)
+    with pytest.raises(ValueError, match="cannot certify"):
+        QuadField(1000003 * 1000033)
 
 
 def test_logmag_canonical_and_algebra():

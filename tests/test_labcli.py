@@ -3,6 +3,7 @@ import json
 import math
 import os
 import random
+import time
 import xml.etree.ElementTree as ET
 from fractions import Fraction
 
@@ -94,6 +95,12 @@ def test_config_rejections():
         parse_config({**good, "divisor": {"form": {"1,0": "1", "2,0": "1"}}})
     with pytest.raises(ConfigError):
         parse_config({**good, "map": {"forms": [{"2,0": "1"}, {"0,3": "1"}]}})
+
+
+def test_config_refuses_a_place_past_the_deterministic_primality_bound():
+    big = 10**29 + 319  # a 30-digit prime, past what Miller-Rabin decides
+    with pytest.raises(ConfigError, match=f"place {big}: cannot prove"):
+        parse_config({**squaring_cfg().raw, "places": ["inf", big]})
 
 
 def test_config_file_loading(tmp_path):
@@ -212,6 +219,28 @@ def test_ratio_audit_aborts_on_broken_identity():
     broken = dataclasses.replace(cfg, divisor=cfg.divisor.with_extra_numerator(extra))
     with pytest.raises(AuditFailure):
         run_ratio_experiment(broken)
+
+
+def test_ratio_audit_fails_on_a_base_term_off_by_one_exponent(monkeypatch):
+    from orbitweil import weil
+
+    cfg = squaring_cfg(depth=9)
+    last = iterate(cfg.map, cfg.seed, 9).steps[-1].point
+    # s_D = 2^512 - 3 is left with a cofactor past trial division: a base row
+    assert weil.LocalTable(cfg.divisor, last).all_places(parts=True)[1][-1][0] is None
+    exponent = weil._base_exponent
+    monkeypatch.setattr(weil, "_base_exponent", lambda d, vals, b: exponent(d, vals, b) + 1)
+    with pytest.raises(AuditFailure):
+        run_ratio_experiment(cfg)
+
+
+def test_ratio_on_the_readme_config_at_depth_20():
+    t0 = time.monotonic()
+    series = run_ratio_experiment(squaring_cfg(depth=20))  # audited at every row
+    elapsed = time.monotonic() - t0
+    assert len(series.usable()) == 21
+    assert series.verdict == "trending-to-zero"
+    assert elapsed < 5, f"depth-20 ratio took {elapsed:.2f} s"
 
 
 def test_runners_reject_duplicate_places_in_hand_built_config():

@@ -4,10 +4,19 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from orbitweil.exactnum import LogMag, Place, QuadField, abs_value, logmag_sum, places_above
+from orbitweil.exactnum import (
+    LogMag,
+    Place,
+    QuadField,
+    abs_value,
+    factorize,
+    logmag_sum,
+    places_above,
+)
 from orbitweil.polydyn import HomogPoly, ProjPoint, height
 from orbitweil.weil import (
     DivisorPresentation,
+    ExactnessLost,
     LocalTable,
     SupportHit,
     galois_symmetrized,
@@ -16,6 +25,9 @@ from orbitweil.weil import (
     weil_global,
     weil_local,
     weil_sum,
+    _base_exponent,
+    _coprime_base,
+    _support_values,
 )
 
 INF = Place.archimedean()
@@ -281,3 +293,105 @@ def test_table_height_identity_and_lambda_S_over_Q_sqrt2(d, coords, S):
     assert total == table.all_places() == weil_all_places(d, x)
     assert total.compare(height(x) * (d.weight * d.degree), tol=1e-22) == 0
     assert table.lambda_S(S) == weil_sum(d, x, S) == _lambda_S_reference(d, x, S)
+
+
+# -- the coprime base of the sum over all places --------------------------------
+
+M61, M89 = 2**61 - 1, 2**89 - 1  # Mersenne primes; M61 * M89 is past trial division
+
+
+def _form(coeffs):
+    return HomogPoly.from_terms(2, dict(zip(monomials_of_degree(2, len(coeffs) - 1), coeffs)))
+
+
+def _twisted(d, h):
+    """d with both generating families multiplied by the form h: the same lambda."""
+    return DivisorPresentation(
+        d.sd, tuple(s * h for s in d.numer), tuple(t * h for t in d.denom), d.weight
+    )
+
+
+_small_coeffs = st.lists(st.integers(-9, 9), min_size=2, max_size=3).filter(any)
+
+
+@st.composite
+def _presentations_Q(draw):
+    d = draw(_divisors_Q)
+    kind = draw(st.sampled_from(["default", "scaled", "extra", "twisted"]))
+    if kind == "scaled":
+        return d.scaled(draw(st.sampled_from([Fraction(12, 35), -6, Fraction(1, 9)])))
+    if kind == "extra":
+        coeffs = draw(st.lists(st.integers(-9, 9), min_size=d.degree + 1, max_size=d.degree + 1))
+        return d.with_extra_numerator(_form(coeffs)) if any(coeffs) else d
+    return _twisted(d, _form(draw(_small_coeffs)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(d=_presentations_Q(), coords=st.tuples(st.integers(-40, 40), st.integers(-40, 40)).filter(any))
+def test_base_terms_are_the_local_terms_of_their_primes(d, coords):
+    x = P(*coords)
+    assume(not d.support_test(x))
+    values = _support_values(d, x)
+    if not d.is_default:
+        j = 1 + len(d.numer)
+        assume(any(values[1:j]) and any(values[j:]))
+    ns = [n for v in values if v for n in (abs(v.numerator), v.denominator)]
+    assume(all(factorize(n)[1] == 1 for n in ns))
+    # the base of the whole values: no prime is divided out beforehand
+    for b in _coprime_base(ns):
+        primes = factorize(b)[0]
+        local = logmag_sum([weil_local(d, x, Place.finite(p)) for p in primes])
+        assert LogMag.exact(b) * (d.weight * _base_exponent(d, values, b)) == local
+    # the place rows of all_places are the same local terms
+    total, parts = LocalTable(d, x).all_places(parts=True)
+    assert all(v is not None for v, _ in parts)
+    assert total == logmag_sum([weil_local(d, x, v) for v, _ in parts])
+
+
+def test_coprime_base_refines_shared_factors():
+    assert _coprime_base([12, 18, 1, 35]) == [2, 3, 35]
+    assert _coprime_base([M61 * M89, M89**2 * 3]) == [3, M61, M89]
+    assert _coprime_base([6, 6, 36]) == [6]
+    assert _coprime_base([1]) == []
+
+
+def test_base_makes_non_default_presentations_exact_past_trial_division():
+    x = P(M61 * M89 + 1, 1)  # s_D(x) = M61 * M89 for D = x - y
+    line_xy = line(1, -1)
+    h = height(x)
+    for d, b in (
+        (line_xy.scaled(Fraction(5, 7)), M61 * M89),
+        (_twisted(line_xy, line_xy.sd), M61 * M89),  # every value carries M61 * M89
+        # the denominator M61 is a proven prime: its place row, and M89 the base
+        (_twisted(line_xy, HomogPoly.from_terms(2, {(0, 1): M61})), M89),
+        (DivisorPresentation(line_xy.sd, line_xy.numer, line_xy.denom, Fraction(3, 2)), M61 * M89),
+    ):
+        assert not d.is_default
+        total, parts = weil_global(d, x, parts=True)
+        assert total == h * d.weight
+        assert (None, LogMag.exact(b) * d.weight) in parts
+        assert (Place.finite(M61) in dict(parts)) == (b == M89)
+
+
+def test_held_place_above_1000_is_its_own_row():
+    p = 2**31 - 1
+    x = P(p * M89 + 1, 1)  # s_D(x) = p * M89, past trial division
+    inf_row = (INF, LogMag.exact(Fraction(x.coords[0], p * M89)))
+    table = LocalTable(line(1, -1), x)
+    assert table.all_places(parts=True)[1] == [inf_row, (None, LogMag.exact(p * M89))]
+    table = LocalTable(line(1, -1), x)
+    table.lambda_S([INF, Place.finite(p)])
+    total, parts = table.all_places(parts=True)
+    assert parts == [inf_row, (Place.finite(p), LogMag.exact(p)), (None, LogMag.exact(M89))]
+    assert total == height(x)
+
+
+def test_quadratic_non_default_with_a_cofactor_still_loses_exactness():
+    F = QuadField(2)
+    g = HomogPoly.from_terms(2, {(1, 0): F.element(1), (0, 1): -F.sqrt_gen()})
+    x = P(M61 * M89, 1)  # N(s_D(x)) = (M61 M89)^2 - 2 is left with a cofactor
+    assert factorize(x.coords[0] ** 2 - 2)[1] != 1
+    dF = DivisorPresentation.hypersurface(g)
+    assert galois_symmetrized(dF, x).compare(height(x), tol=1e-22) == 0
+    with pytest.raises(ExactnessLost):
+        galois_symmetrized(dF.scaled(3), x)
