@@ -9,9 +9,10 @@ Conventions:
     and |N(y)|_p^(1/2) at inert/ramified places.  Restricting to Q gives
     back |.|_p exactly.  The weighted product formula over F reads
     sum_w [F_w:Q_v] * log|y|_w = 0.
-  * Log-magnitudes stay exact (log of a positive rational over a root
-    index) whenever the input permits; archimedean embeddings of
-    irrational elements fall back to certified interval enclosures.
+  * Log-magnitudes are exact: the log of a positive rational, or of a
+    positive element of a real Q(sqrt(d)) under sqrt(d) -> +sqrt(d), over
+    a root index.  Interval enclosures serve only decimal rendering and
+    float ratio bounds.
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ from typing import Iterable, Optional, Sequence, Union
 
 from mpmath import iv, mp
 
-# Working precision for certified enclosures.  300+ bits keeps every
-# enclosure width at desk scale far below the 1e-30 error budget.
+# Working precision for the enclosures behind rendering and ratio bounds.
+# 300+ bits keeps every enclosure width at desk scale far below 1e-30.
 IV_PREC = 320
 iv.prec = IV_PREC
 
@@ -49,7 +50,7 @@ class FieldMismatch(ExactnumError, ValueError):
 
 
 class UndecidableComparison(ExactnumError):
-    """Certified intervals overlap; comparison needs more precision."""
+    """A ratio by a zero log-magnitude was requested."""
 
 
 class PrecisionExhausted(ExactnumError):
@@ -321,7 +322,7 @@ def hensel_sqrt(d: int, p: int, prec: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# certified intervals
+# interval enclosures: rendering and ratio bounds
 # ---------------------------------------------------------------------------
 
 def _iv_from_fraction(q: Fraction):
@@ -387,77 +388,76 @@ def decimal_fraction(q: Fraction, places: int = 12) -> str:
 # ---------------------------------------------------------------------------
 
 class LogMag:
-    """log(m)/root for an exact positive rational m, or a certified interval.
+    """log(m)/root for a positive magnitude m, always exact.
 
-    Exact values form the working algebra: they add, subtract, scale by
-    rationals, and compare without any rounding.  An operation that mixes
-    in a certified value degrades the result to a certified interval whose
-    width is tracked explicitly.
+    m is a Fraction, or a QuadElem a + b*sqrt(d) with a, b != 0 of a real
+    field, read under sqrt(d) -> +sqrt(d).  Values add, subtract, scale by
+    rationals and compare without any rounding; enclosures (interval())
+    serve only rendering and float ratio bounds.
     """
 
-    __slots__ = ("_m", "_root", "_ival")
+    __slots__ = ("_m", "_root")
 
-    def __init__(self, m: Optional[Fraction], root: int, ival) -> None:
+    def __init__(self, m: Union[Fraction, "QuadElem"], root: int) -> None:
         self._m = m
         self._root = root
-        self._ival = ival
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def exact(cls, m: RationalLike, root: int = 1) -> "LogMag":
+    def exact(cls, m: Union[RationalLike, "QuadElem"], root: int = 1) -> "LogMag":
+        if root < 1:
+            raise ValueError("root index must be >= 1")
+        if isinstance(m, QuadElem):
+            if m.sign() <= 0:
+                raise ValueError("log-magnitude of a nonpositive quantity")
+            if m.a and m.b:
+                # m/conj(m) is not +-1, so no power of m is rational and the
+                # value differs from every rational-magnitude one
+                return cls(m, root)
+            m, root = (m.a, root) if m.a else (m.b * m.b * m.field.d, 2 * root)
         m = Fraction(m)
         if m <= 0:
             raise ValueError("log-magnitude of a nonpositive quantity")
-        if root < 1:
-            raise ValueError("root index must be >= 1")
         m, root = _canonical_log(m, root)
-        return cls(m, root, None)
+        return cls(m, root)
 
     @classmethod
     def zero(cls) -> "LogMag":
-        return cls(Fraction(1), 1, None)
-
-    @classmethod
-    def certified(cls, ival) -> "LogMag":
-        return cls(None, 0, ival)
+        return cls(Fraction(1), 1)
 
     # -- inspection ----------------------------------------------------------
 
     @property
     def is_exact(self) -> bool:
-        return self._m is not None
+        """Always True; traced runs record it per local term."""
+        return True
 
     @property
-    def magnitude(self) -> Fraction:
-        if self._m is None:
-            raise ValueError("certified value has no exact magnitude")
+    def magnitude(self) -> Union[Fraction, "QuadElem"]:
         return self._m
 
     @property
     def root(self) -> int:
-        if self._m is None:
-            raise ValueError("certified value has no root index")
         return self._root
 
     def interval(self):
-        if self._m is not None:
-            return _iv_log_fraction(self._m) / iv.mpf(self._root)
-        return self._ival
-
-    def err(self) -> float:
-        if self._m is not None:
-            return 0.0
-        lo, hi = _iv_endpoints(self._ival)
-        with mp.workprec(IV_PREC + 20):
-            return float((hi - lo) / 2)
+        """Enclosure of the value at the current iv.prec."""
+        m = self._m
+        if isinstance(m, QuadElem):
+            # |a| + |b| sqrt(d) is m or -conj(m) = |N(m)|/m; either way no cancellation
+            s = _iv_from_fraction(abs(m.a)) + _iv_from_fraction(abs(m.b)) * iv.sqrt(m.field.d)
+            ival = iv.log(s if m.a > 0 < m.b else _iv_from_fraction(abs(m.norm())) / s)
+        else:
+            ival = _iv_log_fraction(m)
+        return ival / iv.mpf(self._root)
 
     def to_float(self) -> float:
-        if self._m is not None:
-            return _float_log_fraction(self._m) / self._root
-        lo, hi = _iv_endpoints(self._ival)
-        with mp.workprec(IV_PREC + 20):
-            return float((lo + hi) / 2)
+        if isinstance(self._m, QuadElem):
+            lo, hi = _iv_endpoints(self.interval())
+            with mp.workprec(IV_PREC + 20):
+                return float((lo + hi) / 2)
+        return _float_log_fraction(self._m) / self._root
 
     def decimal_str(self, places: int = 12) -> str:
         """Deterministic fixed-point rendering with `places` fractional digits."""
@@ -465,24 +465,18 @@ class LogMag:
         return decimal_fraction((lo + hi) / 2, places)
 
     def __repr__(self) -> str:
-        if self._m is not None:
-            if self._root == 1:
-                return f"LogMag(log {self._m})"
-            return f"LogMag(log({self._m})/{self._root})"
-        return f"LogMag(~{self.to_float():.15g} +/- {self.err():.2g})"
+        if self._root == 1:
+            return f"LogMag(log {self._m})"
+        return f"LogMag(log({self._m})/{self._root})"
 
     # -- algebra -------------------------------------------------------------
 
     def __add__(self, other: "LogMag") -> "LogMag":
         if not isinstance(other, LogMag):
             return NotImplemented
-        if self._m is not None and other._m is not None:
-            r = math.lcm(self._root, other._root)
-            e1, e2 = r // self._root, r // other._root
-            _check_bits(self._m, e1)
-            _check_bits(other._m, e2)
-            return LogMag.exact(self._m**e1 * other._m**e2, r)
-        return LogMag.certified(self.interval() + other.interval())
+        r = math.lcm(self._root, other._root)
+        m = _power(self._m, r // self._root) * _power(other._m, r // other._root)
+        return LogMag.exact(m, r)
 
     def __sub__(self, other: "LogMag") -> "LogMag":
         if not isinstance(other, LogMag):
@@ -490,9 +484,7 @@ class LogMag:
         return self + (-other)
 
     def __neg__(self) -> "LogMag":
-        if self._m is not None:
-            return LogMag(Fraction(self._m.denominator, self._m.numerator), self._root, None)
-        return LogMag.certified(-self._ival)
+        return LogMag(1 / self._m, self._root)
 
     def __mul__(self, k: RationalLike) -> "LogMag":
         if not isinstance(k, (int, Fraction)):
@@ -500,90 +492,78 @@ class LogMag:
         k = Fraction(k)
         if k == 0:
             return LogMag.zero()
-        if self._m is not None:
-            a, b = k.numerator, k.denominator
-            _check_bits(self._m, abs(a))
-            m = self._m ** abs(a)
-            if a < 0:
-                m = 1 / m
-            return LogMag.exact(m, self._root * b)
-        return LogMag.certified(self._ival * _iv_from_fraction(k))
+        a, b = k.numerator, k.denominator
+        m = _power(self._m, abs(a))
+        return LogMag.exact(m if a > 0 else 1 / m, self._root * b)
 
     __rmul__ = __mul__
 
     # -- comparison ----------------------------------------------------------
 
-    def exact_eq(self, other: "LogMag") -> bool:
-        """Exact equality; both operands must be exact."""
-        if self._m is None or other._m is None:
-            raise UndecidableComparison("exact_eq needs two exact values")
-        # canonical forms are unique, so structural equality decides
-        return self._m == other._m and self._root == other._root
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LogMag):
             return NotImplemented
-        if self._m is not None and other._m is not None:
-            return self._m == other._m and self._root == other._root
-        if self._m is None and other._m is None:
-            return self._ival.a == other._ival.a and self._ival.b == other._ival.b
-        return False
+        m1, m2 = self._m, other._m
+        if isinstance(m1, QuadElem) and isinstance(m2, QuadElem) and m1.field == m2.field:
+            return self.compare(other) == 0
+        # rational canonical forms are unique, and an irrational magnitude
+        # equals no rational one, nor one of another field
+        return m1 == m2 and self._root == other._root
 
     def __hash__(self) -> int:
-        if self._m is not None:
-            return hash((self._m, self._root))
-        return hash((str(self._ival.a), str(self._ival.b)))
+        m = self._m
+        if isinstance(m, QuadElem):
+            # equal values have equal |N(m)|**(1/root)
+            return hash(_canonical_log(abs(m.norm()), self._root))
+        return hash((m, self._root))
 
-    def compare(self, other: "LogMag", tol: float = 0.0) -> int:
-        """-1, 0, +1; returns 0 when the gap is within tol (or exactly zero).
+    def compare(self, other: "LogMag") -> int:
+        """-1, 0 or +1 as self is below, equal to or above other, decided exactly.
 
-        For certified operands the decision is made on the enclosure: if the
-        intervals overlap by more than tol the comparison is reported as 0
-        only when the total enclosure width is below tol; otherwise the
-        overlap itself is within tolerance and 0 is still the honest answer.
+        Both magnitudes are raised to lcm(root1, root2)/root, as in +.
+        Where that passes the bit budget, two rational magnitudes are told
+        apart by enclosures of doubling precision: distinct canonical forms
+        are distinct values, so the escalation ends.  An irrational one
+        raises PrecisionExhausted there.
         """
-        if self._m is not None and other._m is not None:
-            if self._m == other._m and self._root == other._root:
-                return 0
-            try:
-                _check_bits(self._m, other._root)
-                _check_bits(other._m, self._root)
-            except PrecisionExhausted:
-                pass  # fall through to the interval route
-            else:
-                a, b = self._m**other._root, other._m**self._root
-                return -1 if a < b else (1 if a > b else 0)
-        da = self.interval() - other.interval()
-        if da.b < -tol:
-            return -1
-        if da.a > tol:
-            return 1
-        return 0
+        m1, m2 = self._m, other._m
+        if m1 == m2 and self._root == other._root:
+            return 0
+        r = math.lcm(self._root, other._root)
+        try:
+            return _cmp(_power(m1, r // self._root), _power(m2, r // other._root))
+        except PrecisionExhausted:
+            if isinstance(m1, QuadElem) or isinstance(m2, QuadElem):
+                raise
 
-    def sign(self, tol: float = 0.0) -> int:
-        if self._m is not None:
-            return -1 if self._m < 1 else (1 if self._m > 1 else 0)
-        return self.compare(LogMag.zero(), tol)
+        def separate():
+            diff = self.interval() - other.interval()
+            return None if diff.a <= 0 <= diff.b else (1 if diff.a > 0 else -1)
 
-    def is_zero(self, tol: float = 0.0) -> bool:
-        return self.sign(tol) == 0
+        return _escalate(separate)
+
+    def sign(self) -> int:
+        return _cmp(self._m, 1)
+
+    def is_zero(self) -> bool:
+        return self._m == 1
 
     # -- ratios --------------------------------------------------------------
 
     def ratio_exact(self, other: "LogMag") -> Optional[Fraction]:
-        """self/other as an exact Fraction whenever it is rational.
+        """self/other as an exact Fraction whenever it is rational, for rational magnitudes.
 
-        Decides every rational ratio of two exact values from a certified
+        Decides every rational ratio of two rational magnitudes from an
         enclosure and exact root extraction; every power it builds is at
         most two bits longer than a numerator or denominator of the
-        operands.  None means the ratio is irrational, an operand is
-        certified, or other is zero.
+        operands.  None means the ratio is irrational, a magnitude is
+        irrational (the ratio is then left undecided), or other is zero.
         """
-        if self._m is None or other._m is None or other._m == 1:
-            return None
-        if self._m == 1:
-            return Fraction(0)
         m1, m2 = self._m, other._m
+        if isinstance(m1, QuadElem) or isinstance(m2, QuadElem) or m2 == 1:
+            return None
+        if m1 == 1:
+            return Fraction(0)
         # log m1 / log m2 = p/q in lowest terms (q > 0) exactly when
         # m1 = c**p and m2 = c**q for one rational c != 1: then c is the
         # q-th root of m2, so the larger of m2's numerator and denominator
@@ -639,15 +619,13 @@ class LogMag:
 
     def ratio_interval(self, other: "LogMag") -> tuple[float, float]:
         """Certified float enclosure of self/other (other must be nonzero)."""
+        if other.is_zero():
+            raise UndecidableComparison("ratio denominator is zero")
 
         def quotient():
+            # log m != 0 for m != 1: more precision will exclude 0
             den = other.interval()
-            if not den.a <= 0 <= den.b:
-                return self.interval() / den
-            # log m != 0 for exact m != 1: more precision will exclude 0
-            if other._m is None or other._m == 1:
-                raise UndecidableComparison("ratio denominator straddles zero")
-            return None
+            return None if den.a <= 0 <= den.b else self.interval() / den
 
         lo, hi = _iv_endpoints(_escalate(quotient))
         return (
@@ -689,12 +667,24 @@ def _canonical_log(m: Fraction, root: int) -> tuple[Fraction, int]:
     return m, r
 
 
-def _check_bits(m: Fraction, exp: int) -> None:
-    bits = (m.numerator.bit_length() + m.denominator.bit_length()) * max(exp, 1)
+def _power(m, e: int):
+    """m**e for a magnitude m and e >= 1, refused past _BIT_BUDGET."""
+    if e == 1:
+        return m
+    parts = (m.a, m.b) if isinstance(m, QuadElem) else (m,)
+    bits = sum(q.numerator.bit_length() + q.denominator.bit_length() for q in parts) * e
     if bits > _BIT_BUDGET:
         raise PrecisionExhausted(
             f"exact exponentiation would need ~{bits} bits (cap {_BIT_BUDGET})"
         )
+    return m**e
+
+
+def _cmp(x, y) -> int:
+    """Sign of x - y, for rationals or elements of one real quadratic field."""
+    if isinstance(x, QuadElem) or isinstance(y, QuadElem):
+        return (x - y).sign()
+    return (x > y) - (x < y)
 
 
 def logmag_sum(items: Iterable[LogMag]) -> LogMag:
@@ -710,16 +700,6 @@ def logmag_max(items: Sequence[LogMag]) -> LogMag:
     best = items[0]
     for it in items[1:]:
         if it.compare(best) > 0:
-            best = it
-    return best
-
-
-def logmag_min(items: Sequence[LogMag]) -> LogMag:
-    if not items:
-        raise ValueError("min of empty sequence")
-    best = items[0]
-    for it in items[1:]:
-        if it.compare(best) < 0:
             best = it
     return best
 
@@ -748,10 +728,6 @@ class QuadField:
     @property
     def is_real(self) -> bool:
         return self.d > 0
-
-    @property
-    def discriminant(self) -> int:
-        return self.d if self.d % 4 == 1 else 4 * self.d
 
     def element(self, a: RationalLike, b: RationalLike = 0) -> "QuadElem":
         return QuadElem(self, Fraction(a), Fraction(b))
@@ -835,8 +811,16 @@ class QuadElem:
     def norm(self) -> Fraction:
         return self.a * self.a - self.field.d * self.b * self.b
 
-    def trace(self) -> Fraction:
-        return 2 * self.a
+    def sign(self) -> int:
+        """Sign of a + b*sqrt(d) under sqrt(d) -> +sqrt(d); d > 0 unless b = 0."""
+        sa = (self.a > 0) - (self.a < 0)
+        sb = (self.b > 0) - (self.b < 0)
+        if sb and self.field.d < 0:
+            raise ValueError(f"{self!r} has no real embedding")
+        if sa * sb >= 0:
+            return sa or sb
+        # opposite signs: a + b*sqrt(d) has the sign of a exactly when a^2 > d*b^2
+        return sa if self.norm() > 0 else -sa
 
     @property
     def is_zero(self) -> bool:
@@ -996,7 +980,6 @@ def _abs_quad(y: QuadElem, v: Place) -> LogMag:
         raise FieldMismatch("quadratic element at a place of Q; choose a place above")
     if ext.field != y.field:
         raise FieldMismatch("element and place belong to different fields")
-    d = y.field.d
     kind = ext.kind
     if kind in (INERT, RAMIFIED):
         k = multiplicity(y.norm(), v.p)
@@ -1007,22 +990,9 @@ def _abs_quad(y: QuadElem, v: Place) -> LogMag:
     if kind == COMPLEX:
         # |a + b*i*sqrt(|d|)|^2 = a^2 + |d| b^2 = N(y), exactly rational
         return LogMag.exact(y.norm(), 2)
-    # real embedding: sqrt(d) -> +sqrt(d) for index 0, -sqrt(d) for index 1
-    if y.b == 0:
-        return LogMag.exact(abs(y.a))
-    if y.a == 0:
-        return LogMag.exact(y.b * y.b * d, 2)
-    sgn = 1 if ext.index == 0 else -1
-    saved = iv.prec
-    try:
-        for _ in range(3):
-            z = _iv_from_fraction(y.a) + _iv_from_fraction(sgn * y.b) * iv.sqrt(iv.mpf(d))
-            if not (z.a <= 0 <= z.b):
-                return LogMag.certified(iv.log(abs(z)))
-            iv.prec *= 2
-    finally:
-        iv.prec = saved
-    raise PrecisionExhausted("real embedding enclosure straddles zero")
+    # real embedding sqrt(d) -> -sqrt(d) (index 1) reads conj(y) under the first
+    z = y if ext.index == 0 else y.conjugate()
+    return LogMag.exact(z if z.sign() > 0 else -z)
 
 
 def abs_value(x, v: Place) -> LogMag:

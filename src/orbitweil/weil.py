@@ -328,9 +328,7 @@ class LocalTable:
         for v in [Place.archimedean()] + [Place.finite(p) for p in sorted(primes)]:
             for w in [v] if field is None else places_above(v, field):
                 lam = self.local(w)
-                weight = Fraction(w.local_degree, field_degree)
-                # weight-1 terms are all exact, and exact * 1 is the same value
-                rows.append((w, lam if weight == 1 else lam * weight))
+                rows.append((w, lam * Fraction(w.local_degree, field_degree)))
         # Every prime p | b has ord_p(v) = E_b(v) * ord_p(b) in each value v, as
         # the rest of v is prime to b.  So lambda_D(x, p) = weight * ord_p(b) *
         # _base_exponent * log p, and the primes of b sum to weight *
@@ -359,13 +357,10 @@ def galois_symmetrized(d: DivisorPresentation, x: ProjPoint, *, parts: bool = Fa
 
     This is the Galois-stable combination (D + conj(D))/2 evaluated through
     the quadratic machinery; for default presentations it equals
-    weight * deg(D) * h(x) up to the certified archimedean enclosure.
+    weight * deg(D) * h(x) exactly: the two real places give the weight-1/2
+    terms of s_D(x) and its conjugate, whose product is rational.
     """
     if d.field is None:
         raise FieldMismatch("divisor is rational: use weil_global")
     return LocalTable(d, x).all_places(parts)
 
-
-def weil_all_places(d: DivisorPresentation, x: ProjPoint) -> LogMag:
-    """Weighted sum of lambda_D(x, w) over all places of the field of D."""
-    return LocalTable(d, x).all_places()

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from mpmath import iv, libmp, mp
 
@@ -13,6 +13,7 @@ from orbitweil.exactnum import (
     ExactnumError,
     LogMag,
     Place,
+    PrecisionExhausted,
     QuadField,
     UndecidableComparison,
     ValuationOfZero,
@@ -141,9 +142,21 @@ def test_quadratic_product_formula_weighted():
                 continue
             primes = rational_support(y.norm())
             total = _weighted_sum(y, F, [INF] + [Place.finite(p) for p in primes])
-            assert abs(total.to_float()) < 1e-25
-            if y.is_rational or y.a == 0:
-                assert total.is_exact and total == LogMag.zero()
+            assert total == LogMag.zero()
+
+
+_small_fractions = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 5))
+
+
+@settings(max_examples=150, deadline=None)
+@given(d=st.sampled_from([2, 3, 5, -1, -7]), a=_small_fractions, b=_small_fractions)
+def test_weighted_product_formula_is_exactly_zero(d, a, b):
+    # numerators of N(y) stay below 1,000^2, so trial division finds every prime
+    F = QuadField(d)
+    y = F.element(a, b)
+    assume(not y.is_zero)
+    places = [INF] + [Place.finite(p) for p in rational_support(y.norm())]
+    assert _weighted_sum(y, F, places) == LogMag.zero()
 
 
 def test_unweighted_quadratic_sum_fails():
@@ -264,9 +277,14 @@ def test_ratio_interval_escalates_for_exact_denominators():
     assert iv.prec == 320
     with pytest.raises(UndecidableComparison):
         LogMag.exact(3).ratio_interval(LogMag.zero())
-    straddling = LogMag.certified(iv.mpf(["-1e-100", "1e-100"]))
-    with pytest.raises(UndecidableComparison):
-        LogMag.exact(3).ratio_interval(straddling)
+    # an irrational magnitude within 2^-500 of 1 straddles 0 at 320 bits too:
+    # (1 + sqrt 2)^200 = 2a - (1 - sqrt 2)^200 for its rational part a
+    u = QuadField(2).element(1, 1) ** 200
+    near_one = LogMag.exact(u / (2 * u.a))
+    lo, hi = LogMag.exact(3).ratio_interval(near_one)
+    with mpmath.workprec(2000):
+        want = mpmath.log(3) / mpmath.log((1 + mpmath.sqrt(2)) ** 200 / (2 * int(u.a)))
+    assert lo <= want <= hi and (hi - lo) / abs(lo) < 1e-15
     assert iv.prec == 320
 
 
@@ -290,11 +308,11 @@ def test_ratio_exact_decides_every_rational_ratio():
         assert a * d != b_ * c_
         assert LogMag.exact(2**a * 3**b_).ratio_exact(LogMag.exact(2**c_ * 3**d)) is None
     assert LogMag.exact(2**6 * 3**9).ratio_exact(LogMag.exact(2**4 * 3**6)) == Fraction(3, 2)
-    # zero numerator, zero denominator, certified operand
+    # zero numerator, zero denominator, irrational magnitude
     assert LogMag.zero().ratio_exact(LogMag.exact(5)) == 0
     assert LogMag.exact(5).ratio_exact(LogMag.zero()) is None
-    cert = abs_value(QuadField(2).element(1, 1), places_above(INF, QuadField(2))[0])
-    assert cert.ratio_exact(LogMag.exact(2)) is None
+    unit = abs_value(QuadField(2).element(1, 1), places_above(INF, QuadField(2))[0])
+    assert unit.ratio_exact(LogMag.exact(2)) is None
 
 
 _rationals = st.builds(
@@ -357,21 +375,81 @@ def test_ratio_exact_matches_exponent_vectors(m1, m2):
     assert LogMag.exact(m1).ratio_exact(LogMag.exact(m2)) == want
 
 
-def test_logmag_certified():
+def test_logmag_real_quadratic_is_exact():
     F = QuadField(2)
-    w = places_above(INF, F)[0]
-    y = F.element(1, 1)  # 1 + sqrt(2)
-    lm = abs_value(y, w)
-    assert not lm.is_exact
-    assert lm.err() < 1e-30
-    assert abs(lm.to_float() - math.log(1 + math.sqrt(2))) < 1e-12
-    # mixing exact and certified stays certified and tight
+    w0, w1 = places_above(INF, F)
+    y = F.element(1, 1)  # 1 + sqrt(2), a unit of norm -1
+    lm = abs_value(y, w0)
+    assert lm.is_exact and lm.magnitude == y and lm.root == 1
+    assert abs(lm.to_float() - math.log(1 + math.sqrt(2))) < 1e-15
+    assert lm.decimal_str(12) == "0.881373587020"
+    # the second embedding reads |1 - sqrt 2| = 1/(1 + sqrt 2)
+    assert abs_value(y, w1) == -lm and (-lm).magnitude == F.element(-1, 1)
+    assert (-lm).decimal_str(12) == "-0.881373587020"
+    # the two real embeddings multiply to |norm| = 1, exactly
+    assert abs_value(y, w0) + abs_value(y, w1) == LogMag.zero()
+    # mixing with rational magnitudes stays exact
     s = lm + LogMag.exact(2)
-    assert not s.is_exact and abs(s.to_float() - (math.log(1 + math.sqrt(2)) + math.log(2))) < 1e-12
-    # the two real embeddings multiply to |norm| = 1
-    w1 = places_above(INF, F)[1]
-    total = abs_value(y, w) + abs_value(y, w1)
-    assert abs(total.to_float()) < 1e-30
+    assert s.magnitude == F.element(2, 2) and s - LogMag.exact(2) == lm
+    # (1 + sqrt 2)^2 = 3 + 2 sqrt 2: equal values in different forms, one hash
+    assert LogMag.exact(F.element(3, 2), 2) == lm and lm * 2 == LogMag.exact(F.element(3, 2))
+    assert hash(LogMag.exact(F.element(3, 2), 2)) == hash(lm)
+    # no power of an irrational magnitude is rational
+    assert lm != LogMag.exact(Fraction(17, 7)) and lm.compare(LogMag.exact(Fraction(17, 7))) == -1
+    # b = 0 and a = 0 give rational magnitudes
+    assert LogMag.exact(F.element(3)).magnitude == 3
+    assert LogMag.exact(F.element(0, 3)) == LogMag.exact(18, 2)
+    for bad in (F.element(1, -1), F.element(-3), F.element(0), QuadField(-1).element(1, 1)):
+        with pytest.raises(ValueError):
+            LogMag.exact(bad)
+    # signs past float resolution: (1 - sqrt 2)^61 = p - q sqrt 2 is about -2^-78, p about 2^77
+    u = y**61
+    assert u.conjugate().sign() == -1 and (u * y).conjugate().sign() == 1
+    with pytest.raises(ValueError):
+        QuadField(-7).element(1, 1).sign()
+
+
+def test_compare_decides_distinct_exact_values():
+    # 2^400 + 1 over 2^400 vs 2^401 + 1 over 2^401: the 320-bit enclosures overlap
+    a = LogMag.exact(Fraction(2**400 + 1, 2**400), 1_000_003)
+    b = LogMag.exact(Fraction(2**401 + 1, 2**401), 1_000_003)
+    assert a.compare(b) == 1 and b.compare(a) == -1 and a != b
+    # coprime roots: the cross powers pass the bit budget, and enclosures escalate
+    c = LogMag.exact(Fraction(2**401 + 1, 2**401), 1_000_033)
+    assert a.compare(c) == 1 and c.compare(a) == -1 and a.compare(a) == 0
+    assert iv.prec == 320
+    # an irrational magnitude past the budget refuses instead of answering 0
+    F = QuadField(2)
+    g = LogMag.exact(F.element(2**600, 1), 1_000_003)
+    assert g.compare(LogMag.exact(F.element(2**600, 2), 1_000_003)) == -1
+    with pytest.raises(PrecisionExhausted):
+        g.compare(LogMag.exact(Fraction(2**600 + 1), 1_000_033))
+
+
+_quadratic_magnitudes = st.tuples(
+    st.integers(-50, 50).filter(bool), st.integers(-50, 50).filter(bool), st.integers(1, 4)
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(d=st.sampled_from([2, 3, 5, 7]), m1=_quadratic_magnitudes, m2=_quadratic_magnitudes)
+def test_compare_of_real_quadratic_magnitudes_matches_mpmath(d, m1, m2):
+    F = QuadField(d)
+
+    def logmag(a, b, r):
+        y = F.element(a, b)
+        return LogMag.exact(y if y.sign() > 0 else -y, r)
+
+    x1, x2 = logmag(*m1), logmag(*m2)
+    with mpmath.workprec(1000):
+        v1, v2 = (mpmath.log(abs(a + b * mpmath.sqrt(d))) / r for a, b, r in (m1, m2))
+        diff = v1 - v2
+        want = 0 if abs(diff) < mpmath.mpf(2) ** -900 else int(mpmath.sign(diff))
+    assert x1.compare(x2) == want and x2.compare(x1) == -want
+    assert abs(x1.to_float() - float(v1)) <= 1e-15 * max(1.0, abs(float(v1)))
+    assert (x1 == x2) == (want == 0)
+    # the same value in another form compares equal
+    assert x1.compare(LogMag.exact(x1.magnitude**2, 2 * x1.root)) == 0
 
 
 def test_logmag_decimal_str():
@@ -381,13 +459,24 @@ def test_logmag_decimal_str():
     assert LogMag.exact(2**256).decimal_str(12) == "177.445678223346"
 
 
+class _Enclosed(LogMag):
+    """A LogMag rendered from a given enclosure, to test rendering alone."""
+
+    def __init__(self, ival):
+        super().__init__(Fraction(1), 1)
+        self.ival = ival
+
+    def interval(self):
+        return self.ival
+
+
 def _dyadic_logmag(lo: Fraction, hi: Fraction) -> LogMag:
-    # certified value with exact dyadic endpoints lo <= hi
+    # a value whose enclosure has the exact dyadic endpoints lo <= hi
     lo_mpf, hi_mpf = (
         mp.make_mpf(libmp.from_man_exp(q.numerator, -(q.denominator.bit_length() - 1)))
         for q in (lo, hi)
     )
-    return LogMag.certified(iv.mpf([lo_mpf, hi_mpf]))
+    return _Enclosed(iv.mpf([lo_mpf, hi_mpf]))
 
 
 def test_decimal_rendering_rounds_the_exact_value_half_even():

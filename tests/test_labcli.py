@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from orbitweil.exactnum import LogMag, Place
+from orbitweil.exactnum import LogMag, Place, QuadField
 from orbitweil.labcli import (
     AuditFailure,
     CacheInvalid,
@@ -263,8 +263,11 @@ def test_cli_weil_prints_terms_and_sum_of_one_table_over_quadratic_places(tmp_pa
     lines = capsys.readouterr().out.splitlines()
     cfg = load_config(str(path))
     terms = [weil_local(cfg.divisor, cfg.seed, v) for v in cfg.places]
-    # 3 - sqrt 2 has norm 7: a certified real term and a nonzero split term
-    assert not terms[0].is_exact and terms[1] == LogMag.exact(7)
+    # 3 - sqrt 2 has norm 7: an exact real term log(3/(3 - sqrt 2)) = log((9 + 3 sqrt 2)/7)
+    # and a nonzero split term
+    real = LogMag.exact(QuadField(2).element(Fraction(9, 7), Fraction(3, 7)))
+    assert terms[0].is_exact and terms[0] == real
+    assert terms[1] == LogMag.exact(7)
     assert lines[:-1] == [f"lambda[{v}] = {fmt12(t)}" for v, t in zip(cfg.places, terms)]
     assert lines[-1] == f"sum over S     = {fmt12(weil_sum(cfg.divisor, cfg.seed, cfg.places))}"
 
@@ -297,6 +300,33 @@ def test_ratio_quadratic_divisor_runs():
     for r in series.usable():
         lo, hi = r.ratio_bounds
         assert lo <= hi
+
+
+def test_quadratic_audit_is_an_equality_check(monkeypatch):
+    from orbitweil import weil
+
+    cfg = parse_config({
+        "map": {"forms": [{"2,0": "1"}, {"0,2": "1"}]},
+        "seed": ["3", "1"],
+        "divisor": {
+            "field": {"d": 2},
+            "form": {"1,0": {"a": "1", "b": "0"}, "0,1": {"a": "0", "b": "-1"}},
+        },
+        "places": ["inf"],
+        "depth": 2,
+    })
+    run_ratio_experiment(cfg)
+    # the second real place off by log(1 + 2^-200), far below any float tolerance
+    local = weil.weil_local
+    off = LogMag.exact(Fraction(2**200 + 1, 2**200))
+
+    def shifted(d, x, w):
+        lam = local(d, x, w)
+        return lam + off if w.is_archimedean and w.ext.index == 1 else lam
+
+    monkeypatch.setattr(weil, "weil_local", shifted)
+    with pytest.raises(AuditFailure):
+        run_ratio_experiment(cfg)
 
 
 def test_gap_orbit_mode_exact_rows():
