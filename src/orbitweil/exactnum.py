@@ -71,6 +71,7 @@ def _sieve(limit: int) -> list[int]:
 
 
 _SMALL_PRIMES = _sieve(1000)
+_SMALL_PRIME_SET = frozenset(_SMALL_PRIMES)
 
 # The first 13 prime bases decide every n < _MR_BOUND (Sorenson and Webster,
 # Math. Comp. 86, 2017); past it an answer would only be probable.
@@ -79,14 +80,17 @@ _MR_BOUND = 3_317_044_064_679_887_385_961_981
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin; raises ExactnumError for n >= 3.317e24."""
+    """The sieve's table below 1,000, deterministic Miller-Rabin above.
+
+    Raises ExactnumError for n >= 3.317e24.
+    """
     if n >= _MR_BOUND:
         raise ExactnumError(f"cannot prove {n} prime: not below the Miller-Rabin bound")
-    if n < 2:
-        return False
+    if n < 1000:
+        return n in _SMALL_PRIME_SET
     for p in _SMALL_PRIMES[:25]:
         if n % p == 0:
-            return n == p
+            return False
     d = n - 1
     r = 0
     while d % 2 == 0:
@@ -371,7 +375,16 @@ def _iv_log_fraction(q: Fraction):
 
 
 def _float_log_fraction(q: Fraction) -> float:
-    return math.log(q.numerator) - math.log(q.denominator)
+    # log1p keeps the digits of q - 1 near 1, where log(q) would cancel.
+    # 2^(k-1) < q < 2^(k+1) for the bit-length difference k, so q is a
+    # normal float for -1020 <= k <= 1022; the difference of int logs,
+    # which cancels, only serves q outside that range.
+    n, d = q.numerator, q.denominator
+    if not -1020 <= n.bit_length() - d.bit_length() <= 1022:
+        return math.log(n) - math.log(d)
+    if d < 2 * n < 4 * d:  # 1/2 < q < 2
+        return math.log1p(float(q - 1))
+    return math.log(n / d)
 
 
 def decimal_fraction(q: Fraction, places: int = 12) -> str:
@@ -416,7 +429,8 @@ class LogMag:
                 # value differs from every rational-magnitude one
                 return cls(m, root)
             m, root = (m.a, root) if m.a else (m.b * m.b * m.field.d, 2 * root)
-        m = Fraction(m)
+        if not isinstance(m, Fraction):
+            m = Fraction(m)
         if m <= 0:
             raise ValueError("log-magnitude of a nonpositive quantity")
         m, root = _canonical_log(m, root)
@@ -489,7 +503,8 @@ class LogMag:
     def __mul__(self, k: RationalLike) -> "LogMag":
         if not isinstance(k, (int, Fraction)):
             return NotImplemented
-        k = Fraction(k)
+        if k == 1:
+            return self
         if k == 0:
             return LogMag.zero()
         a, b = k.numerator, k.denominator
@@ -938,13 +953,19 @@ def places_above(v: Place, field: QuadField) -> list[Place]:
 _HENSEL_CAP = 4096
 
 
-def _abs_rational(q: Fraction, v: Place) -> LogMag:
+def _log_p_power(p: int, k: int) -> LogMag:
+    """log p^-k, built directly: p^-k is already canonical at root 1."""
+    if k == 0:
+        return LogMag.zero()
+    return LogMag(Fraction(1, p**k) if k > 0 else Fraction(p**-k), 1)
+
+
+def _abs_rational(q: RationalLike, v: Place) -> LogMag:
     if q == 0:
         raise ValuationOfZero("absolute value of zero")
     if v.is_archimedean:
         return LogMag.exact(abs(q))
-    k = multiplicity(q, v.p)
-    return LogMag.exact(Fraction(v.p) ** (-k))
+    return _log_p_power(v.p, multiplicity(q, v.p))
 
 
 def _split_valuation(y: QuadElem, p: int, index: int) -> int:
@@ -985,8 +1006,7 @@ def _abs_quad(y: QuadElem, v: Place) -> LogMag:
         k = multiplicity(y.norm(), v.p)
         return LogMag.exact(Fraction(v.p) ** (-k), 2)
     if kind == SPLIT:
-        k = _split_valuation(y, v.p, ext.index)
-        return LogMag.exact(Fraction(v.p) ** (-k))
+        return _log_p_power(v.p, _split_valuation(y, v.p, ext.index))
     if kind == COMPLEX:
         # |a + b*i*sqrt(|d|)|^2 = a^2 + |d| b^2 = N(y), exactly rational
         return LogMag.exact(y.norm(), 2)
@@ -1000,5 +1020,5 @@ def abs_value(x, v: Place) -> LogMag:
     if isinstance(x, QuadElem):
         return _abs_quad(x, v)
     if isinstance(x, (int, Fraction)):
-        return _abs_rational(Fraction(x), v)
+        return _abs_rational(x, v)
     raise TypeError(f"unsupported value {x!r}")

@@ -87,12 +87,25 @@ def write_gap_csv(series, path: str) -> None:
     """Emit a gap series: n,point,h,lambda_S,gap,sign,skipped."""
     if not series.rows:
         raise ValueError("refusing to write an empty series")
+    # render each LogMag form once; a rational value has one canonical form,
+    # and keying on the form spares the exact hash of a quadratic one
+    rendered: dict[tuple, str] = {}
+
+    def cell(value) -> str:
+        if not isinstance(value, LogMag):
+            return fmt12(value)
+        key = (value.magnitude, value.root)
+        text = rendered.get(key)
+        if text is None:
+            text = rendered[key] = fmt12(value)
+        return text
+
     lines = ["n,point,h,lambda_S,gap,sign,skipped"]
     for r in series.rows:
         sign_cell = "" if r.sign is None else str(r.sign)
         lines.append(
-            f"{r.n},{_point_str(r.point)},{fmt12(r.h)},{fmt12(r.lambda_S)},"
-            f"{fmt12(r.gap)},{sign_cell},{int(r.skipped)}"
+            f"{r.n},{_point_str(r.point)},{cell(r.h)},{cell(r.lambda_S)},"
+            f"{cell(r.gap)},{sign_cell},{int(r.skipped)}"
         )
     _write_lines(path, lines)
 

@@ -9,16 +9,23 @@ M = (t_1..t_l) with deg s_j - deg t_i = deg s_D.  The local function is
 
 sections vanishing at x being skipped (they sit at -infinity inside the
 max, +infinity inside the min).  The default presentation of a degree-e
-hypersurface uses all monomials of degree e against the constant 1, which
-makes lambda exact at every place for integer points and sums over all
-places to e * h(x) on the nose.
+hypersurface uses all monomials of degree e against the constant 1.  As
+max_m |x^m|_v = max_i |x_i|_v^e, its lambda is the textbook local height
+
+    lambda_D(x, v) = weight * (e * log max_i |x_i|_v - log|s_D(x)|_v)
+
+(Hindry-Silverman, Diophantine Geometry, GTM 201, Part B), which
+weil_local computes in this closed form.  Points are primitive integer
+vectors, so max_i |x_i|_v = 1 at every finite v; the terms are exact at
+every place and sum over all places to weight * e * h(x) on the nose.
 
 LocalTable holds lambda_D(x, w) for one point, each place evaluated
-once.  It is the one implementation of the sum over S (weil_sum) and of
-the sum over all places of Q or Q(sqrt d) (weil_global,
-galois_symmetrized); the experiment runners read both from one table.
-The sum over all places factors nothing past trial division; over Q
-the support left over goes into one coprime base of exact log terms.
+once from one value of s_D(x).  It is the one implementation of the sum
+over S (weil_sum) and of the sum over all places of Q or Q(sqrt d)
+(weil_global, galois_symmetrized); the experiment runners read both from
+one table.  The sum over all places factors nothing past trial division;
+over Q the support left over goes into one coprime base of exact log
+terms.
 """
 
 from __future__ import annotations
@@ -197,14 +204,26 @@ def _choose_place(d: DivisorPresentation, v: Place) -> Place:
     return places_above(v, field)[0]
 
 
-def weil_local(d: DivisorPresentation, x: ProjPoint, v: Place) -> LogMag:
-    """lambda_D(x, v) from the presentation; exact wherever the inputs are."""
+def weil_local(d: DivisorPresentation, x: ProjPoint, v: Place, *, sd=None) -> LogMag:
+    """lambda_D(x, v) from the presentation; exact wherever the inputs are.
+
+    sd is s_D(x) if the caller has it already.  A default presentation
+    takes the closed form weight * (e * log max_i |x_i|_w - log|s_D(x)|_w);
+    any other runs max_j log|s_j(x)|_w - max_i log|t_i(x)|_w - log|s_D(x)|_w.
+    """
     if d.nvars != len(x.coords):
         raise ValueError("point/divisor dimension mismatch")
     w = _choose_place(d, v)
-    sd_val = _abs_or_none(d.sd.evaluate(x.coords), w)
+    sd_val = _abs_or_none(d.sd.evaluate(x.coords) if sd is None else sd, w)
     if sd_val is None:
         raise SupportHit(x, v)
+    if d.is_default:
+        # x is a primitive integer vector, so max_i |x_i|_w = 1 at every
+        # finite w and the term is -weight * log|s_D(x)|_w alone there
+        if w.is_archimedean:
+            top = LogMag.exact(max(abs(c) for c in x.coords) ** d.degree)
+            return (top - sd_val) * d.weight
+        return -sd_val * d.weight
     denom_vals = [t for t in (_abs_or_none(g.evaluate(x.coords), w) for g in d.denom) if t is not None]
     if not denom_vals:
         raise ArithmeticError("denominator family vanishes at the point")
@@ -255,15 +274,20 @@ def _base_exponent(d: DivisorPresentation, values: list[Fraction], b: int) -> in
     return k
 
 
-def _support_values(d: DivisorPresentation, x: ProjPoint) -> list[Fraction]:
+def _support_values(d: DivisorPresentation, x: ProjPoint, sd=None) -> list[Fraction]:
     """s_D(x), then (unless D is default) the s_j(x) and t_i(x); norms over Q(sqrt d).
 
-    A default presentation needs s_D(x) alone: at coprime integer
-    coordinates its monomials and its 1 are units at every prime.
+    sd is s_D(x) if the caller has it already.  A default presentation
+    needs s_D(x) alone: at coprime integer coordinates its monomials and
+    its 1 are units at every prime.
     """
+    if sd is None:
+        sd = d.sd.evaluate(x.coords)
+    raw = [sd]
+    if not d.is_default:
+        raw += [g.evaluate(x.coords) for g in (*d.numer, *d.denom)]
     out = []
-    for g in (d.sd,) if d.is_default else (d.sd, *d.numer, *d.denom):
-        val = g.evaluate(x.coords)
+    for val in raw:
         if isinstance(val, QuadElem):
             val = val.norm()
         elif d.field is not None:
@@ -273,19 +297,27 @@ def _support_values(d: DivisorPresentation, x: ProjPoint) -> list[Fraction]:
 
 
 class LocalTable:
-    """lambda_D(x, w) at one point, evaluated once per place w and kept."""
+    """lambda_D(x, w) at one point, evaluated once per place w and kept.
+
+    s_D(x) is evaluated once, and every local term and the support of the
+    sum over all places are read from that one value.
+    """
 
     def __init__(self, d: DivisorPresentation, x: ProjPoint):
         self.divisor = d
         self.point = x
         self._terms: dict[Place, LogMag] = {}
 
+    @cached_property
+    def _sd(self):
+        return self.divisor.sd.evaluate(self.point.coords)
+
     def local(self, v: Place) -> LogMag:
         """lambda_D(x, w) at the place w that weil_local chooses for v."""
         w = _choose_place(self.divisor, v)
         lam = self._terms.get(w)
         if lam is None:
-            lam = self._terms[w] = weil_local(self.divisor, self.point, w)
+            lam = self._terms[w] = weil_local(self.divisor, self.point, w, sd=self._sd)
         return lam
 
     def lambda_S(self, places) -> LogMag:
@@ -306,7 +338,7 @@ class LocalTable:
         """
         d, x = self.divisor, self.point
         field = d.field
-        values = _support_values(d, x)
+        values = _support_values(d, x, self._sd)
         if values[0] == 0:
             raise SupportHit(x)
         primes: set[int] = set()

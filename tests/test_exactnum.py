@@ -200,6 +200,13 @@ def test_is_prime_and_factorize():
     assert fac == {} and cof == 1
 
 
+def test_is_prime_agrees_with_trial_division_on_both_sides_of_the_table():
+    def by_trial(n):
+        return n > 1 and all(n % k for k in range(2, math.isqrt(n) + 1))
+
+    assert all(is_prime(n) == by_trial(n) for n in range(-5, 3000))
+
+
 MR_BOUND = 3_317_044_064_679_887_385_961_981  # strong pseudoprime to bases 2..41
 
 
@@ -373,6 +380,19 @@ def test_ratio_exact_matches_exponent_vectors(m1, m2):
     if any(v1.get(p, 0) != want * v2.get(p, 0) for p in v1.keys() | v2.keys()):
         want = None
     assert LogMag.exact(m1).ratio_exact(LogMag.exact(m2)) == want
+
+
+def test_to_float_does_not_cancel():
+    # log(1 + 2^-200) = 6.223015277861142e-61: a difference of int logs read 0.0
+    assert LogMag.exact(Fraction(2**200 + 1, 2**200)).to_float() == math.log1p(2.0**-200)
+    # within 2^-200 of log 3: a difference of int logs read 1.0986122886681073
+    assert LogMag.exact(Fraction(3 * 2**200 + 1, 2**200)).to_float() == math.log(3)
+    assert LogMag.exact(Fraction(7 * 2**300 + 7, 2**300), 3).to_float() == math.log(7) / 3
+    # outside the normal floats the difference of int logs remains
+    huge = LogMag.exact(Fraction(2**2000 + 1, 3))
+    assert huge.to_float() == pytest.approx(2000 * math.log(2) - math.log(3), rel=1e-15)
+    assert (-huge).to_float() == -huge.to_float()
+    assert LogMag.exact(Fraction(1, 2**1060)).to_float() == pytest.approx(-1060 * math.log(2), rel=1e-15)
 
 
 def test_logmag_real_quadratic_is_exact():

@@ -320,8 +320,8 @@ def test_quadratic_audit_is_an_equality_check(monkeypatch):
     local = weil.weil_local
     off = LogMag.exact(Fraction(2**200 + 1, 2**200))
 
-    def shifted(d, x, w):
-        lam = local(d, x, w)
+    def shifted(d, x, w, **kw):
+        lam = local(d, x, w, **kw)
         return lam + off if w.is_archimedean and w.ext.index == 1 else lam
 
     monkeypatch.setattr(weil, "weil_local", shifted)
@@ -572,6 +572,34 @@ def test_gap_csv_format(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "n,point,h,lambda_S,gap,sign,skipped"
     assert lines[1] == "0,(2:1),0.693147180560,0.693147180560,1.039720770840,1,0"
+
+
+def test_gap_csv_renders_each_distinct_value_once(tmp_path, monkeypatch):
+    cfg = parse_config({
+        "divisor": {"form": {"2,1": "1", "1,2": "-1"}},  # x*y*(x-y)
+        "places": ["inf", 2, 3],
+        "sample": {"height_bound": 12},
+        "params": {"eps_prime": "1"},
+    })
+    series = run_gap_experiment(cfg)
+    lines = ["n,point,h,lambda_S,gap,sign,skipped"] + [
+        f"{r.n},({':'.join(map(str, r.point.coords))}),{fmt12(r.h)},{fmt12(r.lambda_S)},"
+        f"{fmt12(r.gap)},{'' if r.sign is None else r.sign},{int(r.skipped)}"
+        for r in series.rows
+    ]
+    values = [v for r in series.rows for v in (r.h, r.lambda_S, r.gap) if v is not None]
+    calls = []
+    real = LogMag.decimal_str
+
+    def counting(self, places=12):
+        calls.append(self)
+        return real(self, places)
+
+    monkeypatch.setattr(LogMag, "decimal_str", counting)
+    path = tmp_path / "gap.csv"
+    write_gap_csv(series, str(path))
+    assert len(calls) == len(set(values)) < len(values)
+    assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
 
 
 def test_csv_determinism_byte_identical(tmp_path):

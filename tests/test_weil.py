@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -219,9 +220,9 @@ def test_local_table_evaluates_each_place_once(monkeypatch):
     calls = []
     real = weil.weil_local
 
-    def counting(d, x, v):
+    def counting(d, x, v, **kw):
         calls.append(v)
-        return real(d, x, v)
+        return real(d, x, v, **kw)
 
     monkeypatch.setattr(weil, "weil_local", counting)
     x = P(16, 1)  # s_D(x) = 13
@@ -288,6 +289,72 @@ def test_table_height_identity_and_lambda_S_over_Q_sqrt2(d, coords, S):
     total = galois_symmetrized(d, x)
     assert total == table.all_places() == height(x) * (d.weight * d.degree)
     assert table.lambda_S(S) == weil_sum(d, x, S) == _lambda_S_reference(d, x, S)
+
+
+# -- the closed form of default presentations -----------------------------------
+
+def _ternary_default_divisor(coeffs, weight):
+    terms = dict(zip(monomials_of_degree(3, 2), coeffs))
+    return DivisorPresentation.hypersurface(HomogPoly.from_terms(3, terms), weight=weight)
+
+
+_ternary_divisors_Q = st.builds(
+    _ternary_default_divisor,
+    st.lists(st.integers(-30, 30), min_size=6, max_size=6).filter(any),
+    st.sampled_from([1, Fraction(2, 3)]),
+)
+_ternary_points = st.tuples(*[st.integers(-10**4, 10**4)] * 3).filter(any)
+
+
+def _assert_closed_form_is_general_path(d, x, places):
+    """weil_local of default d equals the max_j path on the same presentation."""
+    assert d.is_default
+    general = dataclasses.replace(d, is_default=False)
+    _, parts = LocalTable(d, x).all_places(parts=True)
+    for w in {*places, *(w for w, _ in parts if w is not None)}:
+        assert weil_local(d, x, w) == weil_local(general, x, w)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    case=st.one_of(st.tuples(_divisors_Q, _points), st.tuples(_ternary_divisors_Q, _ternary_points)),
+    S=st.lists(st.sampled_from(_PLACES_Q), unique=True),
+)
+def test_closed_form_equals_general_path_over_Q(case, S):
+    d, coords = case
+    x = P(*coords)
+    assume(not d.support_test(x))
+    _assert_closed_form_is_general_path(d, x, S)
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=_divisors_F, coords=_points, S=st.lists(st.sampled_from(_PLACES_F), unique=True))
+def test_closed_form_equals_general_path_over_Q_sqrt2(d, coords, S):
+    x = P(*coords)
+    assume(not d.support_test(x))
+    # every place of Q(sqrt 2) above the sampled places of Q, both real ones included
+    above = [w for v in S if v.ext is None for w in places_above(v, _F2)]
+    _assert_closed_form_is_general_path(d, x, S + above)
+
+
+def test_default_table_evaluates_s_D_once(monkeypatch):
+    calls = []
+    real = HomogPoly.evaluate
+
+    def counting(self, coords):
+        calls.append(self)
+        return real(self, coords)
+
+    monkeypatch.setattr(HomogPoly, "evaluate", counting)
+    x = P(16, 1)
+    for d in (_default_divisor([1, 0, -3, 5], 1),
+              _default_divisor([_F2.element(1), _F2.element(0, -1)], 1)):
+        calls.clear()
+        table = LocalTable(d, x)
+        table.lambda_S(_PLACES_F if d.field else _PLACES_Q)
+        table.all_places(parts=True)
+        table.lambda_S([INF, Place.finite(3)])
+        assert calls == [d.sd]
 
 
 # -- the coprime base of the sum over all places --------------------------------
