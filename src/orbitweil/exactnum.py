@@ -11,8 +11,11 @@ Conventions:
     sum_w [F_w:Q_v] * log|y|_w = 0.
   * Log-magnitudes are exact: the log of a positive rational, or of a
     positive element of a real Q(sqrt(d)) under sqrt(d) -> +sqrt(d), over
-    a root index.  Interval enclosures serve only decimal rendering and
-    float ratio bounds.
+    a root index.  Interval enclosures, on a private mpmath context whose
+    precision one loop (_refine) doubles until a question is decided,
+    serve only correctly rounded decimals and floats, float ratio bounds,
+    and comparisons past the bit budget.  mpmath's global interval
+    precision is never read or written.
 """
 
 from __future__ import annotations
@@ -23,14 +26,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Optional, Sequence, Union
 
-from mpmath import iv, mp
+from mpmath.ctx_iv import MPIntervalContext
 
-# Working precision for the enclosures behind rendering and ratio bounds.
-# 300+ bits keeps every enclosure width at desk scale far below 1e-30.
-IV_PREC = 320
-iv.prec = IV_PREC
-
-Rational = Fraction
 RationalLike = Union[int, Fraction]
 
 # Cross-exponentiation guards: never build integers past ~60 MB silently.
@@ -326,65 +323,54 @@ def hensel_sqrt(d: int, p: int, prec: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# interval enclosures: rendering and ratio bounds
+# interval enclosures: rendering, floats, ratio bounds and comparisons
 # ---------------------------------------------------------------------------
 
+# Enclosures live on this private context; _refine is the one writer of its
+# precision, so orbitweil leaves mpmath's global interval precision as it
+# finds it.
+_IV = MPIntervalContext()
+
+# The first precision of every loop: 300+ bits keep every enclosure width at
+# desk scale far below 1e-30, so nearly every question is decided at once.
+IV_PREC = 320
+_PREC_CAP = 2**16
+
+
+def _refine(step):
+    """step() at IV_PREC bits, doubled until it is not None.
+
+    Raises PrecisionExhausted past _PREC_CAP bits.  No step calls _refine.
+    """
+    prec = IV_PREC
+    while prec <= _PREC_CAP:
+        _IV.prec = prec
+        if (out := step()) is not None:
+            return out
+        prec *= 2
+    raise PrecisionExhausted(f"enclosures undecided at {_PREC_CAP} bits")
+
+
 def _iv_from_fraction(q: Fraction):
-    # iv.mpf rejects Fraction; integer endpoints round outward, and the
+    # _IV.mpf rejects Fraction; integer endpoints round outward, and the
     # interval quotient keeps the enclosure valid for huge numerators.
-    return iv.mpf(q.numerator) / iv.mpf(q.denominator)
+    return _IV.mpf(q.numerator) / _IV.mpf(q.denominator)
 
 
-def _iv_endpoints(x):
-    # .a/.b on an interval yield degenerate intervals; go through the raw
-    # representation to obtain true mpf endpoints
-    lo, hi = x._mpi_
-    return mp.make_mpf(lo), mp.make_mpf(hi)
-
-
-def _mpf_fraction(x) -> Fraction:
-    # exact value of a finite mpf
-    sign, man, exp, _ = x._mpf_
-    v = Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
-    return -v if sign else v
-
-
-def _escalate(step):
-    """step() at doubling iv.prec until it is not None; iv.prec is restored."""
-    saved = iv.prec
-    try:
-        while (out := step()) is None:
-            iv.prec *= 2
-        return out
-    finally:
-        iv.prec = saved
+def _endpoints(x) -> tuple[Fraction, Fraction]:
+    """Exact endpoints of a finite interval, read from its raw mpf tuples."""
+    out = []
+    for sign, man, exp, _ in x._mpi_:
+        v = Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
+        out.append(-v if sign else v)
+    return out[0], out[1]
 
 
 def _iv_log_fraction(q: Fraction):
+    # log 1 is enclosed exactly as [0, 0]
     if q <= 0:
         raise ValueError("log of a nonpositive rational")
-    if q.numerator == 1:
-        hi = iv.mpf(0)
-    else:
-        hi = iv.log(iv.mpf(q.numerator))
-    if q.denominator == 1:
-        lo = iv.mpf(0)
-    else:
-        lo = iv.log(iv.mpf(q.denominator))
-    return hi - lo
-
-
-def _float_log_fraction(q: Fraction) -> float:
-    # log1p keeps the digits of q - 1 near 1, where log(q) would cancel.
-    # 2^(k-1) < q < 2^(k+1) for the bit-length difference k, so q is a
-    # normal float for -1020 <= k <= 1022; the difference of int logs,
-    # which cancels, only serves q outside that range.
-    n, d = q.numerator, q.denominator
-    if not -1020 <= n.bit_length() - d.bit_length() <= 1022:
-        return math.log(n) - math.log(d)
-    if d < 2 * n < 4 * d:  # 1/2 < q < 2
-        return math.log1p(float(q - 1))
-    return math.log(n / d)
+    return _IV.log(_IV.mpf(q.numerator)) - _IV.log(_IV.mpf(q.denominator))
 
 
 def decimal_fraction(q: Fraction, places: int = 12) -> str:
@@ -406,7 +392,8 @@ class LogMag:
     m is a Fraction, or a QuadElem a + b*sqrt(d) with a, b != 0 of a real
     field, read under sqrt(d) -> +sqrt(d).  Values add, subtract, scale by
     rationals and compare without any rounding; enclosures (interval())
-    serve only rendering and float ratio bounds.
+    serve only read-outs (decimals, floats, ratio bounds) and comparisons
+    past the bit budget.
     """
 
     __slots__ = ("_m", "_root")
@@ -456,27 +443,43 @@ class LogMag:
         return self._root
 
     def interval(self):
-        """Enclosure of the value at the current iv.prec."""
+        """Enclosure of the value on the private interval context.
+
+        Its width follows the precision that _refine sets; call it from a
+        step of _refine.
+        """
         m = self._m
         if isinstance(m, QuadElem):
             # |a| + |b| sqrt(d) is m or -conj(m) = |N(m)|/m; either way no cancellation
-            s = _iv_from_fraction(abs(m.a)) + _iv_from_fraction(abs(m.b)) * iv.sqrt(m.field.d)
-            ival = iv.log(s if m.a > 0 < m.b else _iv_from_fraction(abs(m.norm())) / s)
+            s = _iv_from_fraction(abs(m.a)) + _iv_from_fraction(abs(m.b)) * _IV.sqrt(m.field.d)
+            ival = _IV.log(s if m.a > 0 < m.b else _iv_from_fraction(abs(m.norm())) / s)
         else:
             ival = _iv_log_fraction(m)
-        return ival / iv.mpf(self._root)
+        return ival / _IV.mpf(self._root)
+
+    def _read_out(self, rounding):
+        """rounding(value) for a monotone rounding of Fractions (Ziv's loop).
+
+        Accepts once both endpoints of an enclosure round alike, which ends
+        unless the value is a rounding boundary.  It never is: log 1 is
+        enclosed exactly as [0, 0], and the log of any other positive
+        algebraic number is transcendental (Lindemann, 1882), so
+        log(m)/root is no rational decimal tie or float midpoint.
+        """
+
+        def agree():
+            lo, hi = (rounding(e) for e in _endpoints(self.interval()))
+            return lo if lo == hi else None
+
+        return _refine(agree)
 
     def to_float(self) -> float:
-        if isinstance(self._m, QuadElem):
-            lo, hi = _iv_endpoints(self.interval())
-            with mp.workprec(IV_PREC + 20):
-                return float((lo + hi) / 2)
-        return _float_log_fraction(self._m) / self._root
+        """The value rounded to the nearest float."""
+        return self._read_out(float)
 
     def decimal_str(self, places: int = 12) -> str:
-        """Deterministic fixed-point rendering with `places` fractional digits."""
-        lo, hi = (_mpf_fraction(e) for e in _iv_endpoints(self.interval()))
-        return decimal_fraction((lo + hi) / 2, places)
+        """The value rounded half-even to `places` fractional digits, fixed point."""
+        return self._read_out(lambda q: decimal_fraction(q, places))
 
     def __repr__(self) -> str:
         if self._root == 1:
@@ -536,10 +539,10 @@ class LogMag:
         """-1, 0 or +1 as self is below, equal to or above other, decided exactly.
 
         Both magnitudes are raised to lcm(root1, root2)/root, as in +.
-        Where that passes the bit budget, two rational magnitudes are told
-        apart by enclosures of doubling precision: distinct canonical forms
-        are distinct values, so the escalation ends.  An irrational one
-        raises PrecisionExhausted there.
+        Where that passes the bit budget, enclosures of doubling precision
+        tell the values apart.  Distinct rational canonical forms are
+        distinct values, so there the escalation ends; equal values in
+        different irrational forms raise PrecisionExhausted at the cap.
         """
         m1, m2 = self._m, other._m
         if m1 == m2 and self._root == other._root:
@@ -548,14 +551,13 @@ class LogMag:
         try:
             return _cmp(_power(m1, r // self._root), _power(m2, r // other._root))
         except PrecisionExhausted:
-            if isinstance(m1, QuadElem) or isinstance(m2, QuadElem):
-                raise
+            pass
 
         def separate():
             diff = self.interval() - other.interval()
             return None if diff.a <= 0 <= diff.b else (1 if diff.a > 0 else -1)
 
-        return _escalate(separate)
+        return _refine(separate)
 
     def sign(self) -> int:
         return _cmp(self._m, 1)
@@ -597,11 +599,10 @@ class LogMag:
             den = _iv_log_fraction(m2)
             if den.a <= 0 <= den.b:
                 return None
-            rho = _iv_log_fraction(m1) / den
-            lo, hi = (_mpf_fraction(e) for e in _iv_endpoints(rho))
+            lo, hi = _endpoints(_iv_log_fraction(m1) / den)
             return (lo, hi) if hi - lo < gap else None
 
-        lo, hi = _escalate(narrow)
+        lo, hi = _refine(narrow)
         cand = ((lo + hi) / 2).limit_denominator(big)
         if not lo <= cand <= hi:
             return None
@@ -633,7 +634,11 @@ class LogMag:
         return exact, (lo, hi)
 
     def ratio_interval(self, other: "LogMag") -> tuple[float, float]:
-        """Certified float enclosure of self/other (other must be nonzero)."""
+        """Outward float enclosure of self/other (other must be nonzero).
+
+        The quotient of enclosures at the first precision at which other's
+        excludes 0, rounded to nearest and widened by one float each way.
+        """
         if other.is_zero():
             raise UndecidableComparison("ratio denominator is zero")
 
@@ -642,34 +647,28 @@ class LogMag:
             den = other.interval()
             return None if den.a <= 0 <= den.b else self.interval() / den
 
-        lo, hi = _iv_endpoints(_escalate(quotient))
+        lo, hi = _endpoints(_refine(quotient))
         return (
             math.nextafter(float(lo), -math.inf),
             math.nextafter(float(hi), math.inf),
         )
 
 
-def _small_prime_factors(r: int) -> list[int]:
-    out = []
-    for p in _SMALL_PRIMES:
-        if p * p > r:
-            break
-        if r % p == 0:
-            out.append(p)
-            while r % p == 0:
-                r //= p
-    if r > 1:
-        out.append(r)
-    return out
-
-
 def _canonical_log(m: Fraction, root: int) -> tuple[Fraction, int]:
-    # reduce (m, root) so that m is not a perfect p-th power for any p | root;
-    # this canonical form is unique, making structural equality semantic
+    # reduce (m, root) so that m is not a perfect p-th power for any prime
+    # p | root; this canonical form is unique, making structural equality
+    # semantic
     if m == 1:
         return Fraction(1), 1
+    if root == 1:
+        return m, 1
+    primes, cofactor = factorize(root)
+    # the cofactor's primes exceed 1,000, and a p-th power other than 1 has
+    # more than p bits: it reduces nothing whose terms are below 2^1001
+    if cofactor != 1 and max(m.numerator, m.denominator).bit_length() > 1001:
+        raise ExactnumError(f"cannot reduce a log-magnitude at root {root}: {cofactor} unfactored")
     r = root
-    for p in _small_prime_factors(root):
+    for p in primes:
         while r % p == 0:
             nr = _perfect_power(m.numerator, p)
             if nr is None:

@@ -148,11 +148,11 @@ def _series_rows(cfg: ExperimentConfig, cache):
     skips = 0
     for step in orbit.steps:
         x = step.point
-        if d.support_test(x):
+        table = LocalTable(d, x)
+        if table.on_support:
             rows.append(RatioRow(step.n, x, None, None, None, None, None, True, "support"))
             skips += 1
             continue
-        table = LocalTable(d, x)
         # lambda_S first: the audit then checks each of its places as a row
         lam = table.lambda_S(cfg.places)
         lam_all = _audit_row(table, step.h)
@@ -295,11 +295,11 @@ def run_gap_experiment(cfg: ExperimentConfig, eps_prime=None, cache=None) -> Gap
     negatives = []
     skips = 0
     for n, x, h_raw in triples:
-        if d.support_test(x):
+        table = LocalTable(d, x)
+        if table.on_support:
             rows.append(GapRow(n, x, None, None, None, None, True, "support"))
             skips += 1
             continue
-        table = LocalTable(d, x)
         lam = table.lambda_S(cfg.places)
         _audit_row(table, h_raw)
         gap = h_raw * coef - lam

@@ -255,18 +255,6 @@ class HomogPoly:
         }
         return HomogPoly(self.nvars, self.degree, out)
 
-    def norm_form(self) -> "HomogPoly":
-        """G * conj(G); the result has rational coefficients."""
-        prod = self * self.conjugate()
-        out: dict[tuple[int, ...], Coeff] = {}
-        for e, c in prod.terms.items():
-            if isinstance(c, QuadElem):
-                if c.b != 0:
-                    raise ArithmeticError("norm form came out irrational")
-                c = c.a
-            out[e] = c
-        return HomogPoly(prod.nvars, prod.degree, out)
-
     def content(self) -> Fraction:
         """Positive rational c with self/c integral, coprime coefficients.
 

@@ -27,9 +27,6 @@ from math import gcd
 from .exactnum import integer_normal_form
 from .polydyn import FAILED, UNCHECKED, HomogPoly, Morphism, pullback, wellformed_check
 
-Rational = Fraction
-
-
 # ---------------------------------------------------------------------------
 # exact linear programming
 

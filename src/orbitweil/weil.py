@@ -138,8 +138,7 @@ class DivisorPresentation:
         return None
 
     def support_test(self, x: ProjPoint) -> bool:
-        val = self.sd.evaluate(x.coords)
-        return val.is_zero if isinstance(val, QuadElem) else val == 0
+        return LocalTable(self, x).on_support
 
     def conjugate(self) -> "DivisorPresentation":
         return DivisorPresentation(
@@ -311,6 +310,12 @@ class LocalTable:
     @cached_property
     def _sd(self):
         return self.divisor.sd.evaluate(self.point.coords)
+
+    @property
+    def on_support(self) -> bool:
+        """Whether x lies on Supp(D), i.e. s_D(x) = 0."""
+        sd = self._sd
+        return sd.is_zero if isinstance(sd, QuadElem) else sd == 0
 
     def local(self, v: Place) -> LogMag:
         """lambda_D(x, w) at the place w that weil_local chooses for v."""

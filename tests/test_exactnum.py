@@ -1,6 +1,9 @@
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import mpmath
@@ -9,6 +12,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from mpmath import iv, libmp, mp
 
+from orbitweil import exactnum
 from orbitweil.exactnum import (
     ExactnumError,
     LogMag,
@@ -65,6 +69,23 @@ def test_product_formula_exact():
             [abs_value(q, INF)] + [abs_value(q, Place.finite(p)) for p in rational_support(q)]
         )
         assert total == LogMag.zero()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    exps=st.dictionaries(st.sampled_from([2, 3, 5, 7, 97, 997]), st.integers(-12, 12)),
+    big=st.sampled_from([1009, 999983, 2**61 - 1]),  # a leftover that factorize proves prime
+    big_exp=st.sampled_from([-1, 0, 1]),
+    negative=st.booleans(),
+)
+def test_product_formula_over_q(exps, big, big_exp, negative):
+    exps = {**exps, big: big_exp}
+    q = math.prod((Fraction(p) ** e for p, e in exps.items()), start=Fraction(-1 if negative else 1))
+    support = rational_support(q)
+    assert support == sorted(p for p, e in exps.items() if e)
+    finite = [abs_value(q, Place.finite(p)) for p in support]
+    assert finite == [LogMag.exact(Fraction(p) ** -exps[p]) for p in support]
+    assert logmag_sum([abs_value(q, INF)] + finite) == LogMag.zero()
 
 
 def test_splitting_classification():
@@ -275,13 +296,14 @@ def test_logmag_compare_and_ratio():
 
 def test_ratio_interval_escalates_for_exact_denominators():
     # log(1 + 2^-400) is below 2^-320, so its 320-bit enclosure straddles 0
+    prec = iv.prec
     near = LogMag.exact(Fraction(2**400 + 1, 2**400))
     lo, hi = LogMag.exact(3).ratio_interval(near)
     with mpmath.workprec(1000):
         want = mpmath.log(3) / mpmath.log(1 + mpmath.mpf(2) ** -400)
     assert lo <= want <= hi and (hi - lo) / lo < 1e-15
     assert LogMag.exact(3).ratio(near) == (None, (lo, hi))
-    assert iv.prec == 320
+    assert iv.prec == prec
     with pytest.raises(UndecidableComparison):
         LogMag.exact(3).ratio_interval(LogMag.zero())
     # an irrational magnitude within 2^-500 of 1 straddles 0 at 320 bits too:
@@ -292,7 +314,21 @@ def test_ratio_interval_escalates_for_exact_denominators():
     with mpmath.workprec(2000):
         want = mpmath.log(3) / mpmath.log((1 + mpmath.sqrt(2)) ** 200 / (2 * int(u.a)))
     assert lo <= want <= hi and (hi - lo) / abs(lo) < 1e-15
-    assert iv.prec == 320
+    assert iv.prec == prec
+
+
+def test_refine_raises_at_the_precision_cap():
+    with pytest.raises(PrecisionExhausted):
+        exactnum._refine(lambda: None)
+
+
+def test_import_leaves_the_global_interval_precision_alone():
+    code = "import mpmath; mpmath.iv.prec = 77; import orbitweil; print(mpmath.iv.prec)"
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "77"
 
 
 def test_ratio_exact_decides_every_rational_ratio():
@@ -325,6 +361,48 @@ def test_ratio_exact_decides_every_rational_ratio():
 _rationals = st.builds(
     Fraction, st.integers(1, 10**6), st.integers(1, 10**6)
 ).filter(lambda c: c != 1)
+
+
+# roots whose factors include primes above 1,000, proved (1009, 1000003)
+# or left in a cofactor (1009 * 1013 is past 1,000^2 and not proved prime)
+_ROOTS = [1, 2, 6, 1009, 1000003, 1009 * 1013, 2 * 1009 * 1013, 1009**2, 3 * 1009 * 1013]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    c=_rationals,
+    e1=st.integers(1, 12),
+    e2=st.integers(1, 12),
+    r1=st.sampled_from(_ROOTS),
+    r2=st.sampled_from(_ROOTS),
+    j=st.sampled_from([1, 2, 1009]),
+)
+def test_canonical_forms_are_unique(c, e1, e2, r1, r2, j):
+    # log(c^e1)/r1 and log(c^e2)/r2 are equal exactly when e1/r1 == e2/r2
+    x, y = LogMag.exact(c**e1, r1), LogMag.exact(c**e2, r2)
+    same = Fraction(e1, r1) == Fraction(e2, r2)
+    assert (x == y) == same
+    assert ((x.magnitude, x.root) == (y.magnitude, y.root)) == same
+    # x's value written as log(c^(e1 j))/(r1 j) has x's form, and so x's
+    # hash, unless an unfactored root meets a magnitude of 2^1001 or more
+    m = c ** (e1 * j)
+    if factorize(r1 * j)[1] != 1 and max(m.numerator, m.denominator).bit_length() > 1001:
+        with pytest.raises(ExactnumError):
+            LogMag.exact(m, r1 * j)
+    else:
+        z = LogMag.exact(m, r1 * j)
+        assert (z.magnitude, z.root) == (x.magnitude, x.root) and hash(z) == hash(x)
+
+
+def test_canonical_form_refuses_an_unfactored_root():
+    # 1009 * 1013 stays a cofactor of the root, and 2^1009 is a 1009th power:
+    # a form kept unreduced would differ from log(2)/1013's
+    with pytest.raises(ExactnumError, match="unfactored"):
+        LogMag.exact(2**1009, 1009 * 1013)
+    # below 2^1001 no power past 1,000 can reduce, so the cofactor is harmless
+    assert LogMag.exact(2**1000, 1009 * 1013 * 1000) == LogMag.exact(2, 1009 * 1013)
+    # a proved prime past 1,000 reduces as any other
+    assert LogMag.exact(2**1009, 1009) == LogMag.exact(2)
 
 
 @settings(max_examples=150, deadline=None)
@@ -388,11 +466,37 @@ def test_to_float_does_not_cancel():
     # within 2^-200 of log 3: a difference of int logs read 1.0986122886681073
     assert LogMag.exact(Fraction(3 * 2**200 + 1, 2**200)).to_float() == math.log(3)
     assert LogMag.exact(Fraction(7 * 2**300 + 7, 2**300), 3).to_float() == math.log(7) / 3
-    # outside the normal floats the difference of int logs remains
+    # and outside the range of normal floats
     huge = LogMag.exact(Fraction(2**2000 + 1, 3))
     assert huge.to_float() == pytest.approx(2000 * math.log(2) - math.log(3), rel=1e-15)
     assert (-huge).to_float() == -huge.to_float()
     assert LogMag.exact(Fraction(1, 2**1060)).to_float() == pytest.approx(-1060 * math.log(2), rel=1e-15)
+
+
+def _nearest_float(value) -> float:
+    # value() at 1000 bits, rounded to the nearest float
+    with mpmath.workprec(1000):
+        return float(value())
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(1, 2**200), d=st.integers(1, 2**200), r=st.integers(1, 12))
+def test_to_float_is_correctly_rounded_for_rationals(n, d, r):
+    want = _nearest_float(lambda: (mpmath.log(n) - mpmath.log(d)) / r)
+    assert LogMag.exact(Fraction(n, d), r).to_float() == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    d=st.sampled_from([2, 3, 5, 7]),
+    a=st.integers(-(2**60), 2**60).filter(bool),
+    b=st.integers(-(2**60), 2**60).filter(bool),
+    r=st.integers(1, 6),
+)
+def test_to_float_is_correctly_rounded_for_quadratic_magnitudes(d, a, b, r):
+    y = QuadField(d).element(a, b)
+    want = _nearest_float(lambda: mpmath.log(abs(a + b * mpmath.sqrt(d))) / r)
+    assert LogMag.exact(y if y.sign() > 0 else -y, r).to_float() == want
 
 
 def test_logmag_real_quadratic_is_exact():
@@ -435,15 +539,27 @@ def test_compare_decides_distinct_exact_values():
     b = LogMag.exact(Fraction(2**401 + 1, 2**401), 1_000_003)
     assert a.compare(b) == 1 and b.compare(a) == -1 and a != b
     # coprime roots: the cross powers pass the bit budget, and enclosures escalate
+    prec = iv.prec
     c = LogMag.exact(Fraction(2**401 + 1, 2**401), 1_000_033)
     assert a.compare(c) == 1 and c.compare(a) == -1 and a.compare(a) == 0
-    assert iv.prec == 320
-    # an irrational magnitude past the budget refuses instead of answering 0
+    assert iv.prec == prec
+    # an irrational magnitude past the budget escalates too
     F = QuadField(2)
     g = LogMag.exact(F.element(2**600, 1), 1_000_003)
     assert g.compare(LogMag.exact(F.element(2**600, 2), 1_000_003)) == -1
+    h = LogMag.exact(Fraction(2**600 + 1), 1_000_033)
+    with mpmath.workprec(1000):
+        diff = mpmath.log(2**600 + mpmath.sqrt(2)) / 1_000_003 - mpmath.log(2**600 + 1) / 1_000_033
+    assert g.compare(h) == int(mpmath.sign(diff)) == -h.compare(g) != 0
+
+
+def test_compare_of_equal_irrational_forms_past_the_budget_refuses(monkeypatch):
+    # (1 + sqrt 2)^2 = 3 + 2 sqrt 2: with no bit budget the cross powers are
+    # refused, and enclosures of equal values overlap up to the cap
+    F = QuadField(2)
+    monkeypatch.setattr(exactnum, "_BIT_BUDGET", 0)
     with pytest.raises(PrecisionExhausted):
-        g.compare(LogMag.exact(Fraction(2**600 + 1), 1_000_033))
+        LogMag.exact(F.element(1, 1)).compare(LogMag.exact(F.element(3, 2), 2))
 
 
 _quadratic_magnitudes = st.tuples(
@@ -477,6 +593,15 @@ def test_logmag_decimal_str():
     assert LogMag.zero().decimal_str(12) == "0.000000000000"
     assert (-LogMag.exact(2)).decimal_str(12) == "-0.693147180560"
     assert LogMag.exact(2**256).decimal_str(12) == "177.445678223346"
+
+
+def test_decimal_str_decides_values_near_a_tie():
+    # log(m) lies within 2^-400 above the tie 5e-13: the midpoint of a 320-bit
+    # enclosure read 0.000000000000
+    with mpmath.workprec(1000):
+        n = int(mpmath.floor(mpmath.exp(mpmath.mpf(5) / 10**13) * 2**400)) + 1
+    assert LogMag.exact(Fraction(n, 2**400)).decimal_str(12) == "0.000000000001"
+    assert LogMag.exact(Fraction(2**400, n)).decimal_str(12) == "-0.000000000001"
 
 
 class _Enclosed(LogMag):

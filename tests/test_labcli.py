@@ -602,6 +602,33 @@ def test_gap_csv_renders_each_distinct_value_once(tmp_path, monkeypatch):
     assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
 
 
+def test_runners_evaluate_s_D_once_per_point(monkeypatch):
+    # the support test reads the table's s_D(x): one evaluation per row,
+    # on the divisor's support as well as off it
+    calls = []
+    real = HomogPoly.evaluate
+
+    def counting(self, coords):
+        calls.append(self)
+        return real(self, coords)
+
+    gap_cfg = parse_config({
+        "divisor": {"form": {"2,1": "1", "1,2": "-1"}},  # x*y*(x-y)
+        "places": ["inf", 2, 3],
+        "sample": {"height_bound": 12},
+        "params": {"eps_prime": "1"},
+    })
+    ratio_cfg = squaring_cfg(seed=["3", "1"])  # on x - 3y at n = 0
+    monkeypatch.setattr(HomogPoly, "evaluate", counting)
+    series = run_gap_experiment(gap_cfg)
+    assert series.skips == 3
+    assert sum(g is gap_cfg.divisor.sd for g in calls) == len(series.rows)
+    calls.clear()
+    series = run_ratio_experiment(ratio_cfg)
+    assert series.rows[0].skipped
+    assert sum(g is ratio_cfg.divisor.sd for g in calls) == len(series.rows)
+
+
 def test_csv_determinism_byte_identical(tmp_path):
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
     write_ratio_csv(run_ratio_experiment(squaring_cfg()), str(p1))
