@@ -391,7 +391,7 @@ class LogMag:
 
     m is a Fraction, or a QuadElem a + b*sqrt(d) with a, b != 0 of a real
     field, read under sqrt(d) -> +sqrt(d).  Values add, subtract, scale by
-    rationals and compare without any rounding; enclosures (interval())
+    rationals and compare without any rounding; enclosures (_interval())
     serve only read-outs (decimals, floats, ratio bounds) and comparisons
     past the bit budget.
     """
@@ -442,11 +442,11 @@ class LogMag:
     def root(self) -> int:
         return self._root
 
-    def interval(self):
+    def _interval(self):
         """Enclosure of the value on the private interval context.
 
-        Its width follows the precision that _refine sets; call it from a
-        step of _refine.
+        Its width is whatever precision the running _refine loop has set,
+        so only a step of _refine may call it.
         """
         m = self._m
         if isinstance(m, QuadElem):
@@ -468,7 +468,7 @@ class LogMag:
         """
 
         def agree():
-            lo, hi = (rounding(e) for e in _endpoints(self.interval()))
+            lo, hi = (rounding(e) for e in _endpoints(self._interval()))
             return lo if lo == hi else None
 
         return _refine(agree)
@@ -554,7 +554,7 @@ class LogMag:
             pass
 
         def separate():
-            diff = self.interval() - other.interval()
+            diff = self._interval() - other._interval()
             return None if diff.a <= 0 <= diff.b else (1 if diff.a > 0 else -1)
 
         return _refine(separate)
@@ -644,14 +644,21 @@ class LogMag:
 
         def quotient():
             # log m != 0 for m != 1: more precision will exclude 0
-            den = other.interval()
-            return None if den.a <= 0 <= den.b else self.interval() / den
+            den = other._interval()
+            return None if den.a <= 0 <= den.b else self._interval() / den
 
         lo, hi = _endpoints(_refine(quotient))
         return (
             math.nextafter(float(lo), -math.inf),
             math.nextafter(float(hi), math.inf),
         )
+
+
+@lru_cache(maxsize=None)
+def _root_primes(root: int) -> tuple[tuple[int, ...], int]:
+    """factorize(root) as (primes, cofactor); the same few roots recur."""
+    factors, cofactor = factorize(root)
+    return tuple(factors), cofactor
 
 
 def _canonical_log(m: Fraction, root: int) -> tuple[Fraction, int]:
@@ -662,7 +669,7 @@ def _canonical_log(m: Fraction, root: int) -> tuple[Fraction, int]:
         return Fraction(1), 1
     if root == 1:
         return m, 1
-    primes, cofactor = factorize(root)
+    primes, cofactor = _root_primes(root)
     # the cofactor's primes exceed 1,000, and a p-th power other than 1 has
     # more than p bits: it reduces nothing whose terms are below 2^1001
     if cofactor != 1 and max(m.numerator, m.denominator).bit_length() > 1001:

@@ -1,6 +1,6 @@
 """Experiment configs, runners, serialization, and the CLI."""
 
-from .config import CONFIG_SCHEMA, ConfigError, ExperimentConfig, load_config, parse_config
+from .config import ConfigError, ExperimentConfig, load_config, parse_config
 from .experiments import (
     AuditFailure,
     GapRow,
@@ -26,7 +26,6 @@ from .io import (
 )
 
 __all__ = [
-    "CONFIG_SCHEMA",
     "ConfigError",
     "ExperimentConfig",
     "load_config",

@@ -1,6 +1,6 @@
 """Command line front end for the experiment runners.
 
-Every subcommand reads a JSON config (see config.CONFIG_SCHEMA) and prints
+Every subcommand reads a JSON config (README.md, "Config format") and prints
 a short human-readable report; --out writes the underlying series as CSV
 and the ratio subcommand can also emit an SVG plot.  Orbits are cached on
 disk when --cache-dir is given or the ORBITWEIL_CACHE environment variable

@@ -1,22 +1,24 @@
-"""Experiment configuration: JSON ingestion against a published schema.
+"""Experiment configuration: one validating parser from JSON to typed inputs.
 
-A config file drives the CLI and the experiment runners.  The JSON layout
-uses exponent-keyed form objects ("2,0" -> coefficient) because they stay
+A config file drives the CLI and the experiment runners; README.md's
+"Config format" section describes every key.  The JSON layout uses
+exponent-keyed form objects ("2,0" -> coefficient) because they stay
 readable for sparse forms; coefficients are strings like "-3/7" (or plain
 integers), and quadratic-field coefficients are {"a": "p/q", "b": "r/s"}
-meaning a + b*sqrt(d).  Schema validation happens first, then the semantic
-checks the schema cannot express: primality of finite places, arity
-agreement between map, seed, and divisor, and effectivity of the divisor
-weight where an experiment needs it.
+meaning a + b*sqrt(d).  Each value is checked as it is read: its keys, type
+and bounds, then what a type cannot say (primality of finite places, arity
+agreement between map, seed and divisor, homogeneity).  Every violation
+raises ConfigError naming its JSON path, e.g. "sample/height_bound: ...".
+An integer is what JSON Schema calls one: a number with no fractional part
+that is not a boolean, so 8.0 reads as the int 8.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-
-import jsonschema
 
 from ..exactnum import ExactnumError, Place, QuadElem, QuadField, is_prime
 from ..polydyn import HomogPoly, Morphism, ProjPoint
@@ -27,185 +29,169 @@ class ConfigError(ValueError):
     """Invalid experiment configuration."""
 
 
-_COEFF = {
-    "anyOf": [
-        {"type": "string", "pattern": r"^-?\d+(/\d+)?$"},
-        {"type": "integer"},
-        {
-            "type": "object",
-            "properties": {
-                "a": {"type": ["string", "integer"]},
-                "b": {"type": ["string", "integer"]},
-            },
-            "required": ["a", "b"],
-            "additionalProperties": False,
-        },
-    ]
-}
-
-_FORM = {
-    "type": "object",
-    "minProperties": 1,
-    "patternProperties": {r"^\d+(,\d+)*$": _COEFF},
-    "additionalProperties": False,
-}
-
-_PLACE = {"anyOf": [{"const": "inf"}, {"type": "integer", "minimum": 2}]}
-
-CONFIG_SCHEMA = {
-    "$schema": "https://json-schema.org/draft/2020-12/schema",
-    "type": "object",
-    "properties": {
-        "map": {
-            "type": "object",
-            "properties": {"forms": {"type": "array", "minItems": 2, "items": _FORM}},
-            "required": ["forms"],
-            "additionalProperties": False,
-        },
-        "seed": {
-            "type": "array",
-            "minItems": 2,
-            "items": {"type": ["string", "integer"]},
-        },
-        "divisor": {
-            "type": "object",
-            "properties": {
-                "field": {
-                    "anyOf": [
-                        {"const": "Q"},
-                        {
-                            "type": "object",
-                            "properties": {"d": {"type": "integer"}},
-                            "required": ["d"],
-                            "additionalProperties": False,
-                        },
-                    ]
-                },
-                "form": _FORM,
-                "weight": {"type": ["string", "integer"]},
-            },
-            "required": ["form"],
-            "additionalProperties": False,
-        },
-        "places": {"type": "array", "items": _PLACE},
-        "twist": {"type": "integer", "minimum": 1},
-        "depth": {"type": "integer", "minimum": 0},
-        "params": {
-            "type": "object",
-            "additionalProperties": {"type": ["string", "integer"]},
-        },
-        "sample": {
-            "type": "object",
-            "properties": {
-                "height_bound": {"type": "integer", "minimum": 1},
-                "count": {"anyOf": [{"type": "integer", "minimum": 1}, {"const": "all"}]},
-                "seed": {"type": "integer"},
-            },
-            "required": ["height_bound"],
-            "additionalProperties": False,
-        },
-        "lct": {
-            "type": "object",
-            "properties": {
-                "nvars": {"type": "integer", "minimum": 1},
-                "generators": {
-                    "type": "array",
-                    "minItems": 1,
-                    "items": {
-                        "type": "array",
-                        "minItems": 1,
-                        "items": {"type": "integer", "minimum": 0},
-                    },
-                },
-                "bound": {"type": "integer", "minimum": 1},
-            },
-            "required": ["nvars", "generators"],
-            "additionalProperties": False,
-        },
-        "efd": {
-            "type": "object",
-            "properties": {
-                "matrix": {
-                    "type": "array",
-                    "minItems": 1,
-                    "items": {
-                        "type": "array",
-                        "minItems": 1,
-                        "items": {"type": "integer", "minimum": 0},
-                    },
-                },
-                "target": {"type": "integer", "minimum": 0},
-                "bound": {"type": "integer", "minimum": 1},
-            },
-            "required": ["matrix", "target"],
-            "additionalProperties": False,
-        },
-        "cn": {
-            "type": "object",
-            "properties": {
-                "m_list": {
-                    "type": "array",
-                    "minItems": 1,
-                    "items": {"type": "integer", "minimum": 1},
-                },
-                "dim": {"type": "integer", "minimum": 1},
-                "delta": {"type": ["string", "integer"]},
-                "m": {"type": "integer", "minimum": 1},
-                "n": {"type": "integer", "minimum": 1},
-            },
-            "required": ["m_list", "dim", "delta", "m", "n"],
-            "additionalProperties": False,
-        },
-    },
-    "additionalProperties": False,
-}
+_FORM_KEY = re.compile(r"^\d+(,\d+)*$")
+_RATIONAL = re.compile(r"^-?\d+(/\d+)?$")
 
 
-def _fraction(value) -> Fraction:
-    if isinstance(value, bool):
-        raise ConfigError("booleans are not numbers here")
-    if isinstance(value, int):
-        return Fraction(value)
+def _is_int(value) -> bool:
+    if isinstance(value, float):
+        return value.is_integer()
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _int(value, path: str, minimum: int | None = None) -> int:
+    if not _is_int(value):
+        raise ConfigError(f"{path}: {value!r} is not an integer")
+    if minimum is not None and value < minimum:
+        raise ConfigError(f"{path}: {value!r} is below the minimum {minimum}")
+    # a float reads as the decimal it prints as, so 1e300 is 10**300
+    return value if isinstance(value, int) else int(Fraction(repr(value)))
+
+
+def _object(value, path: str, keys=None, required=()) -> dict:
+    """value as a JSON object with only the given keys (any if None)."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{path}: {value!r} is not an object")
+    unknown = [] if keys is None else [key for key in value if key not in keys]
+    if unknown:
+        raise ConfigError(f"{path}: unknown key {unknown[0]!r}")
+    for key in required:
+        if key not in value:
+            raise ConfigError(f"{path}: missing required key {key!r}")
+    return value
+
+
+def _list(value, path: str, min_items: int = 0) -> list:
+    if not isinstance(value, list):
+        raise ConfigError(f"{path}: {value!r} is not a list")
+    if len(value) < min_items:
+        raise ConfigError(f"{path}: needs at least {min_items} item(s)")
+    return value
+
+
+def _str_or_int(value, path: str):
+    if isinstance(value, str):
+        return value
+    if not _is_int(value):
+        raise ConfigError(f"{path}: {value!r} is not a string or an integer")
+    return _int(value, path)
+
+
+def _fraction(value, path: str) -> Fraction:
+    value = _str_or_int(value, path)
     try:
-        return Fraction(str(value))
+        return Fraction(value)
     except (ValueError, ZeroDivisionError) as exc:
-        raise ConfigError(f"bad rational {value!r}: {exc}") from None
+        raise ConfigError(f"{path}: bad rational {value!r}: {exc}") from None
 
 
-def _coefficient(value, quad: QuadField | None):
+def _coefficient(value, path: str, quad: QuadField | None):
     if isinstance(value, dict):
+        _object(value, path, ("a", "b"), ("a", "b"))
+        a, b = (_fraction(value[k], f"{path}/{k}") for k in "ab")
         if quad is None:
-            raise ConfigError("quadratic coefficient given but divisor field is Q")
-        return QuadElem(quad, _fraction(value["a"]), _fraction(value["b"]))
-    return _fraction(value)
+            raise ConfigError(f"{path}: quadratic coefficient given but divisor field is Q")
+        return QuadElem(quad, a, b)
+    if isinstance(value, str) and not _RATIONAL.search(value):
+        raise ConfigError(f"{path}: {value!r} is not an integer or a 'p/q' string")
+    return _fraction(value, path)
 
 
-def _parse_form(obj: dict, nvars: int, quad: QuadField | None = None) -> HomogPoly:
+def _form(obj, path: str, nvars: int | None, quad: QuadField | None = None) -> HomogPoly:
+    """A form {"i,j,...": coefficient}; nvars None takes the first key's arity."""
+    if not _object(obj, path):
+        raise ConfigError(f"{path}: a form needs at least one term")
     terms = {}
     for key, raw in obj.items():
+        if not isinstance(key, str) or not _FORM_KEY.search(key):
+            raise ConfigError(f"{path}: bad exponent key {key!r}")
         exps = tuple(int(p) for p in key.split(","))
+        nvars = len(exps) if nvars is None else nvars
         if len(exps) != nvars:
             raise ConfigError(
-                f"exponent key {key!r} has {len(exps)} entries, expected {nvars}"
+                f"{path}: exponent key {key!r} has {len(exps)} entries, expected {nvars}"
             )
-        terms[exps] = _coefficient(raw, quad)
+        terms[exps] = _coefficient(raw, f"{path}/{key}", quad)
     try:
         return HomogPoly.from_terms(nvars, terms)
     except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+        raise ConfigError(f"{path}: {exc}") from None
 
 
-def _parse_place(spec) -> Place:
+def _field(value) -> QuadField | None:
+    if value == "Q":
+        return None
+    if not isinstance(value, dict):
+        raise ConfigError(f"divisor/field: {value!r} is neither 'Q' nor {{'d': integer}}")
+    _object(value, "divisor/field", ("d",), ("d",))
+    try:
+        return QuadField(_int(value["d"], "divisor/field/d"))
+    except ValueError as exc:
+        raise ConfigError(f"divisor/field/d: {exc}") from None
+
+
+def _place(spec, path: str) -> Place:
     if spec == "inf":
         return Place.archimedean()
-    p = int(spec)
+    if not _is_int(spec):
+        raise ConfigError(f"{path}: {spec!r} is neither 'inf' nor a prime")
+    p = _int(spec, path, 2)
     try:
         prime = is_prime(p)
     except ExactnumError as exc:
-        raise ConfigError(f"place {p}: {exc}") from None
+        raise ConfigError(f"{path}: place {p}: {exc}") from None
     if not prime:
-        raise ConfigError(f"place {p} is not prime")
+        raise ConfigError(f"{path}: place {p} is not prime")
     return Place.finite(p)
+
+
+def _at_least(minimum: int | None):
+    return lambda value, path: _int(value, path, minimum)
+
+
+def _nonempty(read):
+    """Reader of a nonempty list whose items read with read."""
+    return lambda value, path: [
+        read(item, f"{path}/{i}") for i, item in enumerate(_list(value, path, 1))
+    ]
+
+
+def _count(value, path: str):
+    return value if value == "all" else _int(value, path, 1)
+
+
+# subcommand inputs, passed on as dicts: section -> ({key: reader}, required)
+_BLOCKS = {
+    "sample": (
+        {"height_bound": _at_least(1), "count": _count, "seed": _at_least(None)},
+        ("height_bound",),
+    ),
+    "lct": (
+        {"nvars": _at_least(1), "generators": _nonempty(_nonempty(_at_least(0))),
+         "bound": _at_least(1)},
+        ("nvars", "generators"),
+    ),
+    "efd": (
+        {"matrix": _nonempty(_nonempty(_at_least(0))), "target": _at_least(0),
+         "bound": _at_least(1)},
+        ("matrix", "target"),
+    ),
+    "cn": (
+        {"m_list": _nonempty(_at_least(1)), "dim": _at_least(1), "delta": _str_or_int,
+         "m": _at_least(1), "n": _at_least(1)},
+        ("m_list", "dim", "delta", "m", "n"),
+    ),
+}
+
+_SECTIONS = ("map", "seed", "divisor", "places", "twist", "depth", "params", *_BLOCKS)
+
+
+def _block(data: dict, name: str) -> dict | None:
+    if name not in data:
+        return None
+    readers, required = _BLOCKS[name]
+    spec = _object(data[name], name, readers, required)
+    return {key: readers[key](value, f"{name}/{key}") for key, value in spec.items()}
 
 
 @dataclass(frozen=True)
@@ -238,74 +224,63 @@ class ExperimentConfig:
 
 
 def parse_config(data: dict) -> ExperimentConfig:
-    try:
-        jsonschema.validate(data, CONFIG_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        path = "/".join(str(p) for p in exc.absolute_path) or "<root>"
-        raise ConfigError(f"schema violation at {path}: {exc.message}") from None
+    _object(data, "<root>", _SECTIONS)
 
     morphism = None
     if "map" in data:
-        forms = data["map"]["forms"]
-        nvars = len(forms)
+        spec = _object(data["map"], "map", ("forms",), ("forms",))
+        forms = _list(spec["forms"], "map/forms", 2)
+        polys = tuple(_form(f, f"map/forms/{i}", len(forms)) for i, f in enumerate(forms))
         try:
-            morphism = Morphism(tuple(_parse_form(f, nvars) for f in forms))
+            morphism = Morphism(polys)
         except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+            raise ConfigError(f"map: {exc}") from None
 
     seed = None
     if "seed" in data:
-        coords = tuple(_fraction(c) for c in data["seed"])
+        raw = _list(data["seed"], "seed", 2)
+        coords = tuple(_fraction(c, f"seed/{i}") for i, c in enumerate(raw))
         if morphism is not None and len(coords) != len(morphism.forms):
-            raise ConfigError("seed arity does not match the map")
+            raise ConfigError("seed: arity does not match the map")
         try:
             seed = ProjPoint.normalize(coords)
         except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+            raise ConfigError(f"seed: {exc}") from None
 
     divisor = None
     if "divisor" in data:
-        spec = data["divisor"]
-        fld = spec.get("field", "Q")
-        quad = None
-        if isinstance(fld, dict):
-            try:
-                quad = QuadField(fld["d"])
-            except ValueError as exc:
-                raise ConfigError(str(exc)) from None
-        nvars = len(morphism.forms) if morphism is not None else None
-        first_key = next(iter(spec["form"]))
-        arity = len(first_key.split(","))
-        if nvars is not None and arity != nvars:
-            raise ConfigError("divisor arity does not match the map")
-        g = _parse_form(spec["form"], arity, quad)
-        weight = _fraction(spec.get("weight", 1))
+        spec = _object(data["divisor"], "divisor", ("field", "form", "weight"), ("form",))
+        quad = _field(spec.get("field", "Q"))
+        g = _form(spec["form"], "divisor/form", None, quad)
+        if morphism is not None and g.nvars != len(morphism.forms):
+            raise ConfigError("divisor: arity does not match the map")
+        weight = _fraction(spec.get("weight", 1), "divisor/weight")
         try:
             divisor = DivisorPresentation.hypersurface(g, weight=weight)
         except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+            raise ConfigError(f"divisor: {exc}") from None
 
     places = []
-    for p in data.get("places", []):
-        place = _parse_place(p)
+    for i, p in enumerate(_list(data.get("places", []), "places")):
+        place = _place(p, f"places/{i}")
         if place in places:
-            raise ConfigError(f"duplicate place {p!r}")
+            raise ConfigError(f"places/{i}: duplicate place {p!r}")
         places.append(place)
 
-    params = {k: _fraction(v) for k, v in data.get("params", {}).items()}
+    params = _object(data.get("params", {}), "params")
 
     return ExperimentConfig(
         map=morphism,
         seed=seed,
         divisor=divisor,
         places=tuple(places),
-        twist=int(data.get("twist", 1)),
-        depth=int(data.get("depth", 8)),
-        params=params,
-        sample=data.get("sample"),
-        lct=data.get("lct"),
-        efd=data.get("efd"),
-        cn=data.get("cn"),
+        twist=_int(data.get("twist", 1), "twist", 1),
+        depth=_int(data.get("depth", 8), "depth", 0),
+        params={k: _fraction(v, f"params/{k}") for k, v in params.items()},
+        sample=_block(data, "sample"),
+        lct=_block(data, "lct"),
+        efd=_block(data, "efd"),
+        cn=_block(data, "cn"),
         raw=data,
     )
 

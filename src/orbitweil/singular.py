@@ -674,14 +674,12 @@ def _wellformed_gate(f: Morphism) -> None:
         raise ValueError("map has a known base point; pullback orders are undefined")
 
 
-def ord_pullback_hyperplane(
-    f: Morphism, G: HomogPoly, m: int, i: int, cap: int = COMPOSE_CAP
-) -> int:
+def ord_pullback_hyperplane(f: Morphism, G: HomogPoly, m: int, i: int) -> int:
     """Largest k with x_i^k dividing the pullback of G under the m-th iterate."""
     if m < 1:
         raise ValueError("iterate must be >= 1")
-    if m > cap:
-        raise ValueError(f"iterate {m} exceeds the symbolic composition cap {cap}")
+    if m > COMPOSE_CAP:
+        raise ValueError(f"iterate {m} exceeds the symbolic composition cap {COMPOSE_CAP}")
     if not 0 <= i < G.nvars:
         raise ValueError("coordinate index out of range")
     _wellformed_gate(f)
@@ -733,9 +731,7 @@ class EfdEstimate:
     label: str = "lower-bound-family"
 
 
-def efd_estimate(
-    f: Morphism, D, N: int, bound: int = 2, cap: int = COMPOSE_CAP, charts=None
-) -> EfdEstimate:
+def efd_estimate(f: Morphism, D, N: int, bound: int = 2, charts=None) -> EfdEstimate:
     """s_n = max(1, weight * family_ord((f^n)* s_D)) for n <= N.
 
     The family is the bounded monomial-valuation family on the standard
@@ -746,8 +742,8 @@ def efd_estimate(
     """
     if N < 1:
         raise ValueError("depth must be >= 1")
-    if N > cap:
-        raise ValueError(f"depth {N} exceeds the symbolic composition cap {cap}")
+    if N > COMPOSE_CAP:
+        raise ValueError(f"depth {N} exceeds the symbolic composition cap {COMPOSE_CAP}")
     weight = Fraction(D.weight)
     if weight <= 0:
         raise ValueError("multiplicity growth needs an effective divisor (weight > 0)")
@@ -777,9 +773,7 @@ class M0Report:
     label: str = "family-restricted"
 
 
-def remark44_m0(
-    e, eps, f: Morphism, D, N: int, bound: int = 2, cap: int = COMPOSE_CAP
-) -> M0Report:
+def remark44_m0(e, eps, f: Morphism, D, N: int, bound: int = 2) -> M0Report:
     """Smallest m0 <= N with s_m <= (e + eps)^m for every m0 <= m <= N.
 
     s_m is the family-restricted multiplicity of the m-th pullback, so
@@ -792,7 +786,7 @@ def remark44_m0(
         raise ValueError("eps must be positive")
     if e < 0:
         raise ValueError("e must be nonnegative")
-    est = efd_estimate(f, D, N, bound=bound, cap=cap)
+    est = efd_estimate(f, D, N, bound=bound)
     base = e + eps
     rows = []
     ok = []

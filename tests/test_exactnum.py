@@ -611,7 +611,7 @@ class _Enclosed(LogMag):
         super().__init__(Fraction(1), 1)
         self.ival = ival
 
-    def interval(self):
+    def _interval(self):
         return self.ival
 
 

@@ -3,6 +3,8 @@ import json
 import math
 import os
 import random
+import subprocess
+import sys
 import time
 import xml.etree.ElementTree as ET
 from fractions import Fraction
@@ -10,6 +12,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import orbitweil
 from orbitweil.exactnum import LogMag, Place, QuadField
 from orbitweil.labcli import (
     AuditFailure,
@@ -121,6 +124,161 @@ def test_config_file_loading(tmp_path):
     arr.write_text("[1,2]")
     with pytest.raises(ConfigError):
         load_config(str(arr))
+
+
+_GOOD = {
+    "map": {"forms": [{"2,0": "1"}, {"0,2": "1"}]},
+    "seed": ["2", "1"],
+}
+_LCT = {"nvars": 2, "generators": [[2, 0], [0, 3]], "bound": 3}
+_EFD = {"matrix": [[2, 1], [0, 2]], "target": 0, "bound": 2}
+_CN = {"m_list": [2, 3, 2], "dim": 2, "delta": "2", "m": 2, "n": 2}
+
+
+def _in_map_form(c):
+    return {"map": {"forms": [{"2,0": c}, {"0,2": "1"}]}}
+
+
+def _in_quad_form(c):
+    return {"divisor": {"field": {"d": 2}, "form": {"1,0": c, "0,1": "1"}}}
+
+
+# one config per rule, with the JSON path its error must name
+_VIOLATIONS = [
+    ({"bogus": 1}, "<root>"),
+    ({"map": {"forms": _GOOD["map"]["forms"], "extra": 1}}, "map"),
+    ({"map": {}}, "map"),
+    ({"map": []}, "map"),
+    ({"map": {"forms": [{"1": "1"}]}}, "map/forms"),
+    ({"map": {"forms": [{}, {"0,2": "1"}]}}, "map/forms/0"),
+    ({"map": {"forms": [{"2;0": "1"}, {"0,2": "1"}]}}, "map/forms/0"),
+    ({"map": {"forms": [{",2": "1"}, {"0,2": "1"}]}}, "map/forms/0"),
+    (_in_map_form("1.5"), "map/forms/0/2,0"),
+    (_in_map_form("1/-2"), "map/forms/0/2,0"),
+    (_in_map_form(1.5), "map/forms/0/2,0"),
+    (_in_map_form(True), "map/forms/0/2,0"),
+    (_in_map_form(None), "map/forms/0/2,0"),
+    (_in_quad_form({"a": "1"}), "divisor/form/1,0"),
+    (_in_quad_form({"a": "1", "b": "1", "c": "1"}), "divisor/form/1,0"),
+    (_in_quad_form({"a": 1.5, "b": "1"}), "divisor/form/1,0/a"),
+    (_in_quad_form({"a": "1", "b": [1]}), "divisor/form/1,0/b"),
+    ({"seed": ["2"]}, "seed"),
+    ({"seed": "2,1"}, "seed"),
+    ({"seed": ["2", 1.5]}, "seed/1"),
+    ({"seed": ["2", False]}, "seed/1"),
+    ({"seed": ["2", None]}, "seed/1"),
+    ({"divisor": {"field": "Q"}}, "divisor"),
+    ({"divisor": {"form": {"1,0": "1"}, "extra": 1}}, "divisor"),
+    ({"divisor": {"field": "R", "form": {"1,0": "1"}}}, "divisor/field"),
+    ({"divisor": {"field": {"d": "2"}, "form": {"1,0": "1"}}}, "divisor/field/d"),
+    ({"divisor": {"field": {"d": 2.5}, "form": {"1,0": "1"}}}, "divisor/field/d"),
+    ({"divisor": {"field": {}, "form": {"1,0": "1"}}}, "divisor/field"),
+    ({"divisor": {"field": {"d": 2, "e": 3}, "form": {"1,0": "1"}}}, "divisor/field"),
+    ({"divisor": {"form": {"1,0": "1"}, "weight": 1.5}}, "divisor/weight"),
+    ({"divisor": {"form": {"1,0": "1"}, "weight": [1]}}, "divisor/weight"),
+    ({"places": "inf"}, "places"),
+    ({"places": ["sup"]}, "places/0"),
+    ({"places": ["inf", 1]}, "places/1"),
+    ({"places": [2.5]}, "places/0"),
+    ({"places": [True]}, "places/0"),
+    ({"twist": 0}, "twist"),
+    ({"twist": 1.5}, "twist"),
+    ({"twist": "2"}, "twist"),
+    ({"depth": -1}, "depth"),
+    ({"depth": True}, "depth"),
+    ({"params": []}, "params"),
+    ({"params": {"eps": 0.5}}, "params/eps"),
+    ({"params": {"eps": None}}, "params/eps"),
+    ({"sample": {}}, "sample"),
+    ({"sample": {"height_bound": 0}}, "sample/height_bound"),
+    ({"sample": {"height_bound": 5.5}}, "sample/height_bound"),
+    ({"sample": {"height_bound": 5, "count": 0}}, "sample/count"),
+    ({"sample": {"height_bound": 5, "count": "some"}}, "sample/count"),
+    ({"sample": {"height_bound": 5, "seed": "0"}}, "sample/seed"),
+    ({"sample": {"height_bound": 5, "extra": 1}}, "sample"),
+    ({"lct": {"nvars": 2}}, "lct"),
+    ({"lct": {**_LCT, "nvars": 0}}, "lct/nvars"),
+    ({"lct": {**_LCT, "generators": []}}, "lct/generators"),
+    ({"lct": {**_LCT, "generators": [[]]}}, "lct/generators/0"),
+    ({"lct": {**_LCT, "generators": [[2, -1]]}}, "lct/generators/0/1"),
+    ({"lct": {**_LCT, "generators": [[2, 0.5]]}}, "lct/generators/0/1"),
+    ({"lct": {**_LCT, "bound": 0}}, "lct/bound"),
+    ({"lct": {**_LCT, "extra": 1}}, "lct"),
+    ({"efd": {"matrix": [[1]]}}, "efd"),
+    ({"efd": {**_EFD, "matrix": []}}, "efd/matrix"),
+    ({"efd": {**_EFD, "matrix": [[]]}}, "efd/matrix/0"),
+    ({"efd": {**_EFD, "matrix": [[1, -2]]}}, "efd/matrix/0/1"),
+    ({"efd": {**_EFD, "target": -1}}, "efd/target"),
+    ({"efd": {**_EFD, "bound": 0}}, "efd/bound"),
+    ({"efd": {**_EFD, "extra": 1}}, "efd"),
+    ({"cn": {k: v for k, v in _CN.items() if k != "n"}}, "cn"),
+    ({"cn": {**_CN, "m_list": []}}, "cn/m_list"),
+    ({"cn": {**_CN, "m_list": [2, 0]}}, "cn/m_list/1"),
+    ({"cn": {**_CN, "dim": 0}}, "cn/dim"),
+    ({"cn": {**_CN, "delta": 1.5}}, "cn/delta"),
+    ({"cn": {**_CN, "m": 0}}, "cn/m"),
+    ({"cn": {**_CN, "n": 0}}, "cn/n"),
+    ({"cn": {**_CN, "extra": 1}}, "cn"),
+]
+
+
+@pytest.mark.parametrize(
+    "override, path", _VIOLATIONS, ids=[p for _, p in _VIOLATIONS]
+)
+def test_config_rejects_each_rule_naming_the_path(override, path):
+    with pytest.raises(ConfigError) as info:
+        parse_config({**_GOOD, **override})
+    assert f" {path}: " in f" {info.value}"
+
+
+def test_integral_numbers_read_as_ints_by_every_runner(tmp_path, capsys):
+    # JSON integers may be written 5.0; each run must print what its twin does
+    cases = (
+        ("gap", {
+            "divisor": {"form": {"2,1": "1", "1,2": "-1"}},
+            "places": ["inf", 2, 3],
+            "params": {"eps_prime": "1"},
+        }, "sample", {"height_bound": 5}),
+        ("lct", {}, "lct", {"nvars": 2, "generators": [[2, 0], [0, 3]], "bound": 3}),
+        ("cn", {}, "cn", {"m_list": [2, 3, 2], "dim": 2, "delta": "2", "m": 2, "n": 2}),
+    )
+    for cmd, base, section, block in cases:
+        outs = []
+        for number in (int, float):
+            data = {**base, section: {
+                k: number(v) if type(v) is int else v for k, v in block.items()
+            }}
+            path = tmp_path / f"{cmd}-{number.__name__}.json"
+            path.write_text(json.dumps(data))
+            assert main([cmd, str(path)]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
+
+
+def test_import_load_and_gap_run_without_jsonschema(tmp_path):
+    path = tmp_path / "gap.json"
+    path.write_text(json.dumps({
+        "divisor": {"form": {"2,1": "1", "1,2": "-1"}},
+        "places": ["inf", 2, 3],
+        "sample": {"height_bound": 8},
+        "params": {"eps_prime": "1"},
+    }))
+    script = (
+        "import sys\n"
+        "sys.modules['jsonschema'] = None\n"
+        "import orbitweil\n"
+        "from orbitweil.labcli import load_config, run_gap_experiment\n"
+        "series = run_gap_experiment(load_config(sys.argv[1]))\n"
+        "print(series.mode, len(series.rows))\n"
+    )
+    src = os.path.dirname(os.path.dirname(orbitweil.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run(
+        [sys.executable, "-c", script, str(path)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("sample ")
 
 
 def test_ratio_series_squaring_line():
