@@ -142,7 +142,7 @@ def cmd_efd(args) -> int:
         return 0
     cfg.require("map", "divisor")
     depth = args.depth if args.depth is not None else cfg.depth
-    est = efd_estimate(cfg.map, cfg.divisor, depth, bound=int(cfg.param("bound", 2)))
+    est = efd_estimate(cfg.map, cfg.divisor, depth, bound=cfg.param("bound", 2))
     print(f"s sequence = {est.s_seq}")
     print(f"estimate   = {_num(est.exact_estimate or est.estimate)} [{est.label}]")
     return 0
@@ -156,7 +156,7 @@ def cmd_cn(args) -> int:
     gamma = None
     for k in range(1, blk["n"] + 1):
         gamma, c_k = cn_calculator(
-            blk["m_list"], blk["dim"], Fraction(str(blk["delta"])), blk["m"], k
+            blk["m_list"], blk["dim"], blk["delta"], blk["m"], k
         )
         print(f"c_{k} = {c_k} ({float(c_k):.6g})")
     print(f"gamma = {gamma}")
@@ -174,8 +174,6 @@ def cmd_ratio(args) -> int:
                   f"ratio={fmt12(r.ratio if r.ratio is not None else r.ratio_mid)}")
     extra = "" if series.verdict_value is None else f" ({_num(series.verdict_value)})"
     print(f"skips={series.skips}  verdict: {series.verdict}{extra}")
-    for note in series.notes:
-        print(f"note: {note}")
     if args.out:
         write_ratio_csv(series, args.out)
         print(f"wrote {args.out}")

@@ -69,16 +69,11 @@ def _list(value, path: str, min_items: int = 0) -> list:
     return value
 
 
-def _str_or_int(value, path: str):
-    if isinstance(value, str):
-        return value
-    if not _is_int(value):
-        raise ConfigError(f"{path}: {value!r} is not a string or an integer")
-    return _int(value, path)
-
-
 def _fraction(value, path: str) -> Fraction:
-    value = _str_or_int(value, path)
+    if not isinstance(value, str):
+        if not _is_int(value):
+            raise ConfigError(f"{path}: {value!r} is not a string or an integer")
+        value = _int(value, path)
     try:
         return Fraction(value)
     except (ValueError, ZeroDivisionError) as exc:
@@ -177,7 +172,7 @@ _BLOCKS = {
         ("matrix", "target"),
     ),
     "cn": (
-        {"m_list": _nonempty(_at_least(1)), "dim": _at_least(1), "delta": _str_or_int,
+        {"m_list": _nonempty(_at_least(1)), "dim": _at_least(1), "delta": _fraction,
          "m": _at_least(1), "n": _at_least(1)},
         ("m_list", "dim", "delta", "m", "n"),
     ),
@@ -211,7 +206,7 @@ class ExperimentConfig:
     cn: dict | None
     raw: dict = field(repr=False, default_factory=dict)
 
-    def param(self, name: str, default=None) -> Fraction | None:
+    def param(self, name: str, default=None) -> Fraction | int | None:
         if name in self.params:
             return self.params[name]
         return default
@@ -267,7 +262,16 @@ def parse_config(data: dict) -> ExperimentConfig:
             raise ConfigError(f"places/{i}: duplicate place {p!r}")
         places.append(place)
 
-    params = _object(data.get("params", {}), "params")
+    params = {
+        k: _fraction(v, f"params/{k}")
+        for k, v in _object(data.get("params", {}), "params").items()
+    }
+    if "bound" in params:
+        # thm14 and efd search the weights v with |v|_inf <= bound
+        bound = params["bound"]
+        if bound.denominator != 1 or bound < 1:
+            raise ConfigError(f"params/bound: {bound} is not an integer >= 1")
+        params["bound"] = bound.numerator
 
     return ExperimentConfig(
         map=morphism,
@@ -276,7 +280,7 @@ def parse_config(data: dict) -> ExperimentConfig:
         places=tuple(places),
         twist=_int(data.get("twist", 1), "twist", 1),
         depth=_int(data.get("depth", 8), "depth", 0),
-        params={k: _fraction(v, f"params/{k}") for k, v in params.items()},
+        params=params,
         sample=_block(data, "sample"),
         lct=_block(data, "lct"),
         efd=_block(data, "efd"),

@@ -19,8 +19,6 @@ from ..degree import AlphaEstimate, alpha_estimate
 from ..exactnum import LogMag, bareiss, integer_normal_form
 from ..polydyn import (
     FAILED,
-    PROBABLE,
-    UNCHECKED,
     Morphism,
     ProjPoint,
     height,
@@ -44,17 +42,13 @@ class AuditFailure(ArithmeticError):
     """The sum of local terms failed to reproduce the global height."""
 
 
-def _gate(f: Morphism):
-    """Run the wellformedness check unless a verdict is already attached."""
-    g = f
-    if g.status == UNCHECKED:
-        g = g.with_report(wellformed_check(g))
-    if g.status == FAILED:
-        raise ConfigError("map failed the wellformedness check; not a morphism")
-    notes = ()
-    if g.status == PROBABLE:
-        notes = ("wellformedness verified only probabilistically (finite-field scan)",)
-    return g, notes
+def _gate(f: Morphism) -> Morphism:
+    """f, once its Macaulay determinant proves it a morphism."""
+    report = wellformed_check(f)
+    if report.status == FAILED:
+        zero = "" if report.witness is None else f" (common zero {report.witness})"
+        raise ConfigError(f"map failed the wellformedness check; not a morphism{zero}")
+    return f
 
 
 def _get_orbit(f: Morphism, seed: ProjPoint, depth: int, cache):
@@ -106,7 +100,6 @@ class RatioSeries:
     degenerate: bool
     verdict: str
     verdict_value: object
-    notes: tuple = ()
 
     def usable(self) -> list[RatioRow]:
         return [r for r in self.rows if not r.skipped]
@@ -141,7 +134,7 @@ def _series_rows(cfg: ExperimentConfig, cache):
     cfg.require("map", "seed", "divisor")
     if not cfg.places:
         raise ConfigError("experiment needs a nonempty set of places S")
-    f, notes = _gate(cfg.map)
+    f = _gate(cfg.map)
     orbit = _get_orbit(f, cfg.seed, cfg.depth, cache)
     d = cfg.divisor
     rows = []
@@ -167,7 +160,7 @@ def _series_rows(cfg: ExperimentConfig, cache):
         rows.append(RatioRow(step.n, x, h_line, lam, lam_all, exact, bounds, False))
     if skips == len(rows):
         raise ValueError("every orbit step lies on the divisor support")
-    return f, rows, skips, notes
+    return f, rows, skips
 
 
 def run_ratio_experiment(cfg: ExperimentConfig, cache=None) -> RatioSeries:
@@ -177,7 +170,7 @@ def run_ratio_experiment(cfg: ExperimentConfig, cache=None) -> RatioSeries:
     rows; a run where more than half the steps are skipped is declared
     degenerate and gets no trend verdict.
     """
-    f, rows, skips, notes = _series_rows(cfg, cache)
+    f, rows, skips = _series_rows(cfg, cache)
     degenerate = 2 * skips > cfg.depth
     verdict, value = _ratio_verdict(rows, degenerate)
     return RatioSeries(
@@ -187,7 +180,6 @@ def run_ratio_experiment(cfg: ExperimentConfig, cache=None) -> RatioSeries:
         degenerate=degenerate,
         verdict=verdict,
         verdict_value=value,
-        notes=notes,
     )
 
 
@@ -212,7 +204,6 @@ class GapSeries:
     skips: int
     negatives: tuple
     closure: str
-    notes: tuple = ()
 
     def negative_count(self) -> int:
         return len(self.negatives)
@@ -273,7 +264,6 @@ def run_gap_experiment(cfg: ExperimentConfig, eps_prime=None, cache=None) -> Gap
     if not cfg.places:
         raise ConfigError("experiment needs a nonempty set of places S")
     d = cfg.divisor
-    notes: tuple = ()
     if cfg.sample is not None:
         nvars = d.nvars
         pts = _sample_points(
@@ -286,7 +276,7 @@ def run_gap_experiment(cfg: ExperimentConfig, eps_prime=None, cache=None) -> Gap
         mode, ident = "sample", f"sample-h{cfg.sample['height_bound']}"
     else:
         cfg.require("map", "seed")
-        f, notes = _gate(cfg.map)
+        f = _gate(cfg.map)
         orbit = _get_orbit(f, cfg.seed, cfg.depth, cache)
         triples = [(s.n, s.point, s.h) for s in orbit.steps]
         mode, ident = "orbit", f.map_id
@@ -317,7 +307,6 @@ def run_gap_experiment(cfg: ExperimentConfig, eps_prime=None, cache=None) -> Gap
         skips=skips,
         negatives=tuple(negatives),
         closure=_closure_proxy(negatives),
-        notes=notes,
     )
 
 
@@ -424,8 +413,8 @@ def thm14_hypothesis_report(cfg: ExperimentConfig, cache=None) -> Thm14Report:
     alpha comes from the orbit height estimators, the family pullback
     multiplicities give a lower bound on the ramification rate e_f, and
     the genericity bookkeeping lists every proper closed set the orbit
-    prefix actually met (divisor support hits, probabilistic-only
-    wellformedness).
+    prefix actually met (divisor support hits).  The map must be a
+    morphism, which its Macaulay determinant decides exactly.
     """
     cfg.require("map", "seed", "divisor")
     e_param = cfg.param("e")
@@ -435,16 +424,16 @@ def thm14_hypothesis_report(cfg: ExperimentConfig, cache=None) -> Thm14Report:
         raise ConfigError("hypothesis report needs params e, eps, eps0")
     if eps <= 0 or eps0 <= 0:
         raise ConfigError("eps and eps0 must be positive")
-    f, notes = _gate(cfg.map)
+    f = _gate(cfg.map)
     orbit = _get_orbit(f, cfg.seed, cfg.depth, cache)
-    closed = list(notes)
+    closed = []
     for step in orbit.steps:
         if cfg.divisor.support_test(step.point):
             closed.append(f"orbit meets Supp(D) at n={step.n}")
     alpha = alpha_estimate(orbit)
     efd_depth = min(cfg.depth, COMPOSE_CAP)
-    bound = cfg.param("bound", Fraction(2))
-    est = efd_estimate(f, cfg.divisor, efd_depth, bound=int(bound))
+    bound = cfg.param("bound", 2)
+    est = efd_estimate(f, cfg.divisor, efd_depth, bound=bound)
     e_family = est.exact_estimate if est.exact_estimate is not None else est.estimate
     labels = []
     if alpha.value is None:
@@ -470,7 +459,7 @@ def thm14_hypothesis_report(cfg: ExperimentConfig, cache=None) -> Thm14Report:
     cond_i, exact_i = _lt(e_param + eps, av)
     if not exact_i:
         labels.append("condition (i) compared in floating point")
-    rep = remark44_m0(e_param, eps, f, cfg.divisor, efd_depth, bound=int(bound))
+    rep = remark44_m0(e_param, eps, f, cfg.divisor, efd_depth, bound=bound)
     m0 = rep.m0 if rep.found else None
     cond_ii = None
     if m0 is None:
@@ -498,7 +487,6 @@ class Thm17Report:
     flagged: tuple
     flagged_points: tuple
     closure: str
-    notes: tuple = ()
 
 
 def thm17_set_membership(cfg: ExperimentConfig, eps=None, cache=None) -> Thm17Report:
@@ -516,7 +504,7 @@ def thm17_set_membership(cfg: ExperimentConfig, eps=None, cache=None) -> Thm17Re
     eps = Fraction(eps)
     if eps <= 0:
         raise ConfigError("eps must be positive")
-    f, rows, skips, notes = _series_rows(cfg, cache)
+    _, rows, _ = _series_rows(cfg, cache)
     usable = [r for r in rows if not r.skipped]
     if len(usable) < 5:
         raise ValueError("need at least 5 usable rows for a liminf proxy")
@@ -557,5 +545,4 @@ def thm17_set_membership(cfg: ExperimentConfig, eps=None, cache=None) -> Thm17Re
         flagged=tuple(flagged),
         flagged_points=tuple(flagged_points),
         closure=_closure_proxy(flagged_points),
-        notes=notes,
     )

@@ -8,8 +8,10 @@ exact: the nonarchimedean contributions vanish by primitivity.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from itertools import combinations_with_replacement
 from math import gcd
 from typing import Mapping, Optional, Sequence, Union
 
@@ -303,6 +305,16 @@ class HomogPoly:
         return f"{self.nvars}|{self.degree}|" + ";".join(rows)
 
 
+def monomials_of_degree(nvars: int, degree: int) -> list[tuple[int, ...]]:
+    out = []
+    for combo in combinations_with_replacement(range(nvars), degree):
+        e = [0] * nvars
+        for i in combo:
+            e[i] += 1
+        out.append(tuple(e))
+    return sorted(out, reverse=True)
+
+
 def _isqrt_ceil(d: int) -> int:
     import math
 
@@ -333,10 +345,13 @@ class ProjPoint:
     def normalize(cls, raw: Sequence[Union[int, Fraction]]) -> "ProjPoint":
         if not any(raw):
             raise ZeroPoint("all coordinates vanish")
-        ints, _ = integer_normal_form(raw)
-        # coprime with a positive lead already: skip __post_init__'s second gcd
+        return cls._unchecked(integer_normal_form(raw)[0])
+
+    @classmethod
+    def _unchecked(cls, coords: Sequence[int]) -> "ProjPoint":
+        """The point of coprime coords with a positive lead, without __post_init__'s gcd."""
         point = object.__new__(cls)
-        object.__setattr__(point, "coords", tuple(ints))
+        object.__setattr__(point, "coords", tuple(coords))
         return point
 
     @property
@@ -364,17 +379,13 @@ def height_twisted(x: ProjPoint, e: Union[int, Fraction]) -> LogMag:
 # morphisms of P^n
 # ---------------------------------------------------------------------------
 
-UNCHECKED = "unchecked"
 VERIFIED = "verified"
 FAILED = "failed"
-PROBABLE = "probable"
 
 
 @dataclass(frozen=True)
 class WellformedReport:
     status: str
-    method: str
-    trials: int = 0
     witness: Optional[ProjPoint] = None
 
 
@@ -382,14 +393,15 @@ class WellformedReport:
 class Morphism:
     """Candidate self-map of P^n given by n+1 forms of a common degree d >= 1.
 
-    `status` records what wellformed_check established; iteration is allowed
-    for unchecked or failed maps as long as the orbit avoids the common zeros
-    (monomial maps restricted to the torus rely on this).
+    The forms define a morphism iff they have no common zero over the
+    algebraic closure, iff their Macaulay determinant `macaulay_det` is
+    nonzero; every prime of bad reduction (one where the reduced forms
+    share a zero over the closure of F_p) divides it.  Iteration is allowed
+    for every map as long as the orbit avoids the common zeros (monomial
+    maps restricted to the torus rely on this).
     """
 
     forms: tuple[HomogPoly, ...]
-    status: str = UNCHECKED
-    trials: int = 0
 
     def __post_init__(self) -> None:
         if len(self.forms) < 2:
@@ -416,28 +428,87 @@ class Morphism:
     def degree(self) -> int:
         return self.forms[0].degree
 
+    @cached_property
+    def integral_forms(self) -> tuple[HomogPoly, ...]:
+        """The forms over their joint integer normal form's scale: the same map.
+
+        Their coefficients are coprime integers, and the lead is the
+        coefficient of the smallest exponent of the first nonzero form.
+        """
+        coeffs = [c for f in self.forms for _, c in sorted(f.terms.items())]
+        _, scale = integer_normal_form(coeffs)
+        return tuple(f * (1 / scale) for f in self.forms)
+
+    @cached_property
+    def macaulay_det(self) -> int:
+        """Macaulay determinant of `integral_forms`, computed once per map."""
+        return macaulay_determinant(self.integral_forms)
+
     @property
     def map_id(self) -> str:
         # joint scaling (c*F_0, ..., c*F_n) defines the same map, so the hash
-        # is taken over the joint integer normal form, whose lead is the
-        # coefficient of the smallest exponent of the first nonzero form
-        coeffs = [c for f in self.forms for _, c in sorted(f.terms.items())]
-        _, scale = integer_normal_form(coeffs)
-        payload = "||".join((f * (1 / scale)).canonical_key() for f in self.forms)
+        # is taken over the joint integer normal form
+        payload = "||".join(f.canonical_key() for f in self.integral_forms)
         return hashlib.sha256(payload.encode()).hexdigest()
-
-    def with_report(self, report: WellformedReport) -> "Morphism":
-        return replace(self, status=report.status, trials=report.trials)
 
     def __repr__(self) -> str:
         return f"Morphism[{', '.join(map(repr, self.forms))}]"
 
 
+def macaulay_determinant(forms: Sequence[HomogPoly]) -> Union[int, Fraction]:
+    """Macaulay determinant of n+1 forms of degree d in n+1 variables.
+
+    The Macaulay matrix has one row per product m*F_i, m a monomial of
+    degree N - d with N = (n+1)(d-1)+1, over the monomials of degree N.
+    The forms share a zero over the algebraic closure iff its rows do not
+    span (Macaulay, 1902; Cox, Little and O'Shea, Using Algebraic
+    Geometry, ch. 3), and then the result is 0.  Otherwise it is a nonzero
+    maximal minor, the last Bareiss pivot after clearing denominators with
+    one common factor.  By Cramer's rule it times each x_j^N is a
+    combination of the rows, so for integral forms gcd_i F_i(x) divides it
+    at every primitive integer x, and so does every prime of bad
+    reduction.  On P^1 the matrix is the Sylvester matrix and the result is
+    the resultant Res(F_0, F_1).
+    """
+    nv, d = forms[0].nvars, forms[0].degree
+    if len(forms) != nv or any(f.nvars != nv or f.degree != d for f in forms):
+        raise ValueError("need n+1 forms of one degree in n+1 variables")
+    top = nv * (d - 1) + 1
+    column = {m: j for j, m in enumerate(monomials_of_degree(nv, top))}
+    ints, scale = integer_normal_form([c for f in forms for c in f.terms.values()])
+    ints = iter(ints)
+    rows = []
+    for f in forms:
+        terms = [(e, next(ints)) for e in f.terms]
+        for m in monomials_of_degree(nv, top - d):
+            row = [0] * len(column)
+            for e, c in terms:
+                row[column[tuple(a + b for a, b in zip(m, e))]] = c
+            rows.append(row)
+    echelon, pivot_cols, sign = bareiss(rows)
+    if len(pivot_cols) < len(column):
+        return 0
+    det = sign * echelon[len(column) - 1][-1] * scale ** len(column)
+    return det.numerator if det.denominator == 1 else det
+
+
 def evaluate(f: Morphism, x: ProjPoint) -> ProjPoint:
-    vals = [form.evaluate(x.coords) for form in f.forms]
-    if all(v == 0 for v in vals):
-        raise IndeterminatePoint(f"{x} is a common zero of the defining forms")
-    return ProjPoint.normalize(vals)
+    """f(x) as a primitive point.
+
+    For a morphism the gcd of the values of the integral forms at the
+    primitive x divides Delta = f.macaulay_det, so it is found from the
+    values mod Delta, and not at all when |Delta| = 1.
+    """
+    vals = [form.evaluate(x.coords) for form in f.integral_forms]
+    delta = f.macaulay_det
+    if delta == 0:
+        if not any(vals):
+            raise IndeterminatePoint(f"{x} is a common zero of the defining forms")
+        return ProjPoint.normalize(vals)
+    g = 1 if abs(delta) == 1 else gcd(delta, *(v % delta for v in vals))
+    if next(v for v in vals if v) < 0:
+        g = -g
+    return ProjPoint._unchecked(vals if g == 1 else [v // g for v in vals])
 
 
 @dataclass(frozen=True)
@@ -496,25 +567,6 @@ def pullback(f: Morphism, g: HomogPoly) -> HomogPoly:
 # wellformedness
 # ---------------------------------------------------------------------------
 
-def _resultant_binary(F: HomogPoly, G: HomogPoly) -> Fraction:
-    """Resultant of two binary forms of equal degree d (Sylvester determinant).
-
-    Vanishes iff the forms share a projective root over the closure,
-    including the root at infinity (both leading coefficients zero).
-    """
-    d = F.degree
-    if F.is_zero or G.is_zero:
-        return Fraction(0)
-    # Res(c*F, G) = c**d * Res(F, G): eliminate the integer normal forms
-    scale, rows = Fraction(1), []
-    for form in (F, G):
-        ints, c = integer_normal_form([form.terms.get((i, d - i), 0) for i in range(d, -1, -1)])
-        scale *= c**d
-        rows += [[0] * r + ints + [0] * (d - 1 - r) for r in range(d)]
-    echelon, pivot_cols, sign = bareiss(rows)
-    return scale * sign * echelon[-1][-1] if len(pivot_cols) == 2 * d else Fraction(0)
-
-
 def _small_box_witness(f: Morphism, radius: int = 2) -> Optional[ProjPoint]:
     from itertools import product
 
@@ -535,60 +587,12 @@ def _small_box_witness(f: Morphism, radius: int = 2) -> Optional[ProjPoint]:
     return None
 
 
-def _fp_scan(f: Morphism, p: int) -> Optional[tuple[int, ...]]:
-    """Search P^nvars-1(F_p) for a common zero; None if there is none.
+def wellformed_check(f: Morphism) -> WellformedReport:
+    """Decide whether f is a morphism: VERIFIED iff its Macaulay determinant is nonzero.
 
-    Primes dividing a coefficient denominator are the caller's job to avoid.
+    A failed map gets a rational common zero from a small box search as
+    its witness, or None when the box holds none.
     """
-    from itertools import product
-
-    nv = f.nvars
-    # canonical representatives: first nonzero coordinate = 1; a value with
-    # denominator prime to p vanishes mod p when p divides its numerator
-    for lead in range(nv):
-        prefix = (0,) * lead + (1,)
-        for rest in product(range(p), repeat=nv - lead - 1):
-            pt = prefix + rest
-            if all(form.evaluate(pt).numerator % p == 0 for form in f.forms):
-                return pt
-    return None
-
-
-def wellformed_check(f: Morphism, trials: int = 3, seed: int = 0) -> WellformedReport:
-    """Decide (P^1: exactly; else heuristically) whether f is a morphism.
-
-    P^1 uses the Sylvester resultant: nonzero iff the two forms have no
-    common projective root over the closure.  In higher dimension an exact
-    small search looks for rational witnesses and reductions mod several
-    primes are scanned exhaustively for F_p-witnesses; absence of a witness
-    is reported as `probable`, never as verified.
-    """
-    if f.nvars == 2:
-        res = _resultant_binary(f.forms[0], f.forms[1])
-        if res != 0:
-            return WellformedReport(VERIFIED, "resultant")
-        witness = _small_box_witness(f, radius=3)
-        return WellformedReport(FAILED, "resultant", witness=witness)
-    witness = _small_box_witness(f)
-    if witness is not None:
-        return WellformedReport(FAILED, "box-search", witness=witness)
-    import random
-
-    rng = random.Random(seed)
-    candidates = [p for p in (53, 61, 71, 83, 97, 101, 103, 107, 109, 113)
-                  if all(c.denominator % p != 0
-                         for form in f.forms for c in form.terms.values())]
-    rng.shuffle(candidates)
-    hits = 0
-    used = 0
-    for p in candidates[: max(trials, 1)]:
-        used += 1
-        if _fp_scan(f, p) is not None:
-            hits += 1
-    if used and hits == used:
-        # every tested reduction degenerates; a morphism degenerates only at
-        # primes dividing its resultant, so consistent hits mean failure
-        return WellformedReport(FAILED, "fp-scan", trials=used)
-    if hits:
-        return WellformedReport(PROBABLE, "fp-scan-ambiguous", trials=used)
-    return WellformedReport(PROBABLE, "fp-scan", trials=used)
+    if f.macaulay_det != 0:
+        return WellformedReport(VERIFIED)
+    return WellformedReport(FAILED, _small_box_witness(f, radius=3 if f.nvars == 2 else 2))

@@ -25,7 +25,7 @@ from fractions import Fraction
 from math import gcd
 
 from .exactnum import integer_normal_form
-from .polydyn import FAILED, UNCHECKED, HomogPoly, Morphism, pullback, wellformed_check
+from .polydyn import HomogPoly, Morphism, pullback
 
 # ---------------------------------------------------------------------------
 # exact linear programming
@@ -667,11 +667,8 @@ COMPOSE_CAP = 6
 
 
 def _wellformed_gate(f: Morphism) -> None:
-    status = f.status
-    if status == UNCHECKED:
-        status = wellformed_check(f).status
-    if status == FAILED:
-        raise ValueError("map has a known base point; pullback orders are undefined")
+    if f.macaulay_det == 0:
+        raise ValueError("map has a base point; pullback orders are undefined")
 
 
 def ord_pullback_hyperplane(f: Morphism, G: HomogPoly, m: int, i: int) -> int:

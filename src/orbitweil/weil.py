@@ -33,7 +33,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations_with_replacement
 from math import gcd, lcm
 from typing import Optional, Union
 
@@ -50,7 +49,7 @@ from .exactnum import (
     multiplicity,
     places_above,
 )
-from .polydyn import HomogPoly, ProjPoint
+from .polydyn import HomogPoly, ProjPoint, monomials_of_degree
 
 RationalLike = Union[int, Fraction]
 
@@ -67,16 +66,6 @@ class SupportHit(ArithmeticError):
 
 class ExactnessLost(ArithmeticError):
     """Unfactored support over Q(sqrt d) where the presentation is not default."""
-
-
-def monomials_of_degree(nvars: int, degree: int) -> list[tuple[int, ...]]:
-    out = []
-    for combo in combinations_with_replacement(range(nvars), degree):
-        e = [0] * nvars
-        for i in combo:
-            e[i] += 1
-        out.append(tuple(e))
-    return sorted(out, reverse=True)
 
 
 @dataclass(frozen=True)

@@ -189,6 +189,8 @@ _VIOLATIONS = [
     ({"params": []}, "params"),
     ({"params": {"eps": 0.5}}, "params/eps"),
     ({"params": {"eps": None}}, "params/eps"),
+    ({"params": {"bound": "5/2"}}, "params/bound"),
+    ({"params": {"bound": "0"}}, "params/bound"),
     ({"sample": {}}, "sample"),
     ({"sample": {"height_bound": 0}}, "sample/height_bound"),
     ({"sample": {"height_bound": 5.5}}, "sample/height_bound"),
@@ -229,6 +231,15 @@ def test_config_rejects_each_rule_naming_the_path(override, path):
     with pytest.raises(ConfigError) as info:
         parse_config({**_GOOD, **override})
     assert f" {path}: " in f" {info.value}"
+
+
+def test_config_reads_cn_delta_and_the_family_bound_at_load_time():
+    with pytest.raises(ConfigError, match="^cn/delta: "):
+        parse_config({**_GOOD, "cn": {**_CN, "delta": "abc"}})
+    for delta, value in ((3, Fraction(3)), ("3/2", Fraction(3, 2))):
+        assert parse_config({**_GOOD, "cn": {**_CN, "delta": delta}}).cn["delta"] == value
+    bound = parse_config({**_GOOD, "params": {"bound": "3"}}).param("bound")
+    assert bound == 3 and type(bound) is int
 
 
 def test_integral_numbers_read_as_ints_by_every_runner(tmp_path, capsys):
@@ -279,6 +290,23 @@ def test_import_load_and_gap_run_without_jsonschema(tmp_path):
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.startswith("sample ")
+
+
+def test_orbit_runners_refuse_a_map_with_a_common_zero():
+    # (xy : x^2) vanishes at (0 : 1); (x^2 : y^2 : z^2) is a morphism of P^2
+    cfg = squaring_cfg(map={"forms": [{"1,1": "1"}, {"2,0": "1"}]},
+                       params={"e": "1", "eps": "1/4", "eps0": "1", "eps_prime": "1"})
+    for run in (run_ratio_experiment, thm14_hypothesis_report, run_gap_experiment):
+        with pytest.raises(ConfigError, match=r"not a morphism \(common zero \(0 : 1\)\)"):
+            run(cfg)
+    squares = parse_config({
+        "map": {"forms": [{"2,0,0": "1"}, {"0,2,0": "1"}, {"0,0,2": "1"}]},
+        "seed": ["2", "3", "1"],
+        "divisor": {"form": {"1,0,0": "1", "0,1,0": "-1"}},
+        "places": ["inf", 5],
+        "depth": 4,
+    })
+    assert len(run_ratio_experiment(squares).rows) == 5
 
 
 def test_ratio_series_squaring_line():

@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from itertools import product
 from math import gcd
 
 import pytest
@@ -9,19 +10,19 @@ from hypothesis import given, settings, strategies as st
 from orbitweil.exactnum import LogMag, Place, abs_value, logmag_sum, rational_support
 from orbitweil.polydyn import (
     FAILED,
-    PROBABLE,
     VERIFIED,
     HomogPoly,
     IndeterminatePoint,
     Morphism,
     ProjPoint,
     ZeroPoint,
-    _resultant_binary,
     evaluate,
     extend_orbit,
     height,
     height_twisted,
     iterate,
+    macaulay_determinant,
+    monomials_of_degree,
     pullback,
     wellformed_check,
 )
@@ -159,11 +160,67 @@ def _form_with_roots(c: Fraction, roots) -> HomogPoly:
 def test_resultant_vanishes_exactly_on_a_shared_root(data, d, cf, cg):
     ra = data.draw(st.lists(_ROOTS, min_size=d, max_size=d))
     rb = data.draw(st.lists(_ROOTS, min_size=d, max_size=d))
-    res = _resultant_binary(_form_with_roots(cf, ra), _form_with_roots(cg, rb))
+    res = macaulay_determinant((_form_with_roots(cf, ra), _form_with_roots(cg, rb)))
     shared = any(a * d2 == b * c2 for a, b in ra for c2, d2 in rb)
     assert (res == 0) == shared
     # the resultant is multiplicative; Res(b x - a y, d x - c y) = a d - b c
     assert res == cf**d * cg**d * math.prod(a * d2 - b * c2 for a, b in ra for c2, d2 in rb)
+
+
+_COEFFS = st.one_of(
+    st.integers(-9, 9), st.fractions(min_value=-9, max_value=9, max_denominator=6)
+)
+
+
+@st.composite
+def _maps(draw):
+    """Integer and rational maps of degree <= 3 on P^1 and P^2."""
+    nv = draw(st.sampled_from((2, 3)))
+    d = draw(st.integers(1, 3))
+    forms = tuple(
+        HomogPoly(nv, d, {m: draw(_COEFFS) for m in monomials_of_degree(nv, d)})
+        for _ in range(nv)
+    )
+    return Morphism(forms) if any(not f.is_zero for f in forms) else SQUARING
+
+
+def _fp_common_zero(forms, p):
+    """Exhaustive oracle: a zero in P^n(F_p) shared by the integral forms, or None."""
+    nv = forms[0].nvars
+    for lead in range(nv):
+        for rest in product(range(p), repeat=nv - lead - 1):
+            pt = (0,) * lead + (1,) + rest
+            if all(form.evaluate(pt) % p == 0 for form in forms):
+                return pt
+    return None
+
+
+@settings(max_examples=80, deadline=None)
+@given(f=_maps(), data=st.data())
+def test_evaluate_reduces_mod_the_macaulay_determinant(f, data):
+    delta = f.macaulay_det
+    raw = data.draw(st.lists(st.integers(-60, 60), min_size=f.nvars, max_size=f.nvars).filter(any))
+    x = ProjPoint.normalize(raw)
+    vals = [form.evaluate(x.coords) for form in f.forms]
+    if any(vals):
+        assert evaluate(f, x) == ProjPoint.normalize(vals)
+    else:
+        assert delta == 0
+        with pytest.raises(IndeterminatePoint):
+            evaluate(f, x)
+    ints = [form.evaluate(x.coords) for form in f.integral_forms]
+    assert all(isinstance(v, int) for v in ints)
+    # gcd_i F_i(x) divides delta at every primitive x
+    assert delta % gcd(*ints) == 0 if any(ints) else delta == 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(f=_maps())
+def test_every_prime_of_bad_reduction_divides_the_macaulay_determinant(f):
+    delta = f.macaulay_det
+    for p in (2, 3, 5, 7, 11, 13, 17, 19):
+        if _fp_common_zero(f.integral_forms, p) is not None:
+            assert delta % p == 0
 
 
 def test_pullback():
@@ -214,15 +271,18 @@ def test_content_and_primitive():
 
 def test_wellformed_p1():
     assert wellformed_check(SQUARING).status == VERIFIED
+    assert SQUARING.macaulay_det == 1
     degenerate = Morphism((HomogPoly.monomial([1, 1]), X2))
     rep = wellformed_check(degenerate)
     assert rep.status == FAILED
     assert rep.witness is not None and rep.witness.coords == (0, 1)
+    with pytest.raises(ValueError):
+        macaulay_determinant((X2, Y2, X2))
 
 
 def test_wellformed_p2():
     f = Morphism(tuple(HomogPoly.monomial([2 if i == j else 0 for j in range(3)]) for i in range(3)))
-    assert wellformed_check(f).status == PROBABLE
+    assert wellformed_check(f).status == VERIFIED
     # toric Fibonacci projectivization: common zeros on the boundary
     fib = Morphism((
         HomogPoly.from_terms(3, {(1, 1, 0): 1}),
@@ -231,6 +291,15 @@ def test_wellformed_p2():
     ))
     rep = wellformed_check(fib)
     assert rep.status == FAILED and rep.witness is not None
+
+
+def test_wellformed_p3_random_quadrics():
+    rng = random.Random(3)
+    forms = tuple(
+        HomogPoly(4, 2, {m: rng.randint(-5, 5) for m in monomials_of_degree(4, 2)})
+        for _ in range(4)
+    )
+    assert wellformed_check(Morphism(forms)).status == VERIFIED
 
 
 def test_torus_orbit_of_nonmorphism():
