@@ -15,9 +15,6 @@ from .experiments import (
     thm17_set_membership,
 )
 from .io import (
-    CACHE_ENV,
-    CacheInvalid,
-    OrbitCache,
     fmt12,
     write_gap_csv,
     write_orbit_csv,
@@ -41,9 +38,6 @@ __all__ = [
     "run_ratio_experiment",
     "thm14_hypothesis_report",
     "thm17_set_membership",
-    "CACHE_ENV",
-    "CacheInvalid",
-    "OrbitCache",
     "fmt12",
     "write_gap_csv",
     "write_orbit_csv",

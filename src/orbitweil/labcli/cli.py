@@ -2,21 +2,20 @@
 
 Every subcommand reads a JSON config (README.md, "Config format") and prints
 a short human-readable report; --out writes the underlying series as CSV
-and the ratio subcommand can also emit an SVG plot.  Orbits are cached on
-disk when --cache-dir is given or the ORBITWEIL_CACHE environment variable
-is set.
+and the ratio subcommand can also emit an SVG plot.  Every orbit is
+computed afresh by iterating the map.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
-import os
 import sys
 from fractions import Fraction
 
 from ..degree import alpha_estimate
 from ..exactnum import LogMag
+from ..polydyn import iterate
 from ..singular import (
     ExponentMatrix,
     MonomialIdeal,
@@ -30,15 +29,12 @@ from ..weil import LocalTable, SupportHit
 from .config import ConfigError, load_config
 from .experiments import (
     AuditFailure,
-    _get_orbit,
     run_gap_experiment,
     run_ratio_experiment,
     thm14_hypothesis_report,
     thm17_set_membership,
 )
 from .io import (
-    CACHE_ENV,
-    OrbitCache,
     _point_str,
     fmt12,
     write_gap_csv,
@@ -48,14 +44,6 @@ from .io import (
 )
 
 
-def _cache(args) -> OrbitCache | None:
-    if args.cache_dir:
-        return OrbitCache(args.cache_dir)
-    if os.environ.get(CACHE_ENV):
-        return OrbitCache()
-    return None
-
-
 def _load(args):
     cfg = load_config(args.config)
     if args.depth is not None:
@@ -63,6 +51,14 @@ def _load(args):
             raise ConfigError("--depth must be >= 0")
         cfg = dataclasses.replace(cfg, depth=args.depth)
     return cfg
+
+
+def _fraction(text: str) -> Fraction:
+    """argparse type for a rational flag such as `1/4` or `0.25`."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from None
 
 
 def _num(v) -> str:
@@ -79,7 +75,7 @@ def _num(v) -> str:
 
 def cmd_orbit(args) -> int:
     cfg = _load(args).require("map", "seed")
-    orbit = _get_orbit(cfg.map, cfg.seed, cfg.depth, _cache(args))
+    orbit = iterate(cfg.map, cfg.seed, cfg.depth)
     for step in orbit.steps:
         print(f"n={step.n:3d}  h={fmt12(step.h)}  x={_point_str(step.point)}")
     if args.out:
@@ -101,7 +97,7 @@ def cmd_weil(args) -> int:
 
 def cmd_alpha(args) -> int:
     cfg = _load(args).require("map", "seed")
-    orbit = _get_orbit(cfg.map, cfg.seed, cfg.depth, _cache(args))
+    orbit = iterate(cfg.map, cfg.seed, cfg.depth)
     est = alpha_estimate(orbit)
     print(f"ratio tail : {[_num(r) for r in est.ratio_seq[-4:]]}")
     print(f"root tail  : {[f'{r:.9g}' for r in est.root_seq[-4:]]}")
@@ -165,7 +161,7 @@ def cmd_cn(args) -> int:
 
 def cmd_ratio(args) -> int:
     cfg = _load(args)
-    series = run_ratio_experiment(cfg, cache=_cache(args))
+    series = run_ratio_experiment(cfg)
     for r in series.rows:
         if r.skipped:
             print(f"n={r.n:3d}  skipped ({r.reason})")
@@ -185,8 +181,7 @@ def cmd_ratio(args) -> int:
 
 def cmd_gap(args) -> int:
     cfg = _load(args)
-    eps_prime = Fraction(args.eps_prime) if args.eps_prime is not None else None
-    series = run_gap_experiment(cfg, eps_prime=eps_prime, cache=_cache(args))
+    series = run_gap_experiment(cfg, eps_prime=args.eps_prime)
     neg = series.negative_count()
     print(f"mode={series.mode}  rows={len(series.rows)}  skips={series.skips}")
     print(f"eps' = {series.eps_prime}")
@@ -204,7 +199,7 @@ def cmd_gap(args) -> int:
 
 def cmd_thm14(args) -> int:
     cfg = _load(args)
-    rep = thm14_hypothesis_report(cfg, cache=_cache(args))
+    rep = thm14_hypothesis_report(cfg)
     print(f"alpha estimate : {_num(rep.alpha_value)} [{rep.alpha.verdict}]")
     print(f"e family bound : {_num(rep.e_family)} [{rep.efd.label}]")
     print(f"e parameter    : {rep.e_param}  eps={rep.eps}  eps0={rep.eps0}")
@@ -220,8 +215,7 @@ def cmd_thm14(args) -> int:
 
 def cmd_thm17(args) -> int:
     cfg = _load(args)
-    eps = Fraction(args.eps) if args.eps is not None else None
-    rep = thm17_set_membership(cfg, eps=eps, cache=_cache(args))
+    rep = thm17_set_membership(cfg, eps=args.eps)
     print(f"eps = {rep.eps}  liminf proxy = {_num(rep.liminf)} "
           f"(window n={rep.window[0]}..{rep.window[1]})")
     for n, all_r, out_r in rep.rows:
@@ -257,22 +251,19 @@ def main(argv=None) -> int:
         p.add_argument("config", help="path to a JSON experiment config")
         p.add_argument("--depth", type=int, default=None, help="override config depth")
         p.add_argument("--out", default=None, help="write the series as CSV here")
-        p.add_argument(
-            "--cache-dir",
-            default=None,
-            help=f"orbit cache directory (default: ${CACHE_ENV} if set)",
-        )
         if name == "ratio":
             p.add_argument("--svg", default=None, help="write an SVG plot here")
         if name == "gap":
-            p.add_argument("--eps-prime", default=None, help="override params.eps_prime")
+            p.add_argument(
+                "--eps-prime", type=_fraction, default=None, help="override params.eps_prime"
+            )
         if name == "thm17":
-            p.add_argument("--eps", default=None, help="override params.eps")
+            p.add_argument("--eps", type=_fraction, default=None, help="override params.eps")
         p.set_defaults(func=func)
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, AuditFailure, SupportHit, ValueError) as exc:
+    except (ConfigError, AuditFailure, SupportHit, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

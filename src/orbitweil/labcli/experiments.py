@@ -51,10 +51,10 @@ def _gate(f: Morphism) -> Morphism:
     return f
 
 
-def _get_orbit(f: Morphism, seed: ProjPoint, depth: int, cache):
-    if cache is None:
-        return iterate(f, seed, depth)
-    return cache.fetch(f, seed, depth)
+def _refuse_cache(cache) -> None:
+    # perfbench/worker.py still passes cache=None; the parameter goes when that call does
+    if cache is not None:
+        raise TypeError("orbit cache removed: orbits are recomputed")
 
 
 def _audit_row(table: LocalTable, h_raw: LogMag) -> LogMag:
@@ -129,13 +129,13 @@ def _ratio_verdict(rows, degenerate: bool):
     return INCONCLUSIVE, None
 
 
-def _series_rows(cfg: ExperimentConfig, cache):
+def _series_rows(cfg: ExperimentConfig):
     """Shared orbit -> audited rows pipeline for ratio and liminf reports."""
     cfg.require("map", "seed", "divisor")
     if not cfg.places:
         raise ConfigError("experiment needs a nonempty set of places S")
     f = _gate(cfg.map)
-    orbit = _get_orbit(f, cfg.seed, cfg.depth, cache)
+    orbit = iterate(f, cfg.seed, cfg.depth)
     d = cfg.divisor
     rows = []
     skips = 0
@@ -170,7 +170,8 @@ def run_ratio_experiment(cfg: ExperimentConfig, cache=None) -> RatioSeries:
     rows; a run where more than half the steps are skipped is declared
     degenerate and gets no trend verdict.
     """
-    f, rows, skips = _series_rows(cfg, cache)
+    _refuse_cache(cache)
+    f, rows, skips = _series_rows(cfg)
     degenerate = 2 * skips > cfg.depth
     verdict, value = _ratio_verdict(rows, degenerate)
     return RatioSeries(
@@ -253,6 +254,7 @@ def run_gap_experiment(cfg: ExperimentConfig, eps_prime=None, cache=None) -> Gap
     decided exactly, over Q(sqrt d) too.  Negative-gap points are collected and summarized by a
     Zariski-closure proxy (finite set / hyperplane / conic containment).
     """
+    _refuse_cache(cache)
     if eps_prime is None:
         eps_prime = cfg.param("eps_prime")
     if eps_prime is None:
@@ -277,7 +279,7 @@ def run_gap_experiment(cfg: ExperimentConfig, eps_prime=None, cache=None) -> Gap
     else:
         cfg.require("map", "seed")
         f = _gate(cfg.map)
-        orbit = _get_orbit(f, cfg.seed, cfg.depth, cache)
+        orbit = iterate(f, cfg.seed, cfg.depth)
         triples = [(s.n, s.point, s.h) for s in orbit.steps]
         mode, ident = "orbit", f.map_id
     coef = eps_prime * cfg.twist + d.nvars
@@ -416,6 +418,7 @@ def thm14_hypothesis_report(cfg: ExperimentConfig, cache=None) -> Thm14Report:
     prefix actually met (divisor support hits).  The map must be a
     morphism, which its Macaulay determinant decides exactly.
     """
+    _refuse_cache(cache)
     cfg.require("map", "seed", "divisor")
     e_param = cfg.param("e")
     eps = cfg.param("eps")
@@ -425,7 +428,7 @@ def thm14_hypothesis_report(cfg: ExperimentConfig, cache=None) -> Thm14Report:
     if eps <= 0 or eps0 <= 0:
         raise ConfigError("eps and eps0 must be positive")
     f = _gate(cfg.map)
-    orbit = _get_orbit(f, cfg.seed, cfg.depth, cache)
+    orbit = iterate(f, cfg.seed, cfg.depth)
     closed = []
     for step in orbit.steps:
         if cfg.divisor.support_test(step.point):
@@ -489,7 +492,7 @@ class Thm17Report:
     closure: str
 
 
-def thm17_set_membership(cfg: ExperimentConfig, eps=None, cache=None) -> Thm17Report:
+def thm17_set_membership(cfg: ExperimentConfig, eps=None) -> Thm17Report:
     """Flag orbit points whose outside-S proximity drops eps below the liminf.
 
     The liminf of (sum over all places) / h is estimated as the minimum
@@ -504,7 +507,7 @@ def thm17_set_membership(cfg: ExperimentConfig, eps=None, cache=None) -> Thm17Re
     eps = Fraction(eps)
     if eps <= 0:
         raise ConfigError("eps must be positive")
-    _, rows, _ = _series_rows(cfg, cache)
+    _, rows, _ = _series_rows(cfg)
     usable = [r for r in rows if not r.skipped]
     if len(usable) < 5:
         raise ValueError("need at least 5 usable rows for a liminf proxy")

@@ -1,39 +1,21 @@
-"""Series output (CSV, SVG) and the on-disk orbit cache.
+"""Series output: CSV and SVG.
 
 CSV files use exactly the header `n,h,lambda_S,ratio,skipped`, twelve
 fractional digits in every numeric cell, and LF line endings, so two runs
-of the same experiment produce byte-identical files.  The orbit cache is
-a small versioned text format, coordinates in hex, with a sha256 trailer;
-loads revalidate the checksum and recompute the first few steps before
-trusting a file, and writes go through an atomic rename so concurrent
-readers never see a partial file.
+of the same experiment produce byte-identical files.  Point coordinates are
+decimal below 10**4300 and `0x` hex from there on, past Python's limit on
+int-to-decimal conversion; `int(token, 0)` reads both back.
 """
 
 from __future__ import annotations
 
-import hashlib
-import os
-import tempfile
 from fractions import Fraction
 
 from ..exactnum import LogMag, decimal_fraction
-from ..polydyn import (
-    Morphism,
-    OrbitRecord,
-    OrbitStep,
-    ProjPoint,
-    evaluate,
-    extend_orbit,
-    height,
-    iterate,
-)
+from ..polydyn import OrbitRecord, ProjPoint
 
-CACHE_ENV = "ORBITWEIL_CACHE"
-_CACHE_MAGIC = "orbitcache 2"
-
-
-class CacheInvalid(Exception):
-    """A cache file failed checksum or consistency validation."""
+# str(int) refuses more than 4,300 decimal digits
+_DECIMAL_LIMIT = 10**4300
 
 
 def fmt12(value) -> str:
@@ -70,7 +52,10 @@ def write_ratio_csv(series, path: str) -> None:
 
 
 def _point_str(p: ProjPoint) -> str:
-    return "(" + ":".join(str(c) for c in p.coords) + ")"
+    """The one coordinate renderer: `(x0:x1:...)`, see the module docstring."""
+    return "(" + ":".join(
+        str(c) if -_DECIMAL_LIMIT < c < _DECIMAL_LIMIT else hex(c) for c in p.coords
+    ) + ")"
 
 
 def write_orbit_csv(orbit: OrbitRecord, path: str) -> None:
@@ -164,123 +149,3 @@ def write_ratio_svg(series, path: str) -> None:
         "</svg>",
     ]
     _write_lines(path, svg)
-
-
-def _hex_coords(p: ProjPoint) -> str:
-    # hex, because int <-> decimal str conversion is capped at 4,300 digits
-    return " ".join(format(c, "x") for c in p.coords)
-
-
-def default_cache_dir() -> str:
-    env = os.environ.get(CACHE_ENV)
-    if env:
-        return env
-    return os.path.join(os.path.expanduser("~"), ".cache", "orbitweil")
-
-
-class OrbitCache:
-    """File-backed orbit store keyed by (map_id, seed).
-
-    Single-writer, multi-reader: writes land via os.replace so a reader
-    either sees the old complete file or the new complete file.  A load
-    recomputes the first three steps from the map before trusting the
-    cached points; heights are always recomputed (they are cheap and keep
-    the format free of value encodings).
-    """
-
-    def __init__(self, root: str | None = None):
-        self.root = root or default_cache_dir()
-        os.makedirs(self.root, exist_ok=True)
-
-    def _path(self, map_id: str, seed: ProjPoint) -> str:
-        key = map_id + "|" + ":".join(str(c) for c in seed.coords)
-        name = hashlib.sha256(key.encode("utf-8")).hexdigest()[:24]
-        return os.path.join(self.root, name + ".orbit")
-
-    def store(self, orbit: OrbitRecord) -> str:
-        lines = [_CACHE_MAGIC, f"map {orbit.map_id}"]
-        seed = orbit.steps[0].point
-        lines.append("seed " + _hex_coords(seed))
-        lines.append(f"depth {orbit.depth}")
-        for step in orbit.steps:
-            lines.append(
-                f"step {step.n} " + _hex_coords(step.point)
-            )
-        payload = "\n".join(lines) + "\n"
-        digest = hashlib.sha256(payload.encode("utf-8")).hexdigest()
-        path = self._path(orbit.map_id, seed)
-        fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(payload + f"sha256 {digest}\n")
-            os.replace(tmp, path)
-        finally:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-        return path
-
-    def load(self, f: Morphism, seed: ProjPoint) -> OrbitRecord | None:
-        """Validated load; None on a miss, CacheInvalid on a bad file."""
-        path = self._path(f.map_id, seed)
-        try:
-            with open(path, "r", encoding="utf-8", newline="") as fh:
-                text = fh.read()
-        except OSError:
-            return None
-        lines = text.split("\n")
-        if lines and lines[-1] == "":
-            lines.pop()
-        if len(lines) < 5 or not lines[-1].startswith("sha256 "):
-            raise CacheInvalid("missing checksum trailer")
-        payload = "\n".join(lines[:-1]) + "\n"
-        digest = hashlib.sha256(payload.encode("utf-8")).hexdigest()
-        if lines[-1] != f"sha256 {digest}":
-            raise CacheInvalid("checksum mismatch")
-        if lines[0] != _CACHE_MAGIC:
-            raise CacheInvalid(f"unknown format line {lines[0]!r}")
-        if lines[1] != f"map {f.map_id}":
-            raise CacheInvalid("cached orbit belongs to a different map")
-        try:
-            seed_coords = tuple(int(tok, 16) for tok in lines[2].split()[1:])
-            depth = int(lines[3].split()[1])
-            points = []
-            for i, line in enumerate(lines[4:-1]):
-                parts = line.split()
-                if parts[0] != "step" or int(parts[1]) != i:
-                    raise CacheInvalid("step lines out of order")
-                points.append(
-                    ProjPoint.normalize(tuple(int(tok, 16) for tok in parts[2:]))
-                )
-        except (ValueError, IndexError, ZeroDivisionError) as exc:
-            raise CacheInvalid(f"unparsable cache file: {exc}") from None
-        if seed_coords != seed.coords or not points or points[0].coords != seed.coords:
-            raise CacheInvalid("cached seed does not match")
-        if depth != len(points) - 1:
-            raise CacheInvalid("depth header disagrees with step count")
-        for k in range(min(3, depth)):
-            try:
-                recomputed = evaluate(f, points[k])
-            except ValueError as exc:
-                raise CacheInvalid(f"cached point is degenerate: {exc}") from None
-            if recomputed.coords != points[k + 1].coords:
-                raise CacheInvalid(f"recomputed step {k + 1} disagrees with the file")
-        steps = tuple(OrbitStep(n, p, height(p)) for n, p in enumerate(points))
-        return OrbitRecord(f.map_id, points[0], steps)
-
-    def fetch(self, f: Morphism, seed: ProjPoint, depth: int) -> OrbitRecord:
-        """Load (validated), extend or recompute as needed, and store back."""
-        try:
-            rec = self.load(f, seed)
-        except CacheInvalid:
-            rec = None
-        if rec is None:
-            rec = iterate(f, seed, depth)
-            self.store(rec)
-            return rec
-        if rec.depth < depth:
-            rec = extend_orbit(rec, f, depth)
-            self.store(rec)
-            return rec
-        if rec.depth > depth:
-            return OrbitRecord(rec.map_id, rec.seed, tuple(rec.steps[: depth + 1]))
-        return rec

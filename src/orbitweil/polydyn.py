@@ -539,21 +539,12 @@ def iterate(f: Morphism, seed: ProjPoint, depth: int) -> OrbitRecord:
     """Orbit x, f(x), ..., f^depth(x) with exact heights at every step."""
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    return extend_orbit(OrbitRecord(f.map_id, seed, (OrbitStep(0, seed, height(seed)),)), f, depth)
-
-
-def extend_orbit(record: OrbitRecord, f: Morphism, depth: int) -> OrbitRecord:
-    """Extend a cached orbit to the requested depth (no-op if already there)."""
-    if record.map_id != f.map_id:
-        raise ValueError("orbit record belongs to a different map")
-    if depth <= record.depth:
-        return record
-    steps = list(record.steps)
-    x = steps[-1].point
-    for n in range(record.depth + 1, depth + 1):
+    steps = [OrbitStep(0, seed, height(seed))]
+    x = seed
+    for n in range(1, depth + 1):
         x = evaluate(f, x)
         steps.append(OrbitStep(n, x, height(x)))
-    return OrbitRecord(record.map_id, record.seed, tuple(steps))
+    return OrbitRecord(f.map_id, seed, tuple(steps))
 
 
 def pullback(f: Morphism, g: HomogPoly) -> HomogPoly:

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -16,10 +17,8 @@ import orbitweil
 from orbitweil.exactnum import LogMag, Place, QuadField
 from orbitweil.labcli import (
     AuditFailure,
-    CacheInvalid,
     ConfigError,
     fmt12,
-    OrbitCache,
     load_config,
     parse_config,
     run_gap_experiment,
@@ -32,7 +31,7 @@ from orbitweil.labcli import (
 )
 from orbitweil.labcli.cli import main
 from orbitweil.labcli.experiments import _closure_proxy, _kernel_vector, _sample_points
-from orbitweil.polydyn import HomogPoly, OrbitRecord, OrbitStep, ProjPoint, height, iterate
+from orbitweil.polydyn import HomogPoly, ProjPoint, height, iterate
 from orbitweil.weil import weil_local, weil_sum
 
 
@@ -847,91 +846,6 @@ def test_svg_is_wellformed_and_self_contained(tmp_path):
         write_ratio_svg(dataclasses.replace(series, rows=()), str(tmp_path / "e.svg"))
 
 
-def test_cache_round_trip(tmp_path):
-    cfg = squaring_cfg(depth=5)
-    cache = OrbitCache(str(tmp_path))
-    orbit = cache.fetch(cfg.map, cfg.seed, 5)
-    again = cache.load(cfg.map, cfg.seed)
-    assert again is not None
-    assert again.depth == 5
-    assert [s.point.coords for s in again.steps] == [s.point.coords for s in orbit.steps]
-    assert [s.h for s in again.steps] == [s.h for s in orbit.steps]
-    # miss for a different seed
-    other = ProjPoint.normalize((5, 1))
-    assert cache.load(cfg.map, other) is None
-
-
-def test_cache_round_trip_past_decimal_digit_limit(tmp_path):
-    # 2**(2**14) has 4,933 decimal digits, past the int <-> str limit of 4,300
-    cfg = squaring_cfg()
-    cache = OrbitCache(str(tmp_path))
-    orbit = cache.fetch(cfg.map, cfg.seed, 14)
-    assert orbit.steps[14].point.coords == (2 ** 2**14, 1)
-    again = cache.load(cfg.map, cfg.seed)
-    assert [s.point.coords for s in again.steps] == [s.point.coords for s in orbit.steps]
-    assert cache.fetch(cfg.map, cfg.seed, 14).steps[14].h == orbit.steps[14].h
-
-
-def test_cache_rejects_corruption(tmp_path):
-    cfg = squaring_cfg(depth=4)
-    cache = OrbitCache(str(tmp_path))
-    cache.fetch(cfg.map, cfg.seed, 4)
-    files = [f for f in os.listdir(tmp_path) if f.endswith(".orbit")]
-    assert len(files) == 1
-    path = tmp_path / files[0]
-    body = path.read_text()
-    path.write_text(body.replace("step 2 10", "step 2 11"))  # hex 16 -> 17
-    with pytest.raises(CacheInvalid):
-        cache.load(cfg.map, cfg.seed)
-    # fetch falls back to recomputation and heals the file
-    orbit = cache.fetch(cfg.map, cfg.seed, 4)
-    assert orbit.steps[2].point.coords == (Fraction(16), Fraction(1))
-    assert cache.load(cfg.map, cfg.seed).depth == 4
-
-
-def test_cache_detects_wrong_dynamics(tmp_path):
-    # a well-formed file whose points are not an orbit of this map
-    cfg = squaring_cfg(depth=3)
-    cache = OrbitCache(str(tmp_path))
-    pts = [ProjPoint.normalize((2, 1)), ProjPoint.normalize((4, 1)),
-           ProjPoint.normalize((17, 1)), ProjPoint.normalize((289, 1))]
-    fake = OrbitRecord(cfg.map.map_id, pts[0],
-                       tuple(OrbitStep(n, p, height(p)) for n, p in enumerate(pts)))
-    cache.store(fake)
-    with pytest.raises(CacheInvalid):
-        cache.load(cfg.map, cfg.seed)
-
-
-def test_cache_extension_and_truncation(tmp_path):
-    cfg = squaring_cfg()
-    cache = OrbitCache(str(tmp_path))
-    o3 = cache.fetch(cfg.map, cfg.seed, 3)
-    assert o3.depth == 3
-    o6 = cache.fetch(cfg.map, cfg.seed, 6)
-    assert o6.depth == 6
-    assert [s.point.coords for s in o6.steps[:4]] == [s.point.coords for s in o3.steps]
-    o4 = cache.fetch(cfg.map, cfg.seed, 4)
-    assert o4.depth == 4
-    direct = iterate(cfg.map, cfg.seed, 6)
-    assert [s.h for s in cache.fetch(cfg.map, cfg.seed, 6).steps] == \
-        [s.h for s in direct.steps]
-
-
-def test_ratio_resumable_from_cache(tmp_path):
-    cache = OrbitCache(str(tmp_path))
-    first = run_ratio_experiment(squaring_cfg(depth=5), cache=cache)
-    second = run_ratio_experiment(squaring_cfg(depth=8), cache=cache)
-    for a, b in zip(first.rows, second.rows[:6]):
-        assert a.ratio == b.ratio
-        assert a.ratio_bounds == b.ratio_bounds
-        assert a.h == b.h
-    # cached and uncached runs agree byte for byte
-    p1, p2 = tmp_path / "c.csv", tmp_path / "n.csv"
-    write_ratio_csv(second, str(p1))
-    write_ratio_csv(run_ratio_experiment(squaring_cfg(depth=8)), str(p2))
-    assert p1.read_bytes() == p2.read_bytes()
-
-
 def test_cli_ratio_and_outputs(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({
@@ -943,8 +857,7 @@ def test_cli_ratio_and_outputs(tmp_path, capsys):
     }))
     out_csv = tmp_path / "r.csv"
     out_svg = tmp_path / "r.svg"
-    code = main(["ratio", str(cfg_path), "--out", str(out_csv), "--svg", str(out_svg),
-                 "--cache-dir", str(tmp_path / "cache")])
+    code = main(["ratio", str(cfg_path), "--out", str(out_csv), "--svg", str(out_svg)])
     assert code == 0
     captured = capsys.readouterr().out
     assert "verdict: trending-to-zero" in captured
@@ -1005,15 +918,73 @@ def test_cli_misc_subcommands(tmp_path, capsys):
     assert "flagged: [0, 1]" in capsys.readouterr().out
 
 
-def test_cli_env_cache(tmp_path, capsys, monkeypatch):
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({
-        "map": {"forms": [{"2,0": "1"}, {"0,2": "1"}]},
-        "seed": ["2", "1"],
-        "depth": 4,
-    }))
+README_CFG = {
+    "map": {"forms": [{"2,0": "1"}, {"0,2": "1"}]},
+    "seed": ["2", "1"],
+    "divisor": {"field": "Q", "form": {"1,0": "1", "0,1": "-3"}, "weight": 1},
+    "places": ["inf", 3],
+    "twist": 1,
+    "depth": 8,
+    "params": {"e": "1", "eps": "1/4", "eps0": "1"},
+}
+
+
+def _readme_cfg_file(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(README_CFG))
+    return str(path)
+
+
+@pytest.mark.parametrize("argv, depth13_sha256", [
+    (["orbit"], "b59e5c007fc234a960a11594ae0bedc45b3b8c87ee5e864307cbb3804afc8b17"),
+    (["gap", "--eps-prime", "1"],
+     "02cbc23930c1d1c5bced990e3dee711d485b61b26dbc7d378c5c25d5cbb780eb"),
+], ids=["orbit", "gap"])
+def test_cli_renders_coordinates_past_decimal_digit_limit(tmp_path, capsys, argv, depth13_sha256):
+    # 2**(2**14) has 4,933 decimal digits, past the int -> str limit of 4,300
+    out = tmp_path / "o.csv"
+    assert main([argv[0], _readme_cfg_file(tmp_path), *argv[1:], "--depth", "14",
+                 "--out", str(out)]) == 0
+    capsys.readouterr()
+    lines = out.read_bytes().split(b"\n")
+    point = lines[15].split(b",")[1].decode()
+    assert tuple(int(tok, 0) for tok in point.strip("()").split(":")) == (2 ** 2**14, 1)
+    # rows 0-13 keep the bytes of the --depth 13 CSV written before hex rendering
+    head = b"\n".join(lines[:15]) + b"\n"
+    assert hashlib.sha256(head).hexdigest() == depth13_sha256
+
+
+@pytest.mark.parametrize("command, flag", [("gap", "--eps-prime"), ("thm17", "--eps")])
+@pytest.mark.parametrize("value", ["abc", "1/0"])
+def test_cli_rational_flags_reject_bad_values_naming_the_flag(
+    tmp_path, capsys, command, flag, value
+):
+    with pytest.raises(SystemExit) as exc:
+        main([command, _readme_cfg_file(tmp_path), flag, value])
+    assert exc.value.code == 2
+    assert flag in capsys.readouterr().err
+
+
+def test_cli_reports_an_unwritable_output_path(tmp_path, capsys):
+    cfg = _readme_cfg_file(tmp_path)
+    assert main(["ratio", cfg, "--out", str(tmp_path / "no" / "r.csv")]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert main(["ratio", cfg, "--svg", str(tmp_path / "no" / "r.svg")]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_orbits_are_recomputed_without_an_on_disk_cache(tmp_path, capsys, monkeypatch):
+    cfg = _readme_cfg_file(tmp_path)
     cache_dir = tmp_path / "envcache"
     monkeypatch.setenv("ORBITWEIL_CACHE", str(cache_dir))
-    assert main(["orbit", str(cfg_path)]) == 0
+    assert main(["orbit", cfg]) == 0
+    assert main(["ratio", cfg]) == 0
     capsys.readouterr()
-    assert any(f.endswith(".orbit") for f in os.listdir(cache_dir))
+    assert not cache_dir.exists()
+    with pytest.raises(SystemExit) as exc:
+        main(["ratio", cfg, "--cache-dir", str(cache_dir)])
+    assert exc.value.code == 2
+    parsed = load_config(cfg)
+    for runner in (run_ratio_experiment, run_gap_experiment, thm14_hypothesis_report):
+        with pytest.raises(TypeError, match="orbit cache removed"):
+            runner(parsed, cache=str(cache_dir))

@@ -17,7 +17,6 @@ from orbitweil.polydyn import (
     ProjPoint,
     ZeroPoint,
     evaluate,
-    extend_orbit,
     height,
     height_twisted,
     iterate,
@@ -105,16 +104,6 @@ def test_evaluate_and_orbit():
         evaluate(bad, P(0, 1))
 
 
-def test_orbit_resume():
-    full = iterate(SQUARING, P(3, 2), 9)
-    part = iterate(SQUARING, P(3, 2), 4)
-    resumed = extend_orbit(part, SQUARING, 9)
-    assert resumed == full
-    other = Morphism((Y2, X2))
-    with pytest.raises(ValueError):
-        extend_orbit(part, other, 9)
-
-
 def test_deep_orbit_heights_exact():
     orbit = iterate(SQUARING, P(2, 1), 20)
     assert orbit.steps[20].h == LogMag.exact(2) * (2**20)
@@ -129,7 +118,7 @@ def test_map_id_joint_scaling():
 
 
 def test_map_id_digests_are_pinned():
-    # orbit-cache files are keyed by these digests; they must not move
+    # every ratio series reports its map by this digest; it must not move
     squaring = "107f6937b276feae4b7933f42487b8ebdcdc19a91b6d963d7f1c250255f0131b"
     assert SQUARING.map_id == squaring
     assert Morphism((X2 * Fraction(-3, 7), Y2 * Fraction(-3, 7))).map_id == squaring
