@@ -5,8 +5,9 @@ Conventions:
   * Absolute values are Q-normalized: |p|_p = 1/p, archimedean as usual,
     so the product formula sum_v log|q|_v = 0 holds on the nose.
   * For a place w of F = Q(sqrt(d)) above p, abs_value returns the unique
-    extension of |.|_p to F_w: the Hensel embedding value at split places
-    and |N(y)|_p^(1/2) at inert/ramified places.  Restricting to Q gives
+    extension of |.|_p to F_w: at split places the order of y is read off
+    ord_p(N(y)) and y mod p (or mod 4 at p = 2; see _split_valuation), and
+    |N(y)|_p^(1/2) at inert/ramified places.  Restricting to Q gives
     back |.|_p exactly.  The weighted product formula over F reads
     sum_w [F_w:Q_v] * log|y|_w = 0.
   * Log-magnitudes are exact: the log of a positive rational, or of a
@@ -290,36 +291,6 @@ def sqrt_mod(a: int, p: int) -> int:
         m, c = i, b * b % p
         t, r = t * c % p, r * b % p
     return min(r, p - r)
-
-
-@lru_cache(maxsize=None)
-def hensel_sqrt(d: int, p: int, prec: int) -> int:
-    """Canonical square root of d in Z_p to precision p^prec.
-
-    For odd p the result is the lift of the smallest nonnegative root
-    mod p; for p = 2 (needs d = 1 mod 8) it is the root = 1 mod 4.
-    """
-    if prec < 1:
-        raise ValueError("prec must be >= 1")
-    if p == 2:
-        if d % 8 != 1:
-            raise ValueError("2-adic square root needs d = 1 mod 8")
-        s, k = 1, 3
-        while k < prec:
-            if (s * s - d) % (1 << (k + 1)) != 0:
-                s += 1 << (k - 1)
-            k += 1
-        return s % (1 << prec)
-    if legendre(d % p, p) != 1:
-        raise ValueError(f"{d} is not a square mod {p}")
-    s = sqrt_mod(d % p, p)
-    mod = p
-    while mod < p**prec:
-        mod = min(mod * mod, p**prec)
-        # Newton step s -> s - (s^2-d)/(2s), exact in Z/mod
-        inv = pow(2 * s % mod, -1, mod)
-        s = (s - (s * s - d) * inv) % mod
-    return s % p**prec
 
 
 # ---------------------------------------------------------------------------
@@ -956,9 +927,6 @@ def places_above(v: Place, field: QuadField) -> list[Place]:
 # absolute values
 # ---------------------------------------------------------------------------
 
-_HENSEL_CAP = 4096
-
-
 def _log_p_power(p: int, k: int) -> LogMag:
     """log p^-k, built directly: p^-k is already canonical at root 1."""
     if k == 0:
@@ -975,26 +943,27 @@ def _abs_rational(q: RationalLike, v: Place) -> LogMag:
 
 
 def _split_valuation(y: QuadElem, p: int, index: int) -> int:
-    """ord_w(y) at the split place with the given root index."""
-    d = y.field.d
+    """ord_w(y) at the split place whose root of d is s_index, s_1 = -s_0.
+
+    Write y = c(A + Bs) with A, B coprime, so N = A^2 - dB^2 = (A + Bs)(A - Bs).
+    Odd p: no p divides both factors (it would divide 2A and 2Bs), so all of
+    ord_p(N) sits where A + Bs = 0 mod p, at index 0 iff t = -A/B mod p has
+    2t < p, as s_0 = sqrt_mod(d, p) is the smaller root; B -> -B for index 1.
+    p = 2: if 2 | N then A, B are odd and the factors differ by 2Bs, of order 1,
+    so the factor = 0 mod 4, at index 0 iff A + B = 0 mod 4 (s_0 = 1 mod 4),
+    takes ord_2(N) - 1 and the other takes 1.
+    """
     (A, B), c = integer_normal_form([y.a, y.b])
-    norm = A * A - d * B * B
-    if norm == 0:
-        raise ValuationOfZero("absolute value of zero")
-    prec = multiplicity(norm, p) + 2 if norm % p == 0 else 2
-    prec = max(prec, 3)
-    while True:
-        if prec > _HENSEL_CAP:
-            raise PrecisionExhausted("split-place valuation exceeded the lifting cap")
-        s = hensel_sqrt(d, p, prec)
-        if index == 1:
-            s = p**prec - s
-        t = (A + B * s) % p**prec
-        if t != 0:
-            val = multiplicity(t, p)
-            if val < prec:
-                return val + multiplicity(c, p)
-        prec *= 2
+    k = multiplicity(A * A - y.field.d * B * B, p)
+    if index == 1:
+        B = -B
+    if k == 0:
+        own = 0
+    elif p == 2:
+        own = k - 1 if (A + B) % 4 == 0 else 1
+    else:
+        own = k if 2 * (-A * pow(B, -1, p) % p) < p else 0
+    return own + multiplicity(c, p)
 
 
 def _abs_quad(y: QuadElem, v: Place) -> LogMag:

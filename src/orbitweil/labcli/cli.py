@@ -14,7 +14,7 @@ import sys
 from fractions import Fraction
 
 from ..degree import alpha_estimate
-from ..exactnum import LogMag
+from ..exactnum import ExactnumError, LogMag
 from ..polydyn import iterate
 from ..singular import (
     ExponentMatrix,
@@ -35,7 +35,6 @@ from .experiments import (
     thm17_set_membership,
 )
 from .io import (
-    _point_str,
     fmt12,
     write_gap_csv,
     write_orbit_csv,
@@ -77,7 +76,7 @@ def cmd_orbit(args) -> int:
     cfg = _load(args).require("map", "seed")
     orbit = iterate(cfg.map, cfg.seed, cfg.depth)
     for step in orbit.steps:
-        print(f"n={step.n:3d}  h={fmt12(step.h)}  x={_point_str(step.point)}")
+        print(f"n={step.n:3d}  h={fmt12(step.h)}  x={step.point}")
     if args.out:
         write_orbit_csv(orbit, args.out)
         print(f"wrote {args.out}")
@@ -187,7 +186,7 @@ def cmd_gap(args) -> int:
     print(f"eps' = {series.eps_prime}")
     print(f"negative-gap points: {neg}")
     for p in series.negatives[:10]:
-        print(f"  {_point_str(p)}")
+        print(f"  {p}")
     if neg > 10:
         print(f"  ... and {neg - 10} more")
     print(f"closure proxy: {series.closure}")
@@ -263,7 +262,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, AuditFailure, SupportHit, ValueError, OSError) as exc:
+    except (ConfigError, AuditFailure, SupportHit, ExactnumError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

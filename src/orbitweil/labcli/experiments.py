@@ -64,7 +64,7 @@ def _audit_row(table: LocalTable, h_raw: LogMag) -> LogMag:
     total = table.all_places()
     if total != target:
         raise AuditFailure(
-            f"height identity violated at {table.point.coords}: "
+            f"height identity violated at {table.point}: "
             f"sum of local terms != {d.weight * d.degree} * h"
         )
     return total

@@ -2,9 +2,8 @@
 
 CSV files use exactly the header `n,h,lambda_S,ratio,skipped`, twelve
 fractional digits in every numeric cell, and LF line endings, so two runs
-of the same experiment produce byte-identical files.  Point coordinates are
-decimal below 10**4300 and `0x` hex from there on, past Python's limit on
-int-to-decimal conversion; `int(token, 0)` reads both back.
+of the same experiment produce byte-identical files.  Points are written as
+`str(point)`: decimal coordinates below 10**4300 and `0x` hex from there on.
 """
 
 from __future__ import annotations
@@ -12,11 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from ..exactnum import LogMag, decimal_fraction
-from ..polydyn import OrbitRecord, ProjPoint
-
-# str(int) refuses more than 4,300 decimal digits
-_DECIMAL_LIMIT = 10**4300
-
+from ..polydyn import OrbitRecord
 
 def fmt12(value) -> str:
     """Render a cell: LogMag, Fraction, float, int, or None (empty)."""
@@ -51,20 +46,13 @@ def write_ratio_csv(series, path: str) -> None:
     _write_lines(path, lines)
 
 
-def _point_str(p: ProjPoint) -> str:
-    """The one coordinate renderer: `(x0:x1:...)`, see the module docstring."""
-    return "(" + ":".join(
-        str(c) if -_DECIMAL_LIMIT < c < _DECIMAL_LIMIT else hex(c) for c in p.coords
-    ) + ")"
-
-
 def write_orbit_csv(orbit: OrbitRecord, path: str) -> None:
     """Emit an orbit: n,point,h."""
     if not orbit.steps:
         raise ValueError("refusing to write an empty orbit")
     lines = ["n,point,h"]
     for step in orbit.steps:
-        lines.append(f"{step.n},{_point_str(step.point)},{fmt12(step.h)}")
+        lines.append(f"{step.n},{step.point},{fmt12(step.h)}")
     _write_lines(path, lines)
 
 
@@ -89,7 +77,7 @@ def write_gap_csv(series, path: str) -> None:
     for r in series.rows:
         sign_cell = "" if r.sign is None else str(r.sign)
         lines.append(
-            f"{r.n},{_point_str(r.point)},{cell(r.h)},{cell(r.lambda_S)},"
+            f"{r.n},{r.point},{cell(r.h)},{cell(r.lambda_S)},"
             f"{cell(r.gap)},{sign_cell},{int(r.skipped)}"
         )
     _write_lines(path, lines)

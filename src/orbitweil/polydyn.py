@@ -26,6 +26,9 @@ from .exactnum import (
 
 Coeff = Union[int, Fraction, QuadElem]
 
+# str(int) refuses more than 4,300 decimal digits
+_DECIMAL_LIMIT = 10**4300
+
 
 class ZeroPoint(ValueError):
     """All projective coordinates vanish."""
@@ -359,7 +362,11 @@ class ProjPoint:
         return len(self.coords) - 1
 
     def __str__(self) -> str:
-        return "(" + " : ".join(map(str, self.coords)) + ")"
+        """`(x0:x1:...)`: decimal below 10**4300, Python's limit on int-to-decimal
+        conversion, and `0x` hex from there on; `int(token, 0)` reads both back."""
+        return "(" + ":".join(
+            str(c) if -_DECIMAL_LIMIT < c < _DECIMAL_LIMIT else hex(c) for c in self.coords
+        ) + ")"
 
 
 def height(x: ProjPoint) -> LogMag:

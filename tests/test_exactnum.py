@@ -26,7 +26,6 @@ from orbitweil.exactnum import (
     bareiss,
     decimal_fraction,
     factorize,
-    hensel_sqrt,
     integer_nth_root,
     integer_normal_form,
     is_prime,
@@ -190,12 +189,71 @@ def test_unweighted_quadratic_sum_fails():
     assert unweighted == LogMag.exact(3)  # 2*log3 - log3 = log 3, not 0
 
 
-def test_hensel_sqrt():
-    for d, p, prec in [(2, 7, 10), (5, 11, 8), (-7, 11, 6), (17, 2, 12), (-7, 2, 12)]:
-        s = hensel_sqrt(d, p, prec)
-        assert (s * s - d) % p**prec == 0
-    s = hensel_sqrt(17, 2, 12)
-    assert s % 4 == 1
+def _root_of_d(d, p, k):
+    """s_0 mod p^k: Newton-lifted from sqrt_mod(d, p) for odd p; for p = 2 the
+    root = 1 mod 4, one bit per step (s^2 = d mod 2^(j+1) fixes s mod 2^j)."""
+    if p == 2:
+        s, j = 1, 2
+        while j < k:
+            if (s * s - d) % 2 ** (j + 2):
+                s += 2**j
+            j += 1
+        return s % 2**k
+    s, mod = sqrt_mod(d, p), p
+    while mod < p**k:
+        mod = min(mod * mod, p**k)
+        s = (s - (s * s - d) * pow(2 * s, -1, mod)) % mod
+    return s
+
+
+_PRIMES_BELOW_100 = [p for p in range(100) if is_prime(p)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    d=st.sampled_from([2, 7, 17, 41, -7]),
+    x=st.integers(-40, 40),
+    z=st.integers(-40, 40),
+    k=st.integers(1, 8),
+    c=st.fractions(min_value=-1000, max_value=1000, max_denominator=1000),
+)
+def test_split_valuation_is_the_order_of_a_plus_b_root(d, x, z, k, c):
+    # y = c (x + z sqrt d)^k; at the split place with root s_i, ord_w(y) is
+    # ord_p(A + B s_i) + ord_p(c') for y = c'(A + B sqrt d), A, B coprime,
+    # and ord_p(A + B s_i) <= ord_p(N) < ord_p(N) + 2 digits of s_i
+    assume((x, z) != (0, 0) and c != 0)
+    F = QuadField(d)
+    y = F.element(c) * F.element(x, z) ** k
+    (A, B), scale = integer_normal_form([y.a, y.b])
+    norm = A * A - d * B * B
+    for p in _PRIMES_BELOW_100:
+        places = places_above(Place.finite(p), F)
+        if places[0].ext.kind != "split":
+            continue
+        prec = padic_valuation(norm, p) + 2
+        s0 = _root_of_d(d, p, prec)
+        for w, s in zip(places, (s0, p**prec - s0)):
+            order = padic_valuation((A + B * s) % p**prec, p) + padic_valuation(scale, p)
+            assert abs_value(y, w) == LogMag.exact(Fraction(p) ** -order), (p, w)
+
+
+def test_split_valuation_past_the_old_lifting_cap():
+    # N(3 + sqrt 2) = 7 and sqrt_mod(2, 7) = 3: 3 + 3 != 0 mod 7, so all of
+    # ord_7 N(y^5000) = 5000 sits at index 1
+    F = QuadField(2)
+    y = F.element(3, 1) ** 5000
+    w0, w1 = places_above(Place.finite(7), F)
+    assert abs_value(y, w0) == LogMag.zero()
+    assert abs_value(y, w1) == LogMag.exact(Fraction(1, 7**5000))
+    # N(5 + sqrt 17) = 8 and s_0 = 1 mod 4: 5 + s_0 has 2-adic order 1, 5 - s_0 order 2
+    G = QuadField(17)
+    u = G.element(5, 1)
+    v0, v1 = places_above(Place.finite(2), G)
+    assert [abs_value(u, v) for v in (v0, v1)] == [
+        LogMag.exact(Fraction(1, 2)), LogMag.exact(Fraction(1, 4))]
+    u3000 = u**3000
+    assert abs_value(u3000, v0) == LogMag.exact(Fraction(1, 2**3000))
+    assert abs_value(u3000, v1) == LogMag.exact(Fraction(1, 2**6000))
 
 
 def test_sqrt_mod_and_legendre():

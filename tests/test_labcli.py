@@ -296,7 +296,7 @@ def test_orbit_runners_refuse_a_map_with_a_common_zero():
     cfg = squaring_cfg(map={"forms": [{"1,1": "1"}, {"2,0": "1"}]},
                        params={"e": "1", "eps": "1/4", "eps0": "1", "eps_prime": "1"})
     for run in (run_ratio_experiment, thm14_hypothesis_report, run_gap_experiment):
-        with pytest.raises(ConfigError, match=r"not a morphism \(common zero \(0 : 1\)\)"):
+        with pytest.raises(ConfigError, match=r"not a morphism \(common zero \(0:1\)\)"):
             run(cfg)
     squares = parse_config({
         "map": {"forms": [{"2,0,0": "1"}, {"0,2,0": "1"}, {"0,0,2": "1"}]},
@@ -952,6 +952,52 @@ def test_cli_renders_coordinates_past_decimal_digit_limit(tmp_path, capsys, argv
     # rows 0-13 keep the bytes of the --depth 13 CSV written before hex rendering
     head = b"\n".join(lines[:15]) + b"\n"
     assert hashlib.sha256(head).hexdigest() == depth13_sha256
+
+
+def test_messages_naming_a_point_render_coordinates_past_decimal_digit_limit(monkeypatch):
+    from orbitweil.labcli import experiments
+    from orbitweil.polydyn import FAILED, IndeterminatePoint, Morphism, WellformedReport, evaluate
+    from orbitweil.weil import DivisorPresentation, LocalTable, SupportHit
+
+    big = 2 ** 2**14
+    x = ProjPoint((big, 1))
+    line = HomogPoly.from_terms(2, {(1, 0): Fraction(1), (0, 1): Fraction(-big)})
+    messages = [str(x)]
+    # s_D(x) = 0: the point lies in the support of D = {x - big*y = 0}
+    with pytest.raises(SupportHit) as hit:
+        weil_local(DivisorPresentation.hypersurface(line), x, Place.finite(3))
+    messages.append(str(hit.value))
+    # ((x - big*y)x : (x - big*y)y) vanishes at x
+    f = Morphism((
+        HomogPoly.from_terms(2, {(2, 0): Fraction(1), (1, 1): Fraction(-big)}),
+        HomogPoly.from_terms(2, {(1, 1): Fraction(1), (0, 2): Fraction(-big)}),
+    ))
+    with pytest.raises(IndeterminatePoint) as indet:
+        evaluate(f, x)
+    messages.append(str(indet.value))
+    axis = DivisorPresentation.hypersurface(HomogPoly.from_terms(2, {(0, 1): Fraction(1)}))
+    with pytest.raises(AuditFailure) as audit:
+        experiments._audit_row(LocalTable(axis, x), LogMag.zero())
+    messages.append(str(audit.value))
+    monkeypatch.setattr(experiments, "wellformed_check", lambda g: WellformedReport(FAILED, x))
+    with pytest.raises(ConfigError) as gate:
+        experiments._gate(f)
+    messages.append(str(gate.value))
+    for message in messages:
+        point = message[message.index("(0x"):message.index(")") + 1]
+        assert tuple(int(tok, 0) for tok in point.strip("()").split(":")) == (big, 1), message
+
+
+def test_cli_reports_an_exact_arithmetic_limit_as_an_error(tmp_path, capsys):
+    # weight 1/(1000003 * 1000033) needs that root of h: past the bit budget of _power
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(dict(README_CFG, divisor=dict(
+        README_CFG["divisor"], weight="1/1000036000099"))))
+    for argv in (["ratio"], ["gap", "--eps-prime", "1"]):
+        assert main([argv[0], str(path), *argv[1:], "--depth", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: exact exponentiation would need"), err
+        assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("command, flag", [("gap", "--eps-prime"), ("thm17", "--eps")])
