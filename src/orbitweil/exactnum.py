@@ -717,10 +717,6 @@ class QuadField:
         if cof >= 10**9:
             raise ValueError(f"cannot certify {self.d} squarefree")
 
-    @property
-    def is_real(self) -> bool:
-        return self.d > 0
-
     def element(self, a: RationalLike, b: RationalLike = 0) -> "QuadElem":
         return QuadElem(self, Fraction(a), Fraction(b))
 
@@ -838,31 +834,21 @@ COMPLEX = "complex"
 
 
 @dataclass(frozen=True)
-class PlaceExt:
-    field: QuadField
-    kind: str
-    index: int = 0
-
-
-@dataclass(frozen=True)
 class Place:
-    """A place of Q (ext=None) or of a quadratic field above one of Q."""
+    """A place of Q (field None), or the index-th place of a quadratic field above p.
+
+    Its kind, and so how many indices it has, follows from the field and p.
+    """
 
     p: Optional[int]  # None = archimedean
-    ext: Optional[PlaceExt] = None
+    field: Optional[QuadField] = None
+    index: int = 0
 
     def __post_init__(self) -> None:
         if self.p is not None and not is_prime(self.p):
             raise ValueError(f"{self.p} is not prime")
-        if self.ext is not None:
-            if self.ext.kind in (REAL, COMPLEX) and self.p is not None:
-                raise ValueError("archimedean extension kind over a finite place")
-            if self.ext.kind in (SPLIT, INERT, RAMIFIED) and self.p is None:
-                raise ValueError("finite extension kind over the archimedean place")
-            if self.ext.index not in (0, 1):
-                raise ValueError("extension index must be 0 or 1")
-            if self.ext.kind in (INERT, RAMIFIED, COMPLEX) and self.ext.index != 0:
-                raise ValueError(f"{self.ext.kind} place has a single index")
+        if self.index != 0 and (self.index != 1 or self.kind not in (SPLIT, REAL)):
+            raise ValueError(f"a {self.kind or 'rational'} place has no index {self.index!r}")
 
     @classmethod
     def archimedean(cls) -> "Place":
@@ -877,11 +863,25 @@ class Place:
         return self.p is None
 
     @property
+    def kind(self) -> Optional[str]:
+        """split, inert, ramified, real or complex, read from d and p; None over Q."""
+        if self.field is None:
+            return None
+        d, p = self.field.d, self.p
+        if p is None:
+            return REAL if d > 0 else COMPLEX
+        if p == 2:
+            if d % 2 == 0 or d % 4 == 3:
+                return RAMIFIED
+            return SPLIT if d % 8 == 1 else INERT
+        if d % p == 0:
+            return RAMIFIED
+        return SPLIT if legendre(d % p, p) == 1 else INERT
+
+    @property
     def local_degree(self) -> int:
         """[F_w : Q_v]; 1 for places of Q themselves."""
-        if self.ext is None:
-            return 1
-        return 1 if self.ext.kind in (SPLIT, REAL) else 2
+        return 1 if self.kind in (None, SPLIT, REAL) else 2
 
     @property
     def restriction(self) -> "Place":
@@ -889,38 +889,17 @@ class Place:
 
     def __repr__(self) -> str:
         base = "inf" if self.p is None else str(self.p)
-        if self.ext is None:
+        if self.field is None:
             return f"v_{base}"
-        return f"w_{base}[{self.ext.kind}{self.ext.index}]"
+        return f"w_{base}[{self.kind}{self.index}]"
 
 
 def places_above(v: Place, field: QuadField) -> list[Place]:
     """Places of Q(sqrt(d)) above a place v of Q, in canonical order."""
-    if v.ext is not None:
+    if v.field is not None:
         raise ValueError("places_above expects a place of Q")
-    d = field.d
-    if v.is_archimedean:
-        if d > 0:
-            return [
-                Place(None, PlaceExt(field, REAL, 0)),
-                Place(None, PlaceExt(field, REAL, 1)),
-            ]
-        return [Place(None, PlaceExt(field, COMPLEX, 0))]
-    p = v.p
-    if p == 2:
-        if d % 2 == 0 or d % 4 == 3:
-            kind = RAMIFIED
-        elif d % 8 == 1:
-            kind = SPLIT
-        else:
-            kind = INERT
-    elif d % p == 0:
-        kind = RAMIFIED
-    else:
-        kind = SPLIT if legendre(d % p, p) == 1 else INERT
-    if kind == SPLIT:
-        return [Place(p, PlaceExt(field, SPLIT, 0)), Place(p, PlaceExt(field, SPLIT, 1))]
-    return [Place(p, PlaceExt(field, kind, 0))]
+    w = Place(v.p, field)
+    return [w, Place(v.p, field, 1)] if w.kind in (SPLIT, REAL) else [w]
 
 
 # ---------------------------------------------------------------------------
@@ -969,24 +948,23 @@ def _split_valuation(y: QuadElem, p: int, index: int) -> int:
 def _abs_quad(y: QuadElem, v: Place) -> LogMag:
     if y.is_zero:
         raise ValuationOfZero("absolute value of zero")
-    ext = v.ext
-    if ext is None:
+    if v.field is None:
         if y.is_rational:
             return _abs_rational(y.a, v)
         raise FieldMismatch("quadratic element at a place of Q; choose a place above")
-    if ext.field != y.field:
+    if v.field != y.field:
         raise FieldMismatch("element and place belong to different fields")
-    kind = ext.kind
+    kind = v.kind
     if kind in (INERT, RAMIFIED):
         k = multiplicity(y.norm(), v.p)
         return LogMag.exact(Fraction(v.p) ** (-k), 2)
     if kind == SPLIT:
-        return _log_p_power(v.p, _split_valuation(y, v.p, ext.index))
+        return _log_p_power(v.p, _split_valuation(y, v.p, v.index))
     if kind == COMPLEX:
         # |a + b*i*sqrt(|d|)|^2 = a^2 + |d| b^2 = N(y), exactly rational
         return LogMag.exact(y.norm(), 2)
     # real embedding sqrt(d) -> -sqrt(d) (index 1) reads conj(y) under the first
-    z = y if ext.index == 0 else y.conjugate()
+    z = y if v.index == 0 else y.conjugate()
     return LogMag.exact(z if z.sign() > 0 else -z)
 
 

@@ -1,9 +1,10 @@
 """Command line front end for the experiment runners.
 
 Every subcommand reads a JSON config (README.md, "Config format") and prints
-a short human-readable report; --out writes the underlying series as CSV
-and the ratio subcommand can also emit an SVG plot.  Every orbit is
-computed afresh by iterating the map.
+a short human-readable report.  A subcommand takes only the flags it reads:
+--depth where it follows iterates, --out where it has a series to write as
+CSV, and ratio also --svg for a plot.  Every orbit is computed afresh by
+iterating the map.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from ..degree import alpha_estimate
 from ..exactnum import ExactnumError, LogMag
 from ..polydyn import iterate
 from ..singular import (
+    COMPOSE_CAP,
     ExponentMatrix,
     MonomialIdeal,
     efd_estimate,
@@ -44,6 +46,7 @@ from .io import (
 
 
 def _load(args):
+    """The config, with --depth applied."""
     cfg = load_config(args.config)
     if args.depth is not None:
         if args.depth < 0:
@@ -84,7 +87,7 @@ def cmd_orbit(args) -> int:
 
 
 def cmd_weil(args) -> int:
-    cfg = _load(args).require("seed", "divisor")
+    cfg = load_config(args.config).require("seed", "divisor")
     if not cfg.places:
         raise ConfigError("weil needs a nonempty places list")
     table = LocalTable(cfg.divisor, cfg.seed)
@@ -106,7 +109,7 @@ def cmd_alpha(args) -> int:
 
 
 def cmd_lct(args) -> int:
-    cfg = _load(args)
+    cfg = load_config(args.config)
     if cfg.lct is None:
         raise ConfigError("config has no lct section")
     ideal = MonomialIdeal(cfg.lct["nvars"], [tuple(g) for g in cfg.lct["generators"]])
@@ -127,8 +130,7 @@ def cmd_efd(args) -> int:
     cfg = _load(args)
     if cfg.efd is not None:
         mat = ExponentMatrix(tuple(tuple(r) for r in cfg.efd["matrix"]))
-        depth = args.depth if args.depth is not None else 30
-        res = efd_monomial_exact(mat, cfg.efd["target"], depth=depth)
+        res = efd_monomial_exact(mat, cfg.efd["target"], depth=cfg.depth)
         tag = "exact" if res.exact else "enclosure"
         print(f"e rate     = [{res.lower}, {res.upper}] ({tag})")
         if res.no_growth:
@@ -136,7 +138,8 @@ def cmd_efd(args) -> int:
         print(f"s head     = {res.s_seq[:8]}")
         return 0
     cfg.require("map", "divisor")
-    depth = args.depth if args.depth is not None else cfg.depth
+    # composition is symbolic: at most COMPOSE_CAP iterates, as in thm14
+    depth = min(cfg.depth, COMPOSE_CAP)
     est = efd_estimate(cfg.map, cfg.divisor, depth, bound=cfg.param("bound", 2))
     print(f"s sequence = {est.s_seq}")
     print(f"estimate   = {_num(est.exact_estimate or est.estimate)} [{est.label}]")
@@ -144,7 +147,7 @@ def cmd_efd(args) -> int:
 
 
 def cmd_cn(args) -> int:
-    cfg = _load(args)
+    cfg = load_config(args.config)
     if cfg.cn is None:
         raise ConfigError("config has no cn section")
     blk = cfg.cn
@@ -225,17 +228,27 @@ def cmd_thm17(args) -> int:
     return 0
 
 
+_FLAGS = {
+    "--depth": dict(type=int, help="override config depth"),
+    "--out": dict(help="write the series as CSV here"),
+    "--svg": dict(help="write an SVG plot here"),
+    "--eps-prime": dict(type=_fraction, help="override params.eps_prime"),
+    "--eps": dict(type=_fraction, help="override params.eps"),
+}
+
+# subcommand -> (runner, help, the flags it reads)
 _COMMANDS = {
-    "orbit": (cmd_orbit, "iterate the map and print exact heights"),
-    "weil": (cmd_weil, "local divisor terms at the seed point"),
-    "alpha": (cmd_alpha, "orbit height growth-rate estimators"),
-    "lct": (cmd_lct, "log canonical threshold of a monomial ideal"),
-    "efd": (cmd_efd, "pullback multiplicity growth rate"),
-    "cn": (cmd_cn, "coordinate-size inequality constants"),
-    "ratio": (cmd_ratio, "proximity ratio series along an orbit"),
-    "gap": (cmd_gap, "inequality gap series (orbit or sample mode)"),
-    "thm14": (cmd_thm14, "growth hypothesis report"),
-    "thm17": (cmd_thm17, "exceptional-set membership report"),
+    "orbit": (cmd_orbit, "iterate the map and print exact heights", ("--depth", "--out")),
+    "weil": (cmd_weil, "local divisor terms at the seed point", ()),
+    "alpha": (cmd_alpha, "orbit height growth-rate estimators", ("--depth",)),
+    "lct": (cmd_lct, "log canonical threshold of a monomial ideal", ()),
+    "efd": (cmd_efd, "pullback multiplicity growth rate", ("--depth",)),
+    "cn": (cmd_cn, "coordinate-size inequality constants", ()),
+    "ratio": (cmd_ratio, "proximity ratio series along an orbit", ("--depth", "--out", "--svg")),
+    "gap": (cmd_gap, "inequality gap series (orbit or sample mode)",
+            ("--depth", "--out", "--eps-prime")),
+    "thm14": (cmd_thm14, "growth hypothesis report", ("--depth",)),
+    "thm17": (cmd_thm17, "exceptional-set membership report", ("--depth", "--eps")),
 }
 
 
@@ -245,19 +258,11 @@ def main(argv=None) -> int:
         description="exact-arithmetic experiments for orbit heights and local terms",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (func, help_text) in _COMMANDS.items():
+    for name, (func, help_text, flags) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("config", help="path to a JSON experiment config")
-        p.add_argument("--depth", type=int, default=None, help="override config depth")
-        p.add_argument("--out", default=None, help="write the series as CSV here")
-        if name == "ratio":
-            p.add_argument("--svg", default=None, help="write an SVG plot here")
-        if name == "gap":
-            p.add_argument(
-                "--eps-prime", type=_fraction, default=None, help="override params.eps_prime"
-            )
-        if name == "thm17":
-            p.add_argument("--eps", type=_fraction, default=None, help="override params.eps")
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
         p.set_defaults(func=func)
     args = parser.parse_args(argv)
     try:

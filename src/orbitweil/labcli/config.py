@@ -167,8 +167,7 @@ _BLOCKS = {
         ("nvars", "generators"),
     ),
     "efd": (
-        {"matrix": _nonempty(_nonempty(_at_least(0))), "target": _at_least(0),
-         "bound": _at_least(1)},
+        {"matrix": _nonempty(_nonempty(_at_least(0))), "target": _at_least(0)},
         ("matrix", "target"),
     ),
     "cn": (
@@ -179,6 +178,9 @@ _BLOCKS = {
 }
 
 _SECTIONS = ("map", "seed", "divisor", "places", "twist", "depth", "params", *_BLOCKS)
+# the params some runner reads: thm14 (e, eps, eps0, bound), thm17 (eps),
+# gap (eps_prime) and efd (bound)
+_PARAMS = ("e", "eps", "eps0", "eps_prime", "bound")
 
 
 def _block(data: dict, name: str) -> dict | None:
@@ -264,7 +266,7 @@ def parse_config(data: dict) -> ExperimentConfig:
 
     params = {
         k: _fraction(v, f"params/{k}")
-        for k, v in _object(data.get("params", {}), "params").items()
+        for k, v in _object(data.get("params", {}), "params", _PARAMS).items()
     }
     if "bound" in params:
         # thm14 and efd search the weights v with |v|_inf <= bound

@@ -357,10 +357,6 @@ class ProjPoint:
         object.__setattr__(point, "coords", tuple(coords))
         return point
 
-    @property
-    def dim_ambient(self) -> int:
-        return len(self.coords) - 1
-
     def __str__(self) -> str:
         """`(x0:x1:...)`: decimal below 10**4300, Python's limit on int-to-decimal
         conversion, and `0x` hex from there on; `int(token, 0)` reads both back."""
@@ -534,9 +530,6 @@ class OrbitRecord:
     @property
     def depth(self) -> int:
         return len(self.steps) - 1
-
-    def points(self) -> list[ProjPoint]:
-        return [s.point for s in self.steps]
 
     def heights(self) -> list[LogMag]:
         return [s.h for s in self.steps]

@@ -577,14 +577,23 @@ class EfdResult:
 
     lower: Fraction
     upper: Fraction
-    exact: bool
-    value: Fraction | None
     s_seq: tuple
     ratios: tuple
     roots: tuple
     column_seq: tuple
-    no_growth: bool
     note: str = ""
+
+    @property
+    def exact(self) -> bool:
+        return self.lower == self.upper
+
+    @property
+    def value(self) -> Fraction | None:
+        return self.lower if self.exact else None
+
+    @property
+    def no_growth(self) -> bool:
+        return self.value == 1
 
 
 def efd_monomial_exact(
@@ -629,14 +638,6 @@ def efd_monomial_exact(
             sub = [[A.entries[i][j] for j in comp] for i in comp]
             clo, chi = _spectral_enclosure(sub, tol)
         lo, hi = max(lo, clo), max(hi, chi)
-    exact = lo == hi
-    if hi == 0:
-        # unreachable under the no-zero-column invariant; kept as the
-        # documented sentinel for hand-built degenerate data
-        return EfdResult(
-            Fraction(1), Fraction(1), True, Fraction(1), (), (), (), (),
-            no_growth=True, note="no ramification growth; value 1 by convention",
-        )
 
     s_seq = []
     column_seq = []
@@ -646,17 +647,8 @@ def efd_monomial_exact(
         s_seq.append(max(col))
     ratios = tuple(Fraction(s_seq[i + 1], s_seq[i]) for i in range(len(s_seq) - 1))
     roots = tuple(s ** (1.0 / n) for n, s in enumerate(s_seq, start=1))
-
-    if exact:
-        value = lo
-        return EfdResult(
-            lo, lo, True, value, tuple(s_seq), ratios, roots, tuple(column_seq),
-            no_growth=(value == 1),
-        )
-    return EfdResult(
-        lo, hi, False, None, tuple(s_seq), ratios, roots, tuple(column_seq),
-        no_growth=False, note=f"certified enclosure, width <= {float(hi - lo):.3g}",
-    )
+    note = "" if lo == hi else f"certified enclosure, width <= {float(hi - lo):.3g}"
+    return EfdResult(lo, hi, tuple(s_seq), ratios, roots, tuple(column_seq), note)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,10 @@ max_m |x^m|_v = max_i |x_i|_v^e, its lambda is the textbook local height
     lambda_D(x, v) = weight * (e * log max_i |x_i|_v - log|s_D(x)|_v)
 
 (Hindry-Silverman, Diophantine Geometry, GTM 201, Part B), which
-weil_local computes in this closed form.  Points are primitive integer
+weil_local computes in this closed form.  A presentation is default when
+its families are exactly these, in any order, however it was built;
+is_default reads that off the families, and scaling s_D keeps it, as
+log|c|_v cancels in both paths.  Points are primitive integer
 vectors, so max_i |x_i|_v = 1 at every finite v; the terms are exact at
 every place and sum over all places to weight * e * h(x) on the nose.
 
@@ -76,7 +79,6 @@ class DivisorPresentation:
     numer: tuple[HomogPoly, ...]
     denom: tuple[HomogPoly, ...]
     weight: Fraction = Fraction(1)
-    is_default: bool = False
 
     def __post_init__(self) -> None:
         if self.sd.is_zero:
@@ -106,7 +108,7 @@ class DivisorPresentation:
         nv, e = g.nvars, g.degree
         numer = tuple(HomogPoly.monomial(m) for m in monomials_of_degree(nv, e))
         denom = (HomogPoly(nv, 0, {(0,) * nv: Fraction(1)}),)
-        return cls(g, numer, denom, Fraction(weight), is_default=True)
+        return cls(g, numer, denom, Fraction(weight))
 
     # -- inspection -------------------------------------------------------------
 
@@ -117,6 +119,19 @@ class DivisorPresentation:
     @property
     def degree(self) -> int:
         return self.sd.degree
+
+    @cached_property
+    def is_default(self) -> bool:
+        """Whether the families are the monomials of their degree, each once, and 1.
+
+        Such a presentation takes the closed form, whatever s_D is.
+        """
+        nv = self.nvars
+        return (
+            self.denom == (HomogPoly(nv, 0, {(0,) * nv: 1}),)
+            and len(self.numer) == len(monomials_of_degree(nv, self.degree))
+            and self._full_monomials()
+        )
 
     @cached_property
     def field(self) -> Optional[QuadField]:
@@ -135,7 +150,6 @@ class DivisorPresentation:
             tuple(g.conjugate() for g in self.numer),
             tuple(g.conjugate() for g in self.denom),
             self.weight,
-            self.is_default,
         )
 
     def scaled(self, c: RationalLike) -> "DivisorPresentation":
@@ -143,11 +157,11 @@ class DivisorPresentation:
         c = Fraction(c)
         if c == 0:
             raise ValueError("scale must be nonzero")
-        return DivisorPresentation(self.sd * c, self.numer, self.denom, self.weight, False)
+        return DivisorPresentation(self.sd * c, self.numer, self.denom, self.weight)
 
     def with_extra_numerator(self, g: HomogPoly) -> "DivisorPresentation":
         """Enlarged numerator family generating the same sheaf if g lies in it."""
-        return DivisorPresentation(self.sd, self.numer + (g,), self.denom, self.weight, False)
+        return DivisorPresentation(self.sd, self.numer + (g,), self.denom, self.weight)
 
     def nonnegativity_constant(self) -> Optional[LogMag]:
         """c with lambda_D(x, v) >= -c at every place, for x off the support.
@@ -185,8 +199,8 @@ def _choose_place(d: DivisorPresentation, v: Place) -> Place:
     field = d.field
     if field is None:
         return v
-    if v.ext is not None:
-        if v.ext.field != field:
+    if v.field is not None:
+        if v.field != field:
             raise FieldMismatch("place extends a different quadratic field")
         return v
     return places_above(v, field)[0]

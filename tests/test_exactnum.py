@@ -89,17 +89,36 @@ def test_product_formula_over_q(exps, big, big_exp, negative):
 
 def test_splitting_classification():
     F2 = QuadField(2)
-    assert [w.ext.kind for w in places_above(Place.finite(7), F2)] == ["split", "split"]
-    assert [w.ext.kind for w in places_above(Place.finite(5), F2)] == ["inert"]
-    assert [w.ext.kind for w in places_above(Place.finite(2), F2)] == ["ramified"]
-    assert [w.ext.kind for w in places_above(INF, F2)] == ["real", "real"]
-    assert [w.ext.kind for w in places_above(INF, QuadField(-1))] == ["complex"]
-    assert [w.ext.kind for w in places_above(Place.finite(2), QuadField(-7))] == ["split", "split"]
-    assert [w.ext.kind for w in places_above(Place.finite(2), QuadField(-1))] == ["ramified"]
-    assert [w.ext.kind for w in places_above(Place.finite(2), QuadField(5))] == ["inert"]
+    assert [w.kind for w in places_above(Place.finite(7), F2)] == ["split", "split"]
+    assert [w.kind for w in places_above(Place.finite(5), F2)] == ["inert"]
+    assert [w.kind for w in places_above(Place.finite(2), F2)] == ["ramified"]
+    assert [w.kind for w in places_above(INF, F2)] == ["real", "real"]
+    assert [w.kind for w in places_above(INF, QuadField(-1))] == ["complex"]
+    assert [w.kind for w in places_above(Place.finite(2), QuadField(-7))] == ["split", "split"]
+    assert [w.kind for w in places_above(Place.finite(2), QuadField(-1))] == ["ramified"]
+    assert [w.kind for w in places_above(Place.finite(2), QuadField(5))] == ["inert"]
     # local degrees
     assert [w.local_degree for w in places_above(Place.finite(5), F2)] == [2]
     assert [w.local_degree for w in places_above(Place.finite(7), F2)] == [1, 1]
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 17, -1, -7])
+def test_a_place_takes_its_kind_from_its_field_and_prime(d):
+    F = QuadField(d)
+    for p in [None] + [p for p in range(2, 60) if is_prime(p)]:
+        above = places_above(Place(p), F)
+        two = above[0].kind in ("split", "real")
+        assert above[0] == Place(p, F) and len(above) == 1 + two
+        if two:
+            assert Place(p, F, 1) == above[1]
+        else:
+            with pytest.raises(ValueError):
+                Place(p, F, 1)
+        for index in (2, -1):
+            with pytest.raises(ValueError):
+                Place(p, F, index)
+        with pytest.raises(ValueError):
+            Place(p, None, 1)
 
 
 def test_abs_value_quadratic_examples():
@@ -228,7 +247,7 @@ def test_split_valuation_is_the_order_of_a_plus_b_root(d, x, z, k, c):
     norm = A * A - d * B * B
     for p in _PRIMES_BELOW_100:
         places = places_above(Place.finite(p), F)
-        if places[0].ext.kind != "split":
+        if places[0].kind != "split":
             continue
         prec = padic_valuation(norm, p) + 2
         s0 = _root_of_d(d, p, prec)

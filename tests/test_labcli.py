@@ -130,7 +130,7 @@ _GOOD = {
     "seed": ["2", "1"],
 }
 _LCT = {"nvars": 2, "generators": [[2, 0], [0, 3]], "bound": 3}
-_EFD = {"matrix": [[2, 1], [0, 2]], "target": 0, "bound": 2}
+_EFD = {"matrix": [[2, 1], [0, 2]], "target": 0}
 _CN = {"m_list": [2, 3, 2], "dim": 2, "delta": "2", "m": 2, "n": 2}
 
 
@@ -210,8 +210,8 @@ _VIOLATIONS = [
     ({"efd": {**_EFD, "matrix": [[]]}}, "efd/matrix/0"),
     ({"efd": {**_EFD, "matrix": [[1, -2]]}}, "efd/matrix/0/1"),
     ({"efd": {**_EFD, "target": -1}}, "efd/target"),
-    ({"efd": {**_EFD, "bound": 0}}, "efd/bound"),
     ({"efd": {**_EFD, "extra": 1}}, "efd"),
+    ({"efd": {**_EFD, "bound": 2}}, "efd"),  # read by nothing
     ({"cn": {k: v for k, v in _CN.items() if k != "n"}}, "cn"),
     ({"cn": {**_CN, "m_list": []}}, "cn/m_list"),
     ({"cn": {**_CN, "m_list": [2, 0]}}, "cn/m_list/1"),
@@ -507,7 +507,7 @@ def test_quadratic_audit_is_an_equality_check(monkeypatch):
 
     def shifted(d, x, w, **kw):
         lam = local(d, x, w, **kw)
-        return lam + off if w.is_archimedean and w.ext.index == 1 else lam
+        return lam + off if w.is_archimedean and w.index == 1 else lam
 
     monkeypatch.setattr(weil, "weil_local", shifted)
     with pytest.raises(AuditFailure):
@@ -1034,3 +1034,32 @@ def test_orbits_are_recomputed_without_an_on_disk_cache(tmp_path, capsys, monkey
     for runner in (run_ratio_experiment, run_gap_experiment, thm14_hypothesis_report):
         with pytest.raises(TypeError, match="orbit cache removed"):
             runner(parsed, cache=str(cache_dir))
+
+
+def test_efd_on_the_readme_config_clamps_depth_to_the_composition_cap(tmp_path, capsys):
+    cfg = _readme_cfg_file(tmp_path)
+    for argv, terms in (([], 6), (["--depth", "3"], 3)):
+        assert main(["efd", cfg, *argv]) == 0
+        line = capsys.readouterr().out.splitlines()[0]
+        assert line.startswith("s sequence = (") and line.count("Fraction(") == terms
+
+
+_DROPPED_FLAGS = [
+    *((cmd, "--out") for cmd in ("weil", "alpha", "lct", "efd", "cn", "thm14", "thm17")),
+    *((cmd, "--depth") for cmd in ("weil", "lct", "cn")),
+]
+
+
+@pytest.mark.parametrize("command, flag", _DROPPED_FLAGS)
+def test_cli_refuses_a_flag_its_subcommand_does_not_read(tmp_path, capsys, command, flag):
+    with pytest.raises(SystemExit) as exc:
+        main([command, _readme_cfg_file(tmp_path), flag, "1"])
+    assert exc.value.code == 2
+    assert flag in capsys.readouterr().err
+
+
+def test_config_accepts_only_the_params_a_runner_reads():
+    with pytest.raises(ConfigError, match="^params: unknown key 'epsilon_typo'$"):
+        parse_config({**_GOOD, "params": {"eps": "1", "epsilon_typo": "1"}})
+    params = {k: "1" for k in ("e", "eps", "eps0", "eps_prime", "bound")}
+    assert parse_config({**_GOOD, "params": params}).param("bound") == 1

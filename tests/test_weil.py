@@ -1,4 +1,3 @@
-import dataclasses
 import random
 from fractions import Fraction
 
@@ -309,7 +308,9 @@ _ternary_points = st.tuples(*[st.integers(-10**4, 10**4)] * 3).filter(any)
 def _assert_closed_form_is_general_path(d, x, places):
     """weil_local of default d equals the max_j path on the same presentation."""
     assert d.is_default
-    general = dataclasses.replace(d, is_default=False)
+    # one monomial listed twice: the same lambda through the max_j path
+    general = d.with_extra_numerator(d.numer[0])
+    assert not general.is_default
     _, parts = LocalTable(d, x).all_places(parts=True)
     for w in {*places, *(w for w, _ in parts if w is not None)}:
         assert weil_local(d, x, w) == weil_local(general, x, w)
@@ -333,8 +334,23 @@ def test_closed_form_equals_general_path_over_Q_sqrt2(d, coords, S):
     x = P(*coords)
     assume(not d.support_test(x))
     # every place of Q(sqrt 2) above the sampled places of Q, both real ones included
-    above = [w for v in S if v.ext is None for w in places_above(v, _F2)]
+    above = [w for v in S if v.field is None for w in places_above(v, _F2)]
     _assert_closed_form_is_general_path(d, x, S + above)
+
+
+def test_a_hand_built_default_presentation_is_default():
+    x = P(16, 3)
+    for g in (HomogPoly.from_terms(2, {(2, 0): 1, (1, 1): -3, (0, 2): 5}),
+              HomogPoly.from_terms(2, {(1, 0): _F2.element(1), (0, 1): _F2.element(0, -1)})):
+        ref = DivisorPresentation.hypersurface(g, weight=Fraction(2, 3))
+        d = DivisorPresentation(g, ref.numer[::-1], (HomogPoly.monomial([0, 0]),), ref.weight)
+        assert d.is_default
+        assert LocalTable(d, x).all_places(parts=True) == LocalTable(ref, x).all_places(parts=True)
+    # a single monomial is not the whole family: the general path, log 1 at (1:2)
+    x_only = DivisorPresentation(line(1, -3).sd, (HomogPoly.monomial([1, 0]),),
+                                 (HomogPoly.monomial([0, 0]),))
+    assert not x_only.is_default
+    assert weil_global(x_only, P(1, 2)) == LogMag.zero()
 
 
 def test_default_table_evaluates_s_D_once(monkeypatch):
@@ -428,7 +444,6 @@ def test_base_makes_non_default_presentations_exact_past_trial_division():
         (_twisted(line_xy, HomogPoly.from_terms(2, {(0, 1): M61})), M89),
         (DivisorPresentation(line_xy.sd, line_xy.numer, line_xy.denom, Fraction(3, 2)), M61 * M89),
     ):
-        assert not d.is_default
         total, parts = weil_global(d, x, parts=True)
         assert total == h * d.weight
         assert (None, LogMag.exact(b) * d.weight) in parts
@@ -456,4 +471,13 @@ def test_quadratic_non_default_with_a_cofactor_still_loses_exactness():
     dF = DivisorPresentation.hypersurface(g)
     assert galois_symmetrized(dF, x) == height(x)
     with pytest.raises(ExactnessLost):
-        galois_symmetrized(dF.scaled(3), x)
+        galois_symmetrized(dF.with_extra_numerator(dF.numer[0]), x)
+
+
+def test_scaled_quadratic_presentation_is_default_past_trial_division():
+    F = QuadField(2)
+    g = HomogPoly.from_terms(2, {(1, 0): F.element(1), (0, 1): -F.sqrt_gen()})
+    dF = DivisorPresentation.hypersurface(g)
+    x = P(M61 * M89, 1)
+    assert dF.scaled(3).is_default
+    assert galois_symmetrized(dF.scaled(3), x) == height(x)
