@@ -141,7 +141,7 @@ def cmd_efd(args) -> int:
     # composition is symbolic: at most COMPOSE_CAP iterates, as in thm14
     depth = min(cfg.depth, COMPOSE_CAP)
     est = efd_estimate(cfg.map, cfg.divisor, depth, bound=cfg.param("bound", 2))
-    print(f"s sequence = {est.s_seq}")
+    print(f"s sequence = ({', '.join(map(str, est.s_seq))})")
     print(f"estimate   = {_num(est.exact_estimate or est.estimate)} [{est.label}]")
     return 0
 

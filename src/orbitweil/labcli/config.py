@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from ..exactnum import ExactnumError, Place, QuadElem, QuadField, is_prime
@@ -206,7 +206,6 @@ class ExperimentConfig:
     lct: dict | None
     efd: dict | None
     cn: dict | None
-    raw: dict = field(repr=False, default_factory=dict)
 
     def param(self, name: str, default=None) -> Fraction | int | None:
         if name in self.params:
@@ -287,7 +286,6 @@ def parse_config(data: dict) -> ExperimentConfig:
         lct=_block(data, "lct"),
         efd=_block(data, "efd"),
         cn=_block(data, "cn"),
-        raw=data,
     )
 
 

@@ -94,7 +94,6 @@ class RatioRow:
 
 @dataclass(frozen=True)
 class RatioSeries:
-    map_id: str
     rows: tuple
     skips: int
     degenerate: bool
@@ -134,8 +133,7 @@ def _series_rows(cfg: ExperimentConfig):
     cfg.require("map", "seed", "divisor")
     if not cfg.places:
         raise ConfigError("experiment needs a nonempty set of places S")
-    f = _gate(cfg.map)
-    orbit = iterate(f, cfg.seed, cfg.depth)
+    orbit = iterate(_gate(cfg.map), cfg.seed, cfg.depth)
     d = cfg.divisor
     rows = []
     skips = 0
@@ -160,7 +158,7 @@ def _series_rows(cfg: ExperimentConfig):
         rows.append(RatioRow(step.n, x, h_line, lam, lam_all, exact, bounds, False))
     if skips == len(rows):
         raise ValueError("every orbit step lies on the divisor support")
-    return f, rows, skips
+    return rows, skips
 
 
 def run_ratio_experiment(cfg: ExperimentConfig, cache=None) -> RatioSeries:
@@ -171,11 +169,10 @@ def run_ratio_experiment(cfg: ExperimentConfig, cache=None) -> RatioSeries:
     degenerate and gets no trend verdict.
     """
     _refuse_cache(cache)
-    f, rows, skips = _series_rows(cfg)
+    rows, skips = _series_rows(cfg)
     degenerate = 2 * skips > cfg.depth
     verdict, value = _ratio_verdict(rows, degenerate)
     return RatioSeries(
-        map_id=f.map_id,
         rows=tuple(rows),
         skips=skips,
         degenerate=degenerate,
@@ -199,7 +196,6 @@ class GapRow:
 @dataclass(frozen=True)
 class GapSeries:
     mode: str  # "orbit" or "sample"
-    ident: str
     eps_prime: Fraction
     rows: tuple
     skips: int
@@ -275,13 +271,12 @@ def run_gap_experiment(cfg: ExperimentConfig, eps_prime=None, cache=None) -> Gap
             cfg.sample.get("seed", 0),
         )
         triples = [(i, p, height(p)) for i, p in enumerate(pts)]
-        mode, ident = "sample", f"sample-h{cfg.sample['height_bound']}"
+        mode = "sample"
     else:
         cfg.require("map", "seed")
-        f = _gate(cfg.map)
-        orbit = iterate(f, cfg.seed, cfg.depth)
+        orbit = iterate(_gate(cfg.map), cfg.seed, cfg.depth)
         triples = [(s.n, s.point, s.h) for s in orbit.steps]
-        mode, ident = "orbit", f.map_id
+        mode = "orbit"
     coef = eps_prime * cfg.twist + d.nvars
     rows = []
     negatives = []
@@ -303,7 +298,6 @@ def run_gap_experiment(cfg: ExperimentConfig, eps_prime=None, cache=None) -> Gap
         raise ValueError("every sampled point lies on the divisor support")
     return GapSeries(
         mode=mode,
-        ident=ident,
         eps_prime=eps_prime,
         rows=tuple(rows),
         skips=skips,
@@ -484,7 +478,7 @@ def thm14_hypothesis_report(cfg: ExperimentConfig, cache=None) -> Thm14Report:
 @dataclass(frozen=True)
 class Thm17Report:
     eps: Fraction
-    liminf: object  # Fraction when every tail ratio is exact, float otherwise
+    liminf: Fraction
     window: tuple
     rows: tuple  # (n, ratio_all, ratio_outside)
     flagged: tuple
@@ -497,8 +491,9 @@ def thm17_set_membership(cfg: ExperimentConfig, eps=None) -> Thm17Report:
 
     The liminf of (sum over all places) / h is estimated as the minimum
     over the last third of the usable rows; a point is flagged when
-    (lambda_all - lambda_S) / h <= liminf - eps, with the comparison done
-    exactly whenever the liminf is an exact rational.
+    (lambda_all - lambda_S) / h <= liminf - eps, compared exactly.  The
+    audit identity makes every lambda_all / h equal weight * deg / twist,
+    so the liminf is an exact rational.
     """
     if eps is None:
         eps = cfg.param("eps")
@@ -507,7 +502,7 @@ def thm17_set_membership(cfg: ExperimentConfig, eps=None) -> Thm17Report:
     eps = Fraction(eps)
     if eps <= 0:
         raise ConfigError("eps must be positive")
-    _, rows, _ = _series_rows(cfg)
+    rows, _ = _series_rows(cfg)
     usable = [r for r in rows if not r.skipped]
     if len(usable) < 5:
         raise ValueError("need at least 5 usable rows for a liminf proxy")
@@ -518,26 +513,17 @@ def thm17_set_membership(cfg: ExperimentConfig, eps=None) -> Thm17Report:
 
     k = max(1, math.ceil(len(usable) / 3))
     tail = usable[-k:]
-    tail_vals = [_ratio_value(r.lambda_all, r.h) for r in tail]
-    if all(isinstance(v, Fraction) for v in tail_vals):
-        liminf = min(tail_vals)
-    else:
-        liminf = min(float(v) for v in tail_vals)
-    threshold = liminf - eps if isinstance(liminf, Fraction) else liminf - float(eps)
+    liminf = min(r.lambda_all.ratio_exact(r.h) for r in tail)
+    threshold = liminf - eps
     report_rows = []
     flagged = []
     flagged_points = []
     for r in usable:
         out_term = r.lambda_all - r.lambda_S
-        if isinstance(threshold, Fraction):
-            hit = out_term.compare(r.h * threshold) <= 0
-            out_val = _ratio_value(out_term, r.h)
-        else:
-            lo, hi = out_term.ratio_interval(r.h)
-            out_val = 0.5 * (lo + hi)
-            hit = out_val <= threshold + 1e-12
-        report_rows.append((r.n, _ratio_value(r.lambda_all, r.h), out_val))
-        if hit:
+        report_rows.append(
+            (r.n, _ratio_value(r.lambda_all, r.h), _ratio_value(out_term, r.h))
+        )
+        if out_term.compare(r.h * threshold) <= 0:
             flagged.append(r.n)
             flagged_points.append(r.point)
     return Thm17Report(

@@ -7,7 +7,6 @@ exact: the nonarchimedean contributions vanish by primitivity.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -300,13 +299,6 @@ class HomogPoly:
         """Exponent vectors after setting x_k = 1 (coordinate chart k)."""
         return [e[:k] + e[k + 1 :] for e in self.terms]
 
-    def canonical_key(self) -> str:
-        rows = [
-            ",".join(map(str, e)) + ":" + _coeff_str(c)
-            for e, c in sorted(self.terms.items())
-        ]
-        return f"{self.nvars}|{self.degree}|" + ";".join(rows)
-
 
 def monomials_of_degree(nvars: int, degree: int) -> list[tuple[int, ...]]:
     out = []
@@ -447,13 +439,6 @@ class Morphism:
         """Macaulay determinant of `integral_forms`, computed once per map."""
         return macaulay_determinant(self.integral_forms)
 
-    @property
-    def map_id(self) -> str:
-        # joint scaling (c*F_0, ..., c*F_n) defines the same map, so the hash
-        # is taken over the joint integer normal form
-        payload = "||".join(f.canonical_key() for f in self.integral_forms)
-        return hashlib.sha256(payload.encode()).hexdigest()
-
     def __repr__(self) -> str:
         return f"Morphism[{', '.join(map(repr, self.forms))}]"
 
@@ -523,7 +508,6 @@ class OrbitStep:
 
 @dataclass(frozen=True)
 class OrbitRecord:
-    map_id: str
     seed: ProjPoint
     steps: tuple[OrbitStep, ...]
 
@@ -544,7 +528,7 @@ def iterate(f: Morphism, seed: ProjPoint, depth: int) -> OrbitRecord:
     for n in range(1, depth + 1):
         x = evaluate(f, x)
         steps.append(OrbitStep(n, x, height(x)))
-    return OrbitRecord(f.map_id, seed, tuple(steps))
+    return OrbitRecord(seed, tuple(steps))
 
 
 def pullback(f: Morphism, g: HomogPoly) -> HomogPoly:

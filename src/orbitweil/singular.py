@@ -8,13 +8,17 @@ The exact pieces are:
 * lct of a monomial ideal through the (1,...,1) scaling criterion, with a
   monomial-valuation witness recovered from the optimal vertex,
 * spectral data of exponent matrices of monomial self-maps, giving the
-  growth rate of ord((f^n)* D) along coordinate divisors.
+  growth rate of ord((f^n)* D) along coordinate divisors: the strongly
+  connected pieces come from one transitive closure of the exponent
+  digraph, and the columns of A^n from the recurrence col_n = A col_{n-1}.
 
 Everything that is only a bound is labeled as such.  The valuation family
 used by the estimators (coordinate hyperplanes plus monomial valuations of
-bounded weight on each standard chart) is explicit, and results computed
-from it are tagged "family-restricted" or "lower-bound-family"; exactness
-is claimed only where the family is provably sufficient.
+bounded weight on each standard chart) is explicit, and one scan of it,
+`lct_valuation_search`, serves both the lct upper bound and the family
+multiplicity, its reciprocal.  Results computed from the family are tagged
+"family-restricted" or "lower-bound-family"; exactness is claimed only
+where the family is provably sufficient.
 """
 
 from __future__ import annotations
@@ -339,11 +343,10 @@ def lct_monomial(ideal: MonomialIdeal) -> LctResult:
     ordw = ideal.ord_along(witness)
     if ordw <= 0 or Fraction(sum(witness), ordw) != value:
         raise ArithmeticError("witness verification failed")
-    newt = NewtonPolyhedron(ideal)
-    if not newt.contains([mu] * n):
+    # the witness also proves maximality: for t < mu, <w, t*1> = t*sum(w) is
+    # below mu*sum(w) = ord_w(I), so t*1 lies outside the Newton polyhedron
+    if not NewtonPolyhedron(ideal).contains([mu] * n):
         raise ArithmeticError("boundary point escaped the Newton polyhedron")
-    if newt.contains([mu * Fraction(999, 1000)] * n):
-        raise ArithmeticError("claimed lct is not maximal")
     return LctResult(value, value, "howald-LP", witness=witness)
 
 
@@ -433,8 +436,6 @@ def lct_form_interval(ideal: MonomialIdeal, bound: int) -> LctResult:
         return LCT_INFINITE
     lo = Fraction(1, max_ord_over_family(ideal, bound))
     up = lct_valuation_search(ideal, bound).upper
-    if lo > up:
-        lo = up
     return LctResult(lo, up, "interval", note=f"family bound {bound}; not exact")
 
 
@@ -466,85 +467,17 @@ class ExponentMatrix:
         self.entries = entries
         self.size = k
 
-    def power(self, n: int):
-        """A^n as a list of rows of Python ints (n >= 0)."""
-        if n < 0:
-            raise ValueError("negative power")
-        k = self.size
-        result = [[1 if i == j else 0 for j in range(k)] for i in range(k)]
-        base = [list(r) for r in self.entries]
-        e = n
-        while e:
-            if e & 1:
-                result = _mat_mul(result, base)
-            e >>= 1
-            if e:
-                base = _mat_mul(base, base)
-        return result
-
-    def column(self, n: int, j: int):
-        p = self.power(n)
-        return tuple(p[i][j] for i in range(self.size))
-
     def __repr__(self):
         return f"ExponentMatrix({[list(r) for r in self.entries]})"
 
 
-def _mat_mul(a, b):
-    k = len(a)
-    return [[sum(a[i][t] * b[t][j] for t in range(k)) for j in range(k)] for i in range(k)]
+# _spectral_enclosure stops once its enclosure is this narrow, or after
+# this many power steps
+_ENCLOSURE_WIDTH = Fraction(1, 10**8)
+_POWER_STEPS = 500
 
 
-def _strongly_connected_components(adj):
-    """Tarjan's algorithm, iterative; adj maps node -> iterable of nodes."""
-    index = {}
-    low = {}
-    on_stack = set()
-    stack = []
-    comps = []
-    counter = [0]
-
-    for root in adj:
-        if root in index:
-            continue
-        work = [(root, iter(adj[root]))]
-        index[root] = low[root] = counter[0]
-        counter[0] += 1
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            node, it = work[-1]
-            advanced = False
-            for nxt in it:
-                if nxt not in index:
-                    index[nxt] = low[nxt] = counter[0]
-                    counter[0] += 1
-                    stack.append(nxt)
-                    on_stack.add(nxt)
-                    work.append((nxt, iter(adj[nxt])))
-                    advanced = True
-                    break
-                if nxt in on_stack:
-                    low[node] = min(low[node], index[nxt])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-            if low[node] == index[node]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.append(w)
-                    if w == node:
-                        break
-                comps.append(tuple(sorted(comp)))
-    return comps
-
-
-def _spectral_enclosure(sub, tol: Fraction, max_iter: int = 500):
+def _spectral_enclosure(sub):
     """Certified enclosure of the Perron root of an irreducible matrix.
 
     Works on B + I (primitive whenever B is irreducible) and subtracts 1.
@@ -555,13 +488,13 @@ def _spectral_enclosure(sub, tol: Fraction, max_iter: int = 500):
     shifted = [[sub[i][j] + (1 if i == j else 0) for j in range(k)] for i in range(k)]
     x = [Fraction(1)] * k
     lo, hi = None, None
-    for _ in range(max_iter):
+    for _ in range(_POWER_STEPS):
         y = [sum(shifted[i][j] * x[j] for j in range(k)) for i in range(k)]
         ratios = [y[i] / x[i] for i in range(k)]
         cur_lo, cur_hi = min(ratios), max(ratios)
         lo = cur_lo if lo is None else max(lo, cur_lo)
         hi = cur_hi if hi is None else min(hi, cur_hi)
-        if hi - lo <= tol:
+        if hi - lo <= _ENCLOSURE_WIDTH:
             break
         top = max(y)
         x = []
@@ -596,59 +529,50 @@ class EfdResult:
         return self.value == 1
 
 
-def efd_monomial_exact(
-    A: ExponentMatrix,
-    target_column: int,
-    depth: int = 30,
-    tol: Fraction = Fraction(1, 10**8),
-) -> EfdResult:
+def efd_monomial_exact(A: ExponentMatrix, target_column: int, depth: int = 30) -> EfdResult:
     """Growth rate of max_i (A^n)_{i,target}: the multiplicity growth of the
     iterated pullbacks of the target coordinate divisor.
 
     The rate is the largest Perron root among the strongly connected pieces
     of the exponent digraph that reach the target.  Single-node pieces give
     it exactly (their loop weight); larger pieces get a certified rational
-    enclosure of width <= tol.
+    enclosure of width <= 10^-8 (or the narrowest one 500 power steps reach).
     """
     k = A.size
     if not 0 <= target_column < k:
         raise ValueError("target column out of range")
+    a = A.entries
 
-    adj = {i: [j for j in range(k) if A.entries[i][j] > 0] for i in range(k)}
-    # nodes that reach the target along directed edges
-    radj = {i: [j for j in range(k) if A.entries[j][i] > 0] for i in range(k)}
-    relevant = {target_column}
-    frontier = [target_column]
-    while frontier:
-        node = frontier.pop()
-        for prev in radj[node]:
-            if prev not in relevant:
-                relevant.add(prev)
-                frontier.append(prev)
-
-    lo = Fraction(0)
-    hi = Fraction(0)
-    for comp in _strongly_connected_components(adj):
-        if not any(node in relevant for node in comp):
-            continue
-        if len(comp) == 1:
-            node = comp[0]
-            clo = chi = Fraction(A.entries[node][node])
+    # Warshall closure: bit j of reach[i] is set iff a path i -> j exists
+    reach = [sum(1 << j for j in range(k) if a[i][j]) for i in range(k)]
+    for t in range(k):
+        for i in range(k):
+            if reach[i] >> t & 1:
+                reach[i] |= reach[t]
+    pieces = {
+        tuple(j for j in range(k) if j == i or reach[i] >> j & reach[j] >> i & 1)
+        for i in range(k)
+        if i == target_column or reach[i] >> target_column & 1
+    }
+    lo = hi = Fraction(0)
+    for piece in pieces:
+        if len(piece) == 1:
+            clo = chi = Fraction(a[piece[0]][piece[0]])
         else:
-            sub = [[A.entries[i][j] for j in comp] for i in comp]
-            clo, chi = _spectral_enclosure(sub, tol)
+            clo, chi = _spectral_enclosure([[a[i][j] for j in piece] for i in piece])
         lo, hi = max(lo, clo), max(hi, chi)
 
-    s_seq = []
+    # column n of A^n is A times column n - 1, from the unit vector e_target
+    col = [int(i == target_column) for i in range(k)]
     column_seq = []
-    for n in range(1, depth + 1):
-        col = A.column(n, target_column)
-        column_seq.append(col)
-        s_seq.append(max(col))
+    for _ in range(depth):
+        col = [sum(a[i][j] * col[j] for j in range(k)) for i in range(k)]
+        column_seq.append(tuple(col))
+    s_seq = tuple(max(c) for c in column_seq)
     ratios = tuple(Fraction(s_seq[i + 1], s_seq[i]) for i in range(len(s_seq) - 1))
     roots = tuple(s ** (1.0 / n) for n, s in enumerate(s_seq, start=1))
     note = "" if lo == hi else f"certified enclosure, width <= {float(hi - lo):.3g}"
-    return EfdResult(lo, hi, tuple(s_seq), ratios, roots, tuple(column_seq), note)
+    return EfdResult(lo, hi, s_seq, ratios, roots, tuple(column_seq), note)
 
 
 # ---------------------------------------------------------------------------
@@ -685,10 +609,12 @@ def family_ord(P: HomogPoly, bound: int, charts=None) -> Fraction:
 
     The normalization by sum(v) = 1 + discrepancy keeps the family values
     comparable across weights; coordinate hyperplanes are the weight-one
-    members.  Zero means the chart polynomials are all unit-supported.
-    `charts` restricts which standard charts contribute (default: all); a
-    torus-invariant map compared against its exponent matrix should use the
-    chart at infinity only, since the matrix ignores the boundary divisor.
+    members.  On each chart the maximum is the reciprocal of the bounded
+    valuation search's lct bound for the chart's monomial ideal; zero means
+    every chart ideal is the unit ideal.  `charts` restricts which standard
+    charts contribute (default: all); a torus-invariant map compared against
+    its exponent matrix should use the chart at infinity only, since the
+    matrix ignores the boundary divisor.
     """
     if bound < 1:
         raise ValueError("weight bound must be >= 1")
@@ -699,11 +625,12 @@ def family_ord(P: HomogPoly, bound: int, charts=None) -> Fraction:
     for k in chart_list:
         if not 0 <= k < P.nvars:
             raise ValueError("chart index out of range")
-        support = P.chart_exponents(k)
-        for v in _bounded_weight_vectors(P.nvars - 1, bound):
-            o = min(sum(w * e for w, e in zip(v, m)) for m in support)
-            if o:
-                best = max(best, Fraction(o, sum(v)))
+        if P.nvars == 1:
+            continue  # the chart of P^0 is a point, where P is a unit
+        ideal = MonomialIdeal(P.nvars - 1, P.chart_exponents(k))
+        upper = lct_valuation_search(ideal, bound).upper
+        if upper is not None:
+            best = max(best, 1 / upper)
     return best
 
 

@@ -182,7 +182,7 @@ def test_04_arithmetic_degree():
 def _synthetic_orbit(heights):
     pt = ProjPoint.normalize((1, 1))
     steps = tuple(OrbitStep(n, pt, h) for n, h in enumerate(heights))
-    return OrbitRecord("synthetic", pt, steps)
+    return OrbitRecord(pt, steps)
 
 
 def test_05_growth_fit():

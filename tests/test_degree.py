@@ -42,7 +42,7 @@ FIBONACCI = Morphism(
 def synthetic_orbit(height_values):
     point = ProjPoint.normalize((1, 2))
     steps = tuple(OrbitStep(n, point, h) for n, h in enumerate(height_values))
-    return OrbitRecord("synthetic", point, steps)
+    return OrbitRecord(point, steps)
 
 
 def test_alpha_squaring_exact_ratios():

@@ -102,7 +102,7 @@ def test_config_rejections():
 def test_config_refuses_a_place_past_the_deterministic_primality_bound():
     big = 10**29 + 319  # a 30-digit prime, past what Miller-Rabin decides
     with pytest.raises(ConfigError, match=f"place {big}: cannot prove"):
-        parse_config({**squaring_cfg().raw, "places": ["inf", big]})
+        parse_config({**_GOOD, "places": ["inf", big]})
 
 
 def test_config_file_loading(tmp_path):
@@ -142,94 +142,102 @@ def _in_quad_form(c):
     return {"divisor": {"field": {"d": 2}, "form": {"1,0": c, "0,1": "1"}}}
 
 
-# one config per rule, with the JSON path its error must name
+# one config per rule: (test id, override, the JSON path its error must
+# name).  Each row carries its own id, so inserting a row renames no other
+# test; the numbered ids are the ones rows sharing a path have always had.
 _VIOLATIONS = [
-    ({"bogus": 1}, "<root>"),
-    ({"map": {"forms": _GOOD["map"]["forms"], "extra": 1}}, "map"),
-    ({"map": {}}, "map"),
-    ({"map": []}, "map"),
-    ({"map": {"forms": [{"1": "1"}]}}, "map/forms"),
-    ({"map": {"forms": [{}, {"0,2": "1"}]}}, "map/forms/0"),
-    ({"map": {"forms": [{"2;0": "1"}, {"0,2": "1"}]}}, "map/forms/0"),
-    ({"map": {"forms": [{",2": "1"}, {"0,2": "1"}]}}, "map/forms/0"),
-    (_in_map_form("1.5"), "map/forms/0/2,0"),
-    (_in_map_form("1/-2"), "map/forms/0/2,0"),
-    (_in_map_form(1.5), "map/forms/0/2,0"),
-    (_in_map_form(True), "map/forms/0/2,0"),
-    (_in_map_form(None), "map/forms/0/2,0"),
-    (_in_quad_form({"a": "1"}), "divisor/form/1,0"),
-    (_in_quad_form({"a": "1", "b": "1", "c": "1"}), "divisor/form/1,0"),
-    (_in_quad_form({"a": 1.5, "b": "1"}), "divisor/form/1,0/a"),
-    (_in_quad_form({"a": "1", "b": [1]}), "divisor/form/1,0/b"),
-    ({"seed": ["2"]}, "seed"),
-    ({"seed": "2,1"}, "seed"),
-    ({"seed": ["2", 1.5]}, "seed/1"),
-    ({"seed": ["2", False]}, "seed/1"),
-    ({"seed": ["2", None]}, "seed/1"),
-    ({"divisor": {"field": "Q"}}, "divisor"),
-    ({"divisor": {"form": {"1,0": "1"}, "extra": 1}}, "divisor"),
-    ({"divisor": {"field": "R", "form": {"1,0": "1"}}}, "divisor/field"),
-    ({"divisor": {"field": {"d": "2"}, "form": {"1,0": "1"}}}, "divisor/field/d"),
-    ({"divisor": {"field": {"d": 2.5}, "form": {"1,0": "1"}}}, "divisor/field/d"),
-    ({"divisor": {"field": {}, "form": {"1,0": "1"}}}, "divisor/field"),
-    ({"divisor": {"field": {"d": 2, "e": 3}, "form": {"1,0": "1"}}}, "divisor/field"),
-    ({"divisor": {"form": {"1,0": "1"}, "weight": 1.5}}, "divisor/weight"),
-    ({"divisor": {"form": {"1,0": "1"}, "weight": [1]}}, "divisor/weight"),
-    ({"places": "inf"}, "places"),
-    ({"places": ["sup"]}, "places/0"),
-    ({"places": ["inf", 1]}, "places/1"),
-    ({"places": [2.5]}, "places/0"),
-    ({"places": [True]}, "places/0"),
-    ({"twist": 0}, "twist"),
-    ({"twist": 1.5}, "twist"),
-    ({"twist": "2"}, "twist"),
-    ({"depth": -1}, "depth"),
-    ({"depth": True}, "depth"),
-    ({"params": []}, "params"),
-    ({"params": {"eps": 0.5}}, "params/eps"),
-    ({"params": {"eps": None}}, "params/eps"),
-    ({"params": {"bound": "5/2"}}, "params/bound"),
-    ({"params": {"bound": "0"}}, "params/bound"),
-    ({"sample": {}}, "sample"),
-    ({"sample": {"height_bound": 0}}, "sample/height_bound"),
-    ({"sample": {"height_bound": 5.5}}, "sample/height_bound"),
-    ({"sample": {"height_bound": 5, "count": 0}}, "sample/count"),
-    ({"sample": {"height_bound": 5, "count": "some"}}, "sample/count"),
-    ({"sample": {"height_bound": 5, "seed": "0"}}, "sample/seed"),
-    ({"sample": {"height_bound": 5, "extra": 1}}, "sample"),
-    ({"lct": {"nvars": 2}}, "lct"),
-    ({"lct": {**_LCT, "nvars": 0}}, "lct/nvars"),
-    ({"lct": {**_LCT, "generators": []}}, "lct/generators"),
-    ({"lct": {**_LCT, "generators": [[]]}}, "lct/generators/0"),
-    ({"lct": {**_LCT, "generators": [[2, -1]]}}, "lct/generators/0/1"),
-    ({"lct": {**_LCT, "generators": [[2, 0.5]]}}, "lct/generators/0/1"),
-    ({"lct": {**_LCT, "bound": 0}}, "lct/bound"),
-    ({"lct": {**_LCT, "extra": 1}}, "lct"),
-    ({"efd": {"matrix": [[1]]}}, "efd"),
-    ({"efd": {**_EFD, "matrix": []}}, "efd/matrix"),
-    ({"efd": {**_EFD, "matrix": [[]]}}, "efd/matrix/0"),
-    ({"efd": {**_EFD, "matrix": [[1, -2]]}}, "efd/matrix/0/1"),
-    ({"efd": {**_EFD, "target": -1}}, "efd/target"),
-    ({"efd": {**_EFD, "extra": 1}}, "efd"),
-    ({"efd": {**_EFD, "bound": 2}}, "efd"),  # read by nothing
-    ({"cn": {k: v for k, v in _CN.items() if k != "n"}}, "cn"),
-    ({"cn": {**_CN, "m_list": []}}, "cn/m_list"),
-    ({"cn": {**_CN, "m_list": [2, 0]}}, "cn/m_list/1"),
-    ({"cn": {**_CN, "dim": 0}}, "cn/dim"),
-    ({"cn": {**_CN, "delta": 1.5}}, "cn/delta"),
-    ({"cn": {**_CN, "m": 0}}, "cn/m"),
-    ({"cn": {**_CN, "n": 0}}, "cn/n"),
-    ({"cn": {**_CN, "extra": 1}}, "cn"),
+    ("<root>", {"bogus": 1}, "<root>"),
+    ("map0", {"map": {"forms": _GOOD["map"]["forms"], "extra": 1}}, "map"),
+    ("map1", {"map": {}}, "map"),
+    ("map2", {"map": []}, "map"),
+    ("map/forms", {"map": {"forms": [{"1": "1"}]}}, "map/forms"),
+    ("map/forms/0_0", {"map": {"forms": [{}, {"0,2": "1"}]}}, "map/forms/0"),
+    ("map/forms/0_1", {"map": {"forms": [{"2;0": "1"}, {"0,2": "1"}]}}, "map/forms/0"),
+    ("map/forms/0_2", {"map": {"forms": [{",2": "1"}, {"0,2": "1"}]}}, "map/forms/0"),
+    ("map/forms/0/2,0_0", _in_map_form("1.5"), "map/forms/0/2,0"),
+    ("map/forms/0/2,0_1", _in_map_form("1/-2"), "map/forms/0/2,0"),
+    ("map/forms/0/2,0_2", _in_map_form(1.5), "map/forms/0/2,0"),
+    ("map/forms/0/2,0_3", _in_map_form(True), "map/forms/0/2,0"),
+    ("map/forms/0/2,0_4", _in_map_form(None), "map/forms/0/2,0"),
+    ("divisor/form/1,0_0", _in_quad_form({"a": "1"}), "divisor/form/1,0"),
+    ("divisor/form/1,0_1", _in_quad_form({"a": "1", "b": "1", "c": "1"}), "divisor/form/1,0"),
+    ("divisor/form/1,0/a", _in_quad_form({"a": 1.5, "b": "1"}), "divisor/form/1,0/a"),
+    ("divisor/form/1,0/b", _in_quad_form({"a": "1", "b": [1]}), "divisor/form/1,0/b"),
+    ("seed0", {"seed": ["2"]}, "seed"),
+    ("seed1", {"seed": "2,1"}, "seed"),
+    ("seed/1_0", {"seed": ["2", 1.5]}, "seed/1"),
+    ("seed/1_1", {"seed": ["2", False]}, "seed/1"),
+    ("seed/1_2", {"seed": ["2", None]}, "seed/1"),
+    ("divisor0", {"divisor": {"field": "Q"}}, "divisor"),
+    ("divisor1", {"divisor": {"form": {"1,0": "1"}, "extra": 1}}, "divisor"),
+    ("divisor/field0", {"divisor": {"field": "R", "form": {"1,0": "1"}}}, "divisor/field"),
+    ("divisor/field/d0", {"divisor": {"field": {"d": "2"}, "form": {"1,0": "1"}}}, "divisor/field/d"),
+    ("divisor/field/d1", {"divisor": {"field": {"d": 2.5}, "form": {"1,0": "1"}}}, "divisor/field/d"),
+    ("divisor/field1", {"divisor": {"field": {}, "form": {"1,0": "1"}}}, "divisor/field"),
+    ("divisor/field2", {"divisor": {"field": {"d": 2, "e": 3}, "form": {"1,0": "1"}}}, "divisor/field"),
+    ("divisor/weight0", {"divisor": {"form": {"1,0": "1"}, "weight": 1.5}}, "divisor/weight"),
+    ("divisor/weight1", {"divisor": {"form": {"1,0": "1"}, "weight": [1]}}, "divisor/weight"),
+    ("places", {"places": "inf"}, "places"),
+    ("places/0_0", {"places": ["sup"]}, "places/0"),
+    ("places/1", {"places": ["inf", 1]}, "places/1"),
+    ("places/0_1", {"places": [2.5]}, "places/0"),
+    ("places/0_2", {"places": [True]}, "places/0"),
+    ("twist0", {"twist": 0}, "twist"),
+    ("twist1", {"twist": 1.5}, "twist"),
+    ("twist2", {"twist": "2"}, "twist"),
+    ("depth0", {"depth": -1}, "depth"),
+    ("depth1", {"depth": True}, "depth"),
+    ("params", {"params": []}, "params"),
+    ("params/eps0", {"params": {"eps": 0.5}}, "params/eps"),
+    ("params/eps1", {"params": {"eps": None}}, "params/eps"),
+    ("params/bound0", {"params": {"bound": "5/2"}}, "params/bound"),
+    ("params/bound1", {"params": {"bound": "0"}}, "params/bound"),
+    ("sample0", {"sample": {}}, "sample"),
+    ("sample/height_bound0", {"sample": {"height_bound": 0}}, "sample/height_bound"),
+    ("sample/height_bound1", {"sample": {"height_bound": 5.5}}, "sample/height_bound"),
+    ("sample/count0", {"sample": {"height_bound": 5, "count": 0}}, "sample/count"),
+    ("sample/count1", {"sample": {"height_bound": 5, "count": "some"}}, "sample/count"),
+    ("sample/seed", {"sample": {"height_bound": 5, "seed": "0"}}, "sample/seed"),
+    ("sample1", {"sample": {"height_bound": 5, "extra": 1}}, "sample"),
+    ("lct0", {"lct": {"nvars": 2}}, "lct"),
+    ("lct/nvars", {"lct": {**_LCT, "nvars": 0}}, "lct/nvars"),
+    ("lct/generators", {"lct": {**_LCT, "generators": []}}, "lct/generators"),
+    ("lct/generators/0", {"lct": {**_LCT, "generators": [[]]}}, "lct/generators/0"),
+    ("lct/generators/0/1_0", {"lct": {**_LCT, "generators": [[2, -1]]}}, "lct/generators/0/1"),
+    ("lct/generators/0/1_1", {"lct": {**_LCT, "generators": [[2, 0.5]]}}, "lct/generators/0/1"),
+    ("lct/bound", {"lct": {**_LCT, "bound": 0}}, "lct/bound"),
+    ("lct1", {"lct": {**_LCT, "extra": 1}}, "lct"),
+    ("efd0", {"efd": {"matrix": [[1]]}}, "efd"),
+    ("efd/matrix", {"efd": {**_EFD, "matrix": []}}, "efd/matrix"),
+    ("efd/matrix/0", {"efd": {**_EFD, "matrix": [[]]}}, "efd/matrix/0"),
+    ("efd/matrix/0/1", {"efd": {**_EFD, "matrix": [[1, -2]]}}, "efd/matrix/0/1"),
+    ("efd/target", {"efd": {**_EFD, "target": -1}}, "efd/target"),
+    ("efd1", {"efd": {**_EFD, "extra": 1}}, "efd"),
+    ("efd2", {"efd": {**_EFD, "bound": 2}}, "efd"),  # read by nothing
+    ("cn0", {"cn": {k: v for k, v in _CN.items() if k != "n"}}, "cn"),
+    ("cn/m_list", {"cn": {**_CN, "m_list": []}}, "cn/m_list"),
+    ("cn/m_list/1", {"cn": {**_CN, "m_list": [2, 0]}}, "cn/m_list/1"),
+    ("cn/dim", {"cn": {**_CN, "dim": 0}}, "cn/dim"),
+    ("cn/delta", {"cn": {**_CN, "delta": 1.5}}, "cn/delta"),
+    ("cn/m", {"cn": {**_CN, "m": 0}}, "cn/m"),
+    ("cn/n", {"cn": {**_CN, "n": 0}}, "cn/n"),
+    ("cn1", {"cn": {**_CN, "extra": 1}}, "cn"),
 ]
 
 
 @pytest.mark.parametrize(
-    "override, path", _VIOLATIONS, ids=[p for _, p in _VIOLATIONS]
+    "override, path", [pytest.param(o, p, id=i) for i, o, p in _VIOLATIONS]
 )
 def test_config_rejects_each_rule_naming_the_path(override, path):
     with pytest.raises(ConfigError) as info:
         parse_config({**_GOOD, **override})
     assert f" {path}: " in f" {info.value}"
+
+
+def test_config_violation_ids_are_unique():
+    # pytest would silently suffix a repeated id, renaming the tests after it
+    ids = [i for i, _, _ in _VIOLATIONS]
+    assert len(set(ids)) == len(ids)
 
 
 def test_config_reads_cn_delta_and_the_family_bound_at_load_time():
@@ -715,6 +723,25 @@ def test_thm17_axis_divisor_thresholds():
     assert rep2.closure == "empty set"
 
 
+def test_thm17_liminf_is_exact_under_a_weight_and_a_twist():
+    # the audit identity makes lambda_all / h = weight * deg / twist = 1/6
+    cfg = parse_config({
+        "map": {"forms": [{"2,0": "1"}, {"0,2": "1"}]},
+        "seed": ["2", "1"],
+        "divisor": {
+            "field": {"d": 2},
+            "form": {"1,0": {"a": "1", "b": "0"}, "0,1": {"a": "0", "b": "-1"}},
+            "weight": "1/2",
+        },
+        "places": ["inf", 7],
+        "twist": 3,
+        "depth": 6,
+    })
+    rep = thm17_set_membership(cfg, eps=Fraction(1, 10))
+    assert type(rep.liminf) is Fraction and rep.liminf == Fraction(1, 6)
+    assert all(all_r == Fraction(1, 6) for _, all_r, _ in rep.rows)
+
+
 def test_thm17_needs_enough_rows():
     with pytest.raises(ValueError):
         thm17_set_membership(squaring_cfg(depth=3), eps=Fraction(1, 10))
@@ -1041,7 +1068,20 @@ def test_efd_on_the_readme_config_clamps_depth_to_the_composition_cap(tmp_path, 
     for argv, terms in (([], 6), (["--depth", "3"], 3)):
         assert main(["efd", cfg, *argv]) == 0
         line = capsys.readouterr().out.splitlines()[0]
-        assert line.startswith("s sequence = (") and line.count("Fraction(") == terms
+        assert line == f"s sequence = ({', '.join(['1'] * terms)})"
+
+
+def test_efd_map_branch_prints_its_terms_as_numbers(tmp_path, capsys):
+    path = tmp_path / "efd.json"
+    path.write_text(json.dumps({
+        "map": {"forms": [{"2,0": "1"}, {"0,2": "1"}]},
+        "divisor": {"form": {"0,1": "1"}, "weight": "3/4"},
+        "depth": 4,
+    }))
+    assert main(["efd", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "Fraction(" not in out
+    assert out.splitlines()[0] == "s sequence = (3/2, 3, 6, 12)"
 
 
 _DROPPED_FLAGS = [

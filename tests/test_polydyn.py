@@ -109,23 +109,21 @@ def test_deep_orbit_heights_exact():
     assert orbit.steps[20].h == LogMag.exact(2) * (2**20)
 
 
-def test_map_id_joint_scaling():
-    f1 = Morphism((X2, Y2))
-    f2 = Morphism((X2 * Fraction(3, 7), Y2 * Fraction(3, 7)))
-    f3 = Morphism((X2 * 2, Y2))
-    assert f1.map_id == f2.map_id
-    assert f1.map_id != f3.map_id
+def test_jointly_scaled_forms_have_equal_integral_forms():
+    # (c*F_0, ..., c*F_n) is the same map; scaling one form is another
+    f = Morphism((X2 * Fraction(3, 7), Y2 * Fraction(3, 7)))
+    assert f.integral_forms == SQUARING.integral_forms
+    assert Morphism((X2 * 2, Y2)).integral_forms != SQUARING.integral_forms
 
 
-def test_map_id_digests_are_pinned():
-    # every ratio series reports its map by this digest; it must not move
-    squaring = "107f6937b276feae4b7933f42487b8ebdcdc19a91b6d963d7f1c250255f0131b"
-    assert SQUARING.map_id == squaring
-    assert Morphism((X2 * Fraction(-3, 7), Y2 * Fraction(-3, 7))).map_id == squaring
-    fibonacci = Morphism(
-        tuple(HomogPoly.monomial(e) for e in ((1, 1, 0), (1, 0, 1), (0, 0, 2)))
-    )
-    assert fibonacci.map_id == "c7da59d34ad94f838c180de2c3aa058836183e6465cf8a5ee45133419728c941"
+def test_integral_forms_are_pinned():
+    # coprime integer coefficients and a positive lead, for a negative c too
+    assert SQUARING.integral_forms == (X2, Y2)
+    f = Morphism((X2 * Fraction(-3, 7), Y2 * Fraction(-3, 7)))
+    assert f.integral_forms == (X2, Y2)
+    xy, xz, z2 = (HomogPoly.monomial(e) for e in ((1, 1, 0), (1, 0, 1), (0, 0, 2)))
+    g = Morphism((xy * Fraction(-2, 3), xz * Fraction(4, 9), z2 * Fraction(-8, 3)))
+    assert g.integral_forms == (xy * 3, xz * -2, z2 * 12)
 
 
 _ROOTS = st.tuples(st.integers(-5, 5), st.integers(-5, 5)).filter(any)

@@ -1,7 +1,10 @@
+import itertools
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from orbitweil.polydyn import HomogPoly, Morphism
 from orbitweil.singular import (
@@ -230,8 +233,64 @@ def test_exponent_matrix_validation():
     with pytest.raises(ValueError):
         ExponentMatrix([[1, 0, 0], [0, 1, 0]])
     A = ExponentMatrix([[2, 1], [0, 2]])
-    assert A.power(3) == [[8, 12], [0, 8]]
-    assert A.column(3, 1) == (12, 8)
+    assert efd_monomial_exact(A, 0, depth=3).column_seq[2] == (8, 0)
+    assert efd_monomial_exact(A, 1, depth=3).column_seq[2] == (12, 8)
+
+
+# nonnegative k x k matrices, k <= 5, with no zero column; mostly zeros, so
+# that paths through several pieces are common
+_EXPONENT_ROWS = st.integers(1, 5).flatmap(
+    lambda k: st.lists(
+        st.lists(st.sampled_from([0, 0, 0, 1, 2, 3]), min_size=k, max_size=k),
+        min_size=k,
+        max_size=k,
+    )
+).filter(lambda rows: all(any(r[j] for r in rows) for j in range(len(rows))))
+
+
+def _mpf(q):
+    return mpmath.mpf(q.numerator) / q.denominator
+
+
+@settings(max_examples=100, deadline=None)
+@given(_EXPONENT_ROWS)
+# the path 0 -> 2 -> 1 -> 3 brings the loop at 0 to target 3 through a
+# lower-numbered node
+@example([[5, 0, 1, 0], [0, 0, 0, 1], [0, 1, 0, 0], [0, 0, 0, 1]])
+def test_efd_encloses_the_spectral_radius_over_the_nodes_reaching_the_target(rows):
+    k = len(rows)
+    A = ExponentMatrix(rows)
+    radius = {}
+    for t in range(k):
+        reaching = {t}
+        while True:
+            more = {i for i in range(k) for j in reaching if rows[i][j]} - reaching
+            if not more:
+                break
+            reaching |= more
+        nodes = tuple(sorted(reaching))
+        res = efd_monomial_exact(A, t, depth=0)
+        with mpmath.workdps(50):
+            if nodes not in radius:
+                sub = mpmath.matrix([[rows[i][j] for j in nodes] for i in nodes])
+                radius[nodes] = max(abs(e) for e in mpmath.eig(sub)[0])
+            # a defective eigenvalue of a k x k matrix is good to ~50/k digits
+            slack = mpmath.mpf(10) ** (1 - 50 // k)
+            assert _mpf(res.lower) - slack <= radius[nodes] <= _mpf(res.upper) + slack
+
+
+@settings(max_examples=100, deadline=None)
+@given(_EXPONENT_ROWS, st.integers(0, 12))
+def test_column_seq_is_the_target_column_of_the_matrix_powers(rows, depth):
+    k = len(rows)
+    columns = [efd_monomial_exact(ExponentMatrix(rows), t, depth=depth).column_seq
+               for t in range(k)]
+    power = [[int(i == j) for j in range(k)] for i in range(k)]
+    for n in range(depth):
+        power = [[sum(power[i][m] * rows[m][j] for m in range(k)) for j in range(k)]
+                 for i in range(k)]
+        for t in range(k):
+            assert columns[t][n] == tuple(power[i][t] for i in range(k))
 
 
 def test_efd_diagonal_exact():
@@ -297,6 +356,37 @@ def test_family_ord():
     assert family_ord(mono, 2, charts=(2,)) == 4
     assert family_ord(form(3, {(32, 16, 33): 1}), 2, charts=(2,)) == 32
     assert family_ord(form(3, {(32, 16, 33): 1}), 2) == 33
+
+
+def _family_ord_by_weights(P, bound, charts):
+    best = Fraction(0)
+    for k in charts:
+        support = P.chart_exponents(k)
+        for v in itertools.product(range(bound + 1), repeat=P.nvars - 1):
+            o = min(sum(w * e for w, e in zip(v, m)) for m in support) if any(v) else 0
+            if o:
+                best = max(best, Fraction(o, sum(v)))
+    return best
+
+
+def test_family_ord_is_the_largest_weighted_order_over_the_weight_box():
+    rng = random.Random(29)
+    forms = [form(1, {(3,): 1}), form(1, {(0,): 5})]
+    for _ in range(300):
+        nvars, degree = rng.randint(1, 4), rng.randint(0, 5)
+        terms = {}
+        for _ in range(rng.randint(1, 4)):
+            e = [0] * nvars
+            for _ in range(degree):
+                e[rng.randrange(nvars)] += 1
+            terms[tuple(e)] = rng.choice([1, -2, Fraction(1, 3)])
+        forms.append(HomogPoly(nvars, degree, terms))
+    for P in forms:
+        bound = rng.randint(1, 3)
+        charts = sorted(rng.sample(range(P.nvars), rng.randint(1, P.nvars)))
+        assert family_ord(P, bound) == _family_ord_by_weights(P, bound, range(P.nvars))
+        assert family_ord(P, bound, charts) == _family_ord_by_weights(P, bound, charts)
+    assert family_ord(form(1, {(3,): 1}), 2) == 0
 
 
 def test_efd_estimate_squaring():
