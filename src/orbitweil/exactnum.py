@@ -12,11 +12,12 @@ Conventions:
     sum_w [F_w:Q_v] * log|y|_w = 0.
   * Log-magnitudes are exact: the log of a positive rational, or of a
     positive element of a real Q(sqrt(d)) under sqrt(d) -> +sqrt(d), over
-    a root index.  Interval enclosures, on a private mpmath context whose
-    precision one loop (_refine) doubles until a question is decided,
-    serve only correctly rounded decimals and floats, float ratio bounds,
-    and comparisons past the bit budget.  mpmath's global interval
-    precision is never read or written.
+    a root index.  Enclosures on Python ints, an integer v and an error e
+    at a scale 2^-w, with logs summed as fixed-point atanh series, serve
+    only correctly rounded decimals and floats, float ratio bounds, and
+    comparisons past the bit budget.  One loop (_refine) doubles w until
+    a question is decided.  The module needs nothing beyond the standard
+    library.
 """
 
 from __future__ import annotations
@@ -26,8 +27,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Optional, Sequence, Union
-
-from mpmath.ctx_iv import MPIntervalContext
 
 RationalLike = Union[int, Fraction]
 
@@ -189,7 +188,9 @@ def integer_normal_form(values: Sequence[RationalLike]) -> tuple[list[int], Frac
     """
     den = math.lcm(*(v.denominator for v in values))
     ints = [v.numerator * (den // v.denominator) for v in values]
-    g = math.gcd(*ints)
+    # smallest first: gcd costs grow with the operands' lengths, and a small
+    # coordinate (often 1) cuts the running gcd down before the huge ones
+    g = math.gcd(*sorted(ints, key=abs))
     if g == 0:
         raise ValueError("no integer normal form of an all-zero vector")
     if next(i for i in ints if i) < 0:
@@ -294,54 +295,159 @@ def sqrt_mod(a: int, p: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# interval enclosures: rendering, floats, ratio bounds and comparisons
+# enclosures on integers: rendering, floats, ratio bounds and comparisons
 # ---------------------------------------------------------------------------
+#
+# An enclosure at scale 2^-w is a pair (v, e) of integers, e >= 0, standing
+# for the interval [(v - e)/2^w, (v + e)/2^w].  Logs are computed in fixed
+# point as in Brent and Zimmermann, Modern Computer Arithmetic (2010), ch. 4:
+# n 2^s = 2^k r with r in [1, 2), and log r = 2 atanh((r - 1)/(r + 1)).
 
-# Enclosures live on this private context; _refine is the one writer of its
-# precision, so orbitweil leaves mpmath's global interval precision as it
-# finds it.
-_IV = MPIntervalContext()
-
-# The first precision of every loop: 300+ bits keep every enclosure width at
-# desk scale far below 1e-30, so nearly every question is decided at once.
-IV_PREC = 320
+# The first precision of every loop, in bits after the binary point; 64
+# bits decide nearly every read-out at once.
+_PREC_START = 64
 _PREC_CAP = 2**16
+
+# Guard bits of the log series; see _log2k for why 20 bits keep e <= 2.
+_GUARD = 20
 
 
 def _refine(step):
-    """step() at IV_PREC bits, doubled until it is not None.
+    """step(w) for w = _PREC_START, doubled until it is not None (Ziv's loop).
 
-    Raises PrecisionExhausted past _PREC_CAP bits.  No step calls _refine.
+    Raises PrecisionExhausted past _PREC_CAP bits.
     """
-    prec = IV_PREC
-    while prec <= _PREC_CAP:
-        _IV.prec = prec
-        if (out := step()) is not None:
+    w = _PREC_START
+    while w <= _PREC_CAP:
+        if (out := step(w)) is not None:
             return out
-        prec *= 2
+        w *= 2
     raise PrecisionExhausted(f"enclosures undecided at {_PREC_CAP} bits")
 
 
-def _iv_from_fraction(q: Fraction):
-    # _IV.mpf rejects Fraction; integer endpoints round outward, and the
-    # interval quotient keeps the enclosure valid for huge numerators.
-    return _IV.mpf(q.numerator) / _IV.mpf(q.denominator)
+def _atanh_sum(t: int, step) -> tuple[int, int]:
+    """(S, E) with 0 <= 2^P atanh(x) - S < E, from T_0 = t and T_i = step(T_(i-1)).
+
+    Needs x in [0, 1/3], 0 <= 2^P x - t < 1, and 0 <= T x^2 - step(T) < 14/9
+    for 0 <= T <= 2^P/3.  Sums floor(T_i/(2i + 1)) while T_i > 0, say for
+    i < K.  The shortfall d_i of T_i against the exact term 2^P x^(2i+1)
+    is below 1 at i = 0 and below d_(i-1)/9 + 14/9 after, so below 7/4.
+    Each summed term is then short by under 7/4 + 1, and the tail past K
+    sums to at most d_K/(1 - x^2) < (7/4)(9/8) < 2: E = 3K + 2.  As
+    T_i <= 2^P 3^-(2i+1), K <= P/3 + 1.
+    """
+    s = k = 0
+    while t:
+        s += t // (2 * k + 1)
+        t = step(t)
+        k += 1
+    return s, 3 * k + 2
 
 
-def _endpoints(x) -> tuple[Fraction, Fraction]:
-    """Exact endpoints of a finite interval, read from its raw mpf tuples."""
-    out = []
-    for sign, man, exp, _ in x._mpi_:
-        v = Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
-        out.append(-v if sign else v)
-    return out[0], out[1]
+def _log_r(t: int, j: int, P: int, m: int) -> tuple[int, int]:
+    """Enclosure (V, E) of log r, r = t/2^j in [1, 2), at scale 2^-P, j <= P.
+
+    Square roots first (Brent and Zimmermann, sec. 4.2.2): u_0 = r and
+    u_i = floor(2^P sqrt(u_(i-1)))/2^P, each >= 1, for i <= m.  The floor
+    takes less than 2^-P off sqrt(u_(i-1)) >= 1, so log(u_(i-1))/2 - log u_i
+    lies in [0, 2^(1-P)], and log r - 2^m log u_m in [0, 2^(m+2-P)).  Then
+    log u_m = 2 atanh(x), x = (u_m - 1)/(u_m + 1) <= 1/3, summed from
+    X = floor(2^P x) with steps T -> floor(T Y/2^P), Y = floor(X^2/2^P):
+    for T <= 2^P/3, T x^2 - T Y/2^P < T (x^2 - (X/2^P)^2) + T/2^P <
+    2/9 + 1/3, and the floor loses below 1 more, as _atanh_sum needs.
+    So 2^P log r lies in [2^(m+1) S, 2^(m+1) S + 2^m (6K + 8)), and
+    E = 2^m (3K + 4) <= 2^m (P + 7).  log 1 is enclosed exactly.
+    """
+    if t == 1 << j:
+        return 0, 0
+    y = t << (P - j)
+    for _ in range(m):
+        y = math.isqrt(y << P)
+    one = 1 << P
+    x = ((y - one) << P) // (y + one)
+    sq = x * x >> P
+    s, err = _atanh_sum(x, lambda u: u * sq >> P)
+    err = (err + 2) << m
+    return (s << (m + 1)) + err, err
 
 
-def _iv_log_fraction(q: Fraction):
-    # log 1 is enclosed exactly as [0, 0]
-    if q <= 0:
-        raise ValueError("log of a nonpositive rational")
-    return _IV.log(_IV.mpf(q.numerator)) - _IV.log(_IV.mpf(q.denominator))
+@lru_cache(maxsize=None)
+def _ln2(Q: int) -> tuple[int, int]:
+    """log 2 = 2 atanh(1/3) at scale 2^-Q: E = 3K + 2 <= Q + 5."""
+    s, err = _atanh_sum((1 << Q) // 3, lambda t: t // 9)
+    return 2 * s + err, err
+
+
+def _log2k(n: int, s: int, w: int) -> tuple[int, int]:
+    """Enclosure (v, e) of log(n 2^s) at scale 2^-w, for integers n >= 1, s.
+
+    Write n 2^s = 2^k r with r in [1, 2), and work at scale 2^-P with
+    P = w + _GUARD + m, m the square roots of _log_r.  Only the top P + 1
+    bits t of n are read: n = t 2^c + (n mod 2^c), so log n - log(t 2^c)
+    lies in [0, 1/t] with t >= 2^P, one unit at scale 2^-P.  Then
+    log(n 2^s) = log(t/2^j) + k log 2.  _log_r bounds log(t/2^j) by
+    2^m (P + 7) units.  log 2 is read at scale 2^-(P + 64), so its error
+    of P + 69 units there, taken |k| < 2^64 times (no int has 2^64 bits),
+    and the floor back to scale 2^-P cost at most P + 70 units.  So
+    E <= 2^m (2P + 78) at scale 2^-P, and the floor to scale 2^-w adds
+    below one unit: e <= ceil(E/2^(P-w)) + 1, which is at most 2 whenever
+    2P + 78 <= 2^_GUARD, so for every w <= _PREC_CAP.
+    """
+    bits = n.bit_length()
+    k = bits - 1 + s
+    # at 2^16 bits, 64 square roots cost about what the series terms they save do
+    m = math.isqrt(w) // 4
+    shift = _GUARD + m
+    P = w + shift
+    cut = max(0, bits - 1 - P)
+    V, E = _log_r(n >> cut, bits - 1 - cut, P, m)
+    ln2, ln2_err = _ln2(P + 64)
+    kl = k * ln2
+    V += kl >> 64
+    E += _ceil_shift(abs(k) * ln2_err + (kl & (2**64 - 1)), 64) + (1 if cut else 0)
+    # |log(n 2^s) 2^w - floor(V/2^shift)| <= (E + V mod 2^shift)/2^shift
+    return V >> shift, _ceil_shift(E + (V & ((1 << shift) - 1)), shift)
+
+
+def _ceil_shift(x: int, n: int) -> int:
+    """ceil(x/2^n)."""
+    return -(-x >> n)
+
+
+def _log_magnitude(m, w: int) -> tuple[int, int]:
+    """Enclosure of log m at scale 2^-w, for a magnitude m of LogMag.
+
+    e <= 4 for a rational m and e <= 7 for a real quadratic one (see
+    LogMag._enclose).
+    """
+    if not isinstance(m, QuadElem):
+        v1, e1 = _log2k(m.numerator, 0, w)
+        v2, e2 = _log2k(m.denominator, 0, w)
+        return v1 - v2, e1 + e2
+    a, b, d = m.a, m.b, m.field.d
+    den = a.denominator * b.denominator
+    A, B = abs(a.numerator) * b.denominator, abs(b.numerator) * a.denominator
+    # |a| + |b| sqrt(d) = N/den with N = A + B sqrt(d) >= 2^(len(A + B) - 1),
+    # so L = floor(N 2^c) = A 2^c + isqrt(B^2 d 4^c) >= 2^w, and log(N 2^c)
+    # lies in [log L, log L + 1/L]: one more unit at scale 2^-w
+    c = max(0, w + 1 - (A + B).bit_length())
+    vn, en = _log2k((A << c) + math.isqrt(B * B * d << 2 * c), -c, w)
+    vd, ed = _log2k(den, 0, w)
+    if a > 0 < b:
+        return vn - vd, en + 1 + ed
+    # of opposite signs, m = |N(m)|/(|a| + |b| sqrt(d)): no cancellation
+    vq, eq = _log2k(abs(A * A - d * B * B), 0, w)
+    return vq - vd - vn, eq + ed + en + 1
+
+
+def _quotient(x: tuple[int, int], y: tuple[int, int]) -> tuple[Fraction, Fraction]:
+    """Exact endpoints of x/y for enclosures at one scale, y excluding 0."""
+    qs = [Fraction(a, b) for a in (x[0] - x[1], x[0] + x[1]) for b in (y[0] - y[1], y[0] + y[1])]
+    return min(qs), max(qs)
+
+
+def _excludes_zero(x: tuple[int, int]) -> bool:
+    return abs(x[0]) > x[1]
 
 
 def decimal_fraction(q: Fraction, places: int = 12) -> str:
@@ -362,7 +468,7 @@ class LogMag:
 
     m is a Fraction, or a QuadElem a + b*sqrt(d) with a, b != 0 of a real
     field, read under sqrt(d) -> +sqrt(d).  Values add, subtract, scale by
-    rationals and compare without any rounding; enclosures (_interval())
+    rationals and compare without any rounding; enclosures (_enclose(w))
     serve only read-outs (decimals, floats, ratio bounds) and comparisons
     past the bit budget.
     """
@@ -413,20 +519,21 @@ class LogMag:
     def root(self) -> int:
         return self._root
 
-    def _interval(self):
-        """Enclosure of the value on the private interval context.
+    def _enclose(self, w: int) -> tuple[int, int]:
+        """Enclosure (v, e) of the value at scale 2^-w: [(v - e)/2^w, (v + e)/2^w].
 
-        Its width is whatever precision the running _refine loop has set,
-        so only a step of _refine may call it.
+        log m takes e <= 7 (_log_magnitude: at most three integer logs of
+        e <= 2 each, plus one unit for the floor of a square root).  The
+        division by root rounds v down, |v/root - floor(v/root)| < 1, so
+        e/root is rounded up and one more unit added unless it divides
+        exactly; e <= 7 for every root.
         """
-        m = self._m
-        if isinstance(m, QuadElem):
-            # |a| + |b| sqrt(d) is m or -conj(m) = |N(m)|/m; either way no cancellation
-            s = _iv_from_fraction(abs(m.a)) + _iv_from_fraction(abs(m.b)) * _IV.sqrt(m.field.d)
-            ival = _IV.log(s if m.a > 0 < m.b else _iv_from_fraction(abs(m.norm())) / s)
-        else:
-            ival = _iv_log_fraction(m)
-        return ival / _IV.mpf(self._root)
+        v, e = _log_magnitude(self._m, w)
+        r = self._root
+        if r == 1:
+            return v, e
+        q, rem = divmod(v, r)
+        return q, -(-e // r) + (1 if rem else 0)
 
     def _read_out(self, rounding):
         """rounding(value) for a monotone rounding of Fractions (Ziv's loop).
@@ -438,8 +545,9 @@ class LogMag:
         log(m)/root is no rational decimal tie or float midpoint.
         """
 
-        def agree():
-            lo, hi = (rounding(e) for e in _endpoints(self._interval()))
+        def agree(w):
+            v, e = self._enclose(w)
+            lo, hi = (rounding(Fraction(x, 1 << w)) for x in (v - e, v + e))
             return lo if lo == hi else None
 
         return _refine(agree)
@@ -524,9 +632,10 @@ class LogMag:
         except PrecisionExhausted:
             pass
 
-        def separate():
-            diff = self._interval() - other._interval()
-            return None if diff.a <= 0 <= diff.b else (1 if diff.a > 0 else -1)
+        def separate(w):
+            (v1, e1), (v2, e2) = self._enclose(w), other._enclose(w)
+            diff = (v1 - v2, e1 + e2)
+            return (1 if diff[0] > 0 else -1) if _excludes_zero(diff) else None
 
         return _refine(separate)
 
@@ -566,11 +675,11 @@ class LogMag:
         big = max(m2.numerator, m2.denominator).bit_length()
         gap = Fraction(1, big * big)
 
-        def narrow():
-            den = _iv_log_fraction(m2)
-            if den.a <= 0 <= den.b:
+        def narrow(w):
+            den = _log_magnitude(m2, w)
+            if not _excludes_zero(den):
                 return None
-            lo, hi = _endpoints(_iv_log_fraction(m1) / den)
+            lo, hi = _quotient(_log_magnitude(m1, w), den)
             return (lo, hi) if hi - lo < gap else None
 
         lo, hi = _refine(narrow)
@@ -607,22 +716,25 @@ class LogMag:
     def ratio_interval(self, other: "LogMag") -> tuple[float, float]:
         """Outward float enclosure of self/other (other must be nonzero).
 
-        The quotient of enclosures at the first precision at which other's
-        excludes 0, rounded to nearest and widened by one float each way.
+        self/other rounded to the nearest float f, read from the first
+        quotient of enclosures whose endpoints both round to f, and
+        widened by one float each way.  Only a ratio that is a float
+        midpoint, a rational whose numerator or denominator is at least
+        2^53, would run to the precision cap.
         """
         if other.is_zero():
             raise UndecidableComparison("ratio denominator is zero")
 
-        def quotient():
+        def nearest(w):
             # log m != 0 for m != 1: more precision will exclude 0
-            den = other._interval()
-            return None if den.a <= 0 <= den.b else self._interval() / den
+            den = other._enclose(w)
+            if not _excludes_zero(den):
+                return None
+            lo, hi = (float(q) for q in _quotient(self._enclose(w), den))
+            return lo if lo == hi else None
 
-        lo, hi = _endpoints(_refine(quotient))
-        return (
-            math.nextafter(float(lo), -math.inf),
-            math.nextafter(float(hi), math.inf),
-        )
+        f = _refine(nearest)
+        return math.nextafter(f, -math.inf), math.nextafter(f, math.inf)
 
 
 @lru_cache(maxsize=None)
@@ -894,12 +1006,17 @@ class Place:
         return f"w_{base}[{self.kind}{self.index}]"
 
 
-def places_above(v: Place, field: QuadField) -> list[Place]:
-    """Places of Q(sqrt(d)) above a place v of Q, in canonical order."""
+@lru_cache(maxsize=None)
+def places_above(v: Place, field: QuadField) -> tuple[Place, ...]:
+    """Places of Q(sqrt(d)) above a place v of Q, in canonical order.
+
+    Cached, as every local term over Q(sqrt(d)) asks for them; a tuple, so
+    no caller can change the cached answer.
+    """
     if v.field is not None:
         raise ValueError("places_above expects a place of Q")
     w = Place(v.p, field)
-    return [w, Place(v.p, field, 1)] if w.kind in (SPLIT, REAL) else [w]
+    return (w, Place(v.p, field, 1)) if w.kind in (SPLIT, REAL) else (w,)
 
 
 # ---------------------------------------------------------------------------

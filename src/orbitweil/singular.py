@@ -512,7 +512,6 @@ class EfdResult:
     upper: Fraction
     s_seq: tuple
     ratios: tuple
-    roots: tuple
     column_seq: tuple
     note: str = ""
 
@@ -570,9 +569,8 @@ def efd_monomial_exact(A: ExponentMatrix, target_column: int, depth: int = 30) -
         column_seq.append(tuple(col))
     s_seq = tuple(max(c) for c in column_seq)
     ratios = tuple(Fraction(s_seq[i + 1], s_seq[i]) for i in range(len(s_seq) - 1))
-    roots = tuple(s ** (1.0 / n) for n, s in enumerate(s_seq, start=1))
     note = "" if lo == hi else f"certified enclosure, width <= {float(hi - lo):.3g}"
-    return EfdResult(lo, hi, s_seq, ratios, roots, tuple(column_seq), note)
+    return EfdResult(lo, hi, s_seq, ratios, tuple(column_seq), note)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import os
@@ -9,8 +10,6 @@ from fractions import Fraction
 import mpmath
 import pytest
 from hypothesis import assume, given, settings, strategies as st
-
-from mpmath import iv, libmp, mp
 
 from orbitweil import exactnum
 from orbitweil.exactnum import (
@@ -373,14 +372,12 @@ def test_logmag_compare_and_ratio():
 
 def test_ratio_interval_escalates_for_exact_denominators():
     # log(1 + 2^-400) is below 2^-320, so its 320-bit enclosure straddles 0
-    prec = iv.prec
     near = LogMag.exact(Fraction(2**400 + 1, 2**400))
     lo, hi = LogMag.exact(3).ratio_interval(near)
     with mpmath.workprec(1000):
         want = mpmath.log(3) / mpmath.log(1 + mpmath.mpf(2) ** -400)
     assert lo <= want <= hi and (hi - lo) / lo < 1e-15
     assert LogMag.exact(3).ratio(near) == (None, (lo, hi))
-    assert iv.prec == prec
     with pytest.raises(UndecidableComparison):
         LogMag.exact(3).ratio_interval(LogMag.zero())
     # an irrational magnitude within 2^-500 of 1 straddles 0 at 320 bits too:
@@ -391,21 +388,69 @@ def test_ratio_interval_escalates_for_exact_denominators():
     with mpmath.workprec(2000):
         want = mpmath.log(3) / mpmath.log((1 + mpmath.sqrt(2)) ** 200 / (2 * int(u.a)))
     assert lo <= want <= hi and (hi - lo) / abs(lo) < 1e-15
-    assert iv.prec == prec
+
+
+def test_ratio_interval_is_the_nearest_float_widened_by_one():
+    # a numerator within 2^-500 of 0: a first enclosure straddles 0, and the
+    # loop refines until both ends round to the nearest float
+    h = LogMag.exact(2**512)
+    lam = LogMag.exact(Fraction(2**512 + 3, 2**512))
+    with mpmath.workprec(1000):
+        f = float(mpmath.log(1 + 3 * mpmath.mpf(2) ** -512) / (512 * mpmath.log(2)))
+    assert lam.ratio_interval(h) == (math.nextafter(f, -math.inf), math.nextafter(f, math.inf))
+    # a ratio below half the least subnormal rounds to 0.0
+    tiny = LogMag.exact(Fraction(2**1200 + 1, 2**1200))
+    assert tiny.ratio_interval(h) == (-5e-324, 5e-324)
 
 
 def test_refine_raises_at_the_precision_cap():
     with pytest.raises(PrecisionExhausted):
-        exactnum._refine(lambda: None)
+        exactnum._refine(lambda w: None)
 
 
-def test_import_leaves_the_global_interval_precision_alone():
-    code = "import mpmath; mpmath.iv.prec = 77; import orbitweil; print(mpmath.iv.prec)"
+_NO_MPMATH = """
+import json
+import sys
+sys.modules["mpmath"] = None  # any import of mpmath now raises ImportError
+from pathlib import Path
+from orbitweil.labcli import cli
+out = Path(sys.argv[1])
+readme = {
+    "map": {"forms": [{"2,0": "1"}, {"0,2": "1"}]},
+    "seed": ["2", "1"],
+    "divisor": {"field": "Q", "form": {"1,0": "1", "0,1": "-3"}, "weight": 1},
+    "places": ["inf", 3],
+    "twist": 1,
+    "depth": 8,
+}
+quadratic = {
+    "divisor": {
+        "field": {"d": 2},
+        "form": {"1,0": {"a": "1", "b": "0"}, "0,1": {"a": "0", "b": "-1"}},
+    },
+    "places": ["inf", 7],
+    "sample": {"height_bound": 6},
+    "params": {"eps_prime": "1"},
+}
+for name, cfg, cmd in (("ratio", readme, "ratio"), ("gap", quadratic, "gap")):
+    path = out / f"{name}.json"
+    path.write_text(json.dumps(cfg))
+    assert cli.main([cmd, str(path), "--out", str(out / f"{name}.csv")]) == 0
+assert "mpmath" not in {m.split(".")[0] for m, v in sys.modules.items() if v is not None}
+"""
+
+
+def test_the_runtime_runs_without_mpmath(tmp_path):
+    # the package imports nothing it does not declare: with mpmath blocked it
+    # still runs ratio on the README config and gap over Q(sqrt 2), CSVs and all
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    out = subprocess.run(
+        [sys.executable, "-c", _NO_MPMATH, str(tmp_path)], env=env, capture_output=True, text=True
+    )
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "77"
+    for name in ("ratio", "gap"):
+        assert (tmp_path / f"{name}.csv").read_text().count("\n") > 1
 
 
 def test_ratio_exact_decides_every_rational_ratio():
@@ -576,6 +621,84 @@ def test_to_float_is_correctly_rounded_for_quadratic_magnitudes(d, a, b, r):
     assert LogMag.exact(y if y.sign() > 0 else -y, r).to_float() == want
 
 
+def _encloses(v: int, e: int, w: int, value) -> bool:
+    # value() at 1000 bits is within 2^-990 of the value, and the endpoints
+    # (v -+ e)/2^w are exact there
+    with mpmath.workprec(1000):
+        slack = mpmath.mpf(2) ** -900
+        return mpmath.mpf(v - e) / 2**w - slack <= value() <= mpmath.mpf(v + e) / 2**w + slack
+
+
+# odd numerators of 2^20 bits and more, whose logs read only their top bits
+# (odd, as mpmath strips trailing zero bits one by one)
+_huge = st.builds(
+    lambda top, shift, low: (top << shift) + 2 * low + 1,
+    st.integers(1, 2**64),
+    st.integers(2**20, 2**20 + 64),
+    st.integers(0, 2**64),
+)
+_precisions = st.sampled_from([64, 128, 512])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.one_of(st.integers(1, 2**200), _huge),
+    d=st.integers(1, 2**200),
+    r=st.integers(1, 12),
+    w=_precisions,
+)
+def test_the_enclosure_of_a_rational_log_holds_the_value(n, d, r, w):
+    # built directly: reducing a 2^20-bit magnitude at a root is slow and beside the point
+    x = LogMag(Fraction(n, d), r)
+    for value, sign in ((x, 1), (-x, -1)):
+        v, e = value._enclose(w)
+        assert e <= 7 and _encloses(v, e, w, lambda: sign * (mpmath.log(n) - mpmath.log(d)) / r)
+    for k in (n, d):
+        v, e = exactnum._log2k(k, 0, w)
+        assert e <= 2 and _encloses(v, e, w, lambda: mpmath.log(k))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    j=st.integers(0, 300),
+    frac=st.floats(0, 1, exclude_max=True),
+    P=st.sampled_from([80, 200, 400]),
+    m=st.sampled_from([0, 2, 5]),
+)
+def test_the_log_series_hold_their_bounds_at_the_working_scale(j, frac, P, m):
+    # the guard bits of _log2k would hide a missing error term in its output
+    assume(j <= P)
+    t = (1 << j) + int(frac * 2**j)
+    v, e = exactnum._log_r(t, j, P, m)
+    assert e <= (P + 7) << m and _encloses(v, e, P, lambda: mpmath.log(mpmath.mpf(t) / 2**j))
+    v, e = exactnum._ln2(P)
+    assert e <= P + 5 and _encloses(v, e, P, lambda: mpmath.log(2))
+
+
+_quad_parts = st.builds(Fraction, st.integers(-(2**80), 2**80).filter(bool), st.integers(1, 2**40))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    d=st.sampled_from([2, 3, 5, 7, 13]),
+    a=_quad_parts,
+    b=_quad_parts,
+    r=st.integers(1, 6),
+    w=_precisions,
+)
+def test_the_enclosure_of_a_real_quadratic_log_holds_the_value(d, a, b, r, w):
+    # a and b of one sign and of opposite signs: |a| + |b| sqrt(d) and |N|/that
+    y = QuadField(d).element(a, b)
+    x = LogMag.exact(y if y.sign() > 0 else -y, r)
+    v, e = x._enclose(w)
+
+    def value():
+        a_, b_ = (mpmath.mpf(q.numerator) / q.denominator for q in (a, b))
+        return mpmath.log(abs(a_ + b_ * mpmath.sqrt(d))) / r
+
+    assert e <= 7 and _encloses(v, e, w, value)
+
+
 def test_logmag_real_quadratic_is_exact():
     F = QuadField(2)
     w0, w1 = places_above(INF, F)
@@ -616,10 +739,8 @@ def test_compare_decides_distinct_exact_values():
     b = LogMag.exact(Fraction(2**401 + 1, 2**401), 1_000_003)
     assert a.compare(b) == 1 and b.compare(a) == -1 and a != b
     # coprime roots: the cross powers pass the bit budget, and enclosures escalate
-    prec = iv.prec
     c = LogMag.exact(Fraction(2**401 + 1, 2**401), 1_000_033)
     assert a.compare(c) == 1 and c.compare(a) == -1 and a.compare(a) == 0
-    assert iv.prec == prec
     # an irrational magnitude past the budget escalates too
     F = QuadField(2)
     g = LogMag.exact(F.element(2**600, 1), 1_000_003)
@@ -684,21 +805,20 @@ def test_decimal_str_decides_values_near_a_tie():
 class _Enclosed(LogMag):
     """A LogMag rendered from a given enclosure, to test rendering alone."""
 
-    def __init__(self, ival):
+    def __init__(self, lo: Fraction, hi: Fraction):
         super().__init__(Fraction(1), 1)
-        self.ival = ival
+        self.lo, self.hi = lo, hi
 
-    def _interval(self):
-        return self.ival
+    def _enclose(self, w):
+        # the narrowest enclosure of [lo, hi] at scale 2^-w: exact once the
+        # dyadic endpoints have at most w - 1 bits after the binary point
+        top, bot = math.ceil(self.hi * 2 ** (w - 1)), math.floor(self.lo * 2 ** (w - 1))
+        return top + bot, top - bot
 
 
 def _dyadic_logmag(lo: Fraction, hi: Fraction) -> LogMag:
     # a value whose enclosure has the exact dyadic endpoints lo <= hi
-    lo_mpf, hi_mpf = (
-        mp.make_mpf(libmp.from_man_exp(q.numerator, -(q.denominator.bit_length() - 1)))
-        for q in (lo, hi)
-    )
-    return _Enclosed(iv.mpf([lo_mpf, hi_mpf]))
+    return _Enclosed(lo, hi)
 
 
 def test_decimal_rendering_rounds_the_exact_value_half_even():
@@ -739,6 +859,30 @@ def test_integer_normal_form_properties(values):
     assert [c * i for i in ints] == values
     assert math.gcd(*ints) == 1
     assert next(i for i in ints if i) > 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.one_of(
+            st.integers(-(10**6), 10**6),
+            st.builds(
+                lambda k, c: k * 2**300 + c, st.integers(-3, 3), st.integers(-(10**6), 10**6)
+            ),
+            st.fractions(max_denominator=10**6),
+        ),
+        min_size=1,
+        max_size=6,
+    ).filter(any)
+)
+def test_integer_normal_form_is_the_gcd_taken_in_coordinate_order(values):
+    # the gcd runs smallest coordinate first; the answer is the same as in order
+    den = math.lcm(*(Fraction(v).denominator for v in values))
+    ints = [int(Fraction(v) * den) for v in values]
+    g = functools.reduce(math.gcd, ints, 0)
+    if next(i for i in ints if i) < 0:
+        g = -g
+    assert integer_normal_form(values) == ([i // g for i in ints], Fraction(g, den))
 
 
 def test_integer_normal_form_examples():

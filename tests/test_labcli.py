@@ -1084,6 +1084,14 @@ def test_efd_map_branch_prints_its_terms_as_numbers(tmp_path, capsys):
     assert out.splitlines()[0] == "s sequence = (3/2, 3, 6, 12)"
 
 
+def test_efd_matrix_branch_runs_past_the_float_range(tmp_path, capsys):
+    # s_1100 = 2^1100 is past the largest float: nothing may convert it
+    path = tmp_path / "efd.json"
+    path.write_text(json.dumps({"efd": {"matrix": [[2]], "target": 0}, "depth": 1100}))
+    assert main(["efd", str(path)]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "e rate     = [2, 2] (exact)"
+
+
 _DROPPED_FLAGS = [
     *((cmd, "--out") for cmd in ("weil", "alpha", "lct", "efd", "cn", "thm14", "thm17")),
     *((cmd, "--depth") for cmd in ("weil", "lct", "cn")),

@@ -240,7 +240,7 @@ def test_local_table_evaluates_each_place_once(monkeypatch):
 
 _F2 = QuadField(2)
 _PLACES_Q = [INF] + [Place.finite(p) for p in (2, 3, 5, 7, 11, 13, 10007)]
-_PLACES_F = _PLACES_Q + places_above(Place.finite(7), _F2)  # 7 splits in Q(sqrt 2)
+_PLACES_F = [*_PLACES_Q, *places_above(Place.finite(7), _F2)]  # 7 splits in Q(sqrt 2)
 _points = st.tuples(st.integers(-10**5, 10**5), st.integers(-10**5, 10**5)).filter(any)
 
 
