@@ -424,18 +424,17 @@ def _log_magnitude(m, w: int) -> tuple[int, int]:
         v1, e1 = _log2k(m.numerator, 0, w)
         v2, e2 = _log2k(m.denominator, 0, w)
         return v1 - v2, e1 + e2
-    a, b, d = m.a, m.b, m.field.d
-    den = a.denominator * b.denominator
-    A, B = abs(a.numerator) * b.denominator, abs(b.numerator) * a.denominator
-    # |a| + |b| sqrt(d) = N/den with N = A + B sqrt(d) >= 2^(len(A + B) - 1),
-    # so L = floor(N 2^c) = A 2^c + isqrt(B^2 d 4^c) >= 2^w, and log(N 2^c)
+    d = m.field.d
+    A, B = abs(m.A), abs(m.B)
+    # m = (A + B sqrt(d))/C, and N = |A| + |B| sqrt(d) >= 2^(len(|A| + |B|) - 1),
+    # so L = floor(N 2^c) = |A| 2^c + isqrt(B^2 d 4^c) >= 2^w, and log(N 2^c)
     # lies in [log L, log L + 1/L]: one more unit at scale 2^-w
     c = max(0, w + 1 - (A + B).bit_length())
     vn, en = _log2k((A << c) + math.isqrt(B * B * d << 2 * c), -c, w)
-    vd, ed = _log2k(den, 0, w)
-    if a > 0 < b:
+    vd, ed = _log2k(m.C, 0, w)
+    if m.A > 0 < m.B:
         return vn - vd, en + 1 + ed
-    # of opposite signs, m = |N(m)|/(|a| + |b| sqrt(d)): no cancellation
+    # of opposite signs, m = |A^2 - d B^2|/(C N): no cancellation
     vq, eq = _log2k(abs(A * A - d * B * B), 0, w)
     return vq - vd - vn, eq + ed + en + 1
 
@@ -466,7 +465,7 @@ def decimal_fraction(q: Fraction, places: int = 12) -> str:
 class LogMag:
     """log(m)/root for a positive magnitude m, always exact.
 
-    m is a Fraction, or a QuadElem a + b*sqrt(d) with a, b != 0 of a real
+    m is a Fraction, or a QuadElem (A + B*sqrt(d))/C with A, B != 0 of a real
     field, read under sqrt(d) -> +sqrt(d).  Values add, subtract, scale by
     rationals and compare without any rounding; enclosures (_enclose(w))
     serve only read-outs (decimals, floats, ratio bounds) and comparisons
@@ -485,20 +484,25 @@ class LogMag:
     def exact(cls, m: Union[RationalLike, "QuadElem"], root: int = 1) -> "LogMag":
         if root < 1:
             raise ValueError("root index must be >= 1")
+        if not isinstance(m, (QuadElem, Fraction)):
+            m = Fraction(m)
+        if (m.sign() if isinstance(m, QuadElem) else m) <= 0:
+            raise ValueError("log-magnitude of a nonpositive quantity")
+        return cls._positive(m, root)
+
+    @classmethod
+    def _positive(cls, m: Union[Fraction, "QuadElem"], root: int) -> "LogMag":
+        """log(m)/root in canonical form, for a magnitude m known to be positive."""
         if isinstance(m, QuadElem):
-            if m.sign() <= 0:
-                raise ValueError("log-magnitude of a nonpositive quantity")
-            if m.a and m.b:
+            if m.A and m.B:
                 # m/conj(m) is not +-1, so no power of m is rational and the
                 # value differs from every rational-magnitude one
                 return cls(m, root)
-            m, root = (m.a, root) if m.a else (m.b * m.b * m.field.d, 2 * root)
-        if not isinstance(m, Fraction):
-            m = Fraction(m)
-        if m <= 0:
-            raise ValueError("log-magnitude of a nonpositive quantity")
-        m, root = _canonical_log(m, root)
-        return cls(m, root)
+            if m.A:
+                m = Fraction(m.A, m.C)
+            else:
+                m, root = Fraction(m.B * m.B * m.field.d, m.C * m.C), 2 * root
+        return cls(*_canonical_log(m, root))
 
     @classmethod
     def zero(cls) -> "LogMag":
@@ -571,8 +575,9 @@ class LogMag:
         if not isinstance(other, LogMag):
             return NotImplemented
         r = math.lcm(self._root, other._root)
+        # a product of positive magnitudes: no sign to decide
         m = _power(self._m, r // self._root) * _power(other._m, r // other._root)
-        return LogMag.exact(m, r)
+        return LogMag._positive(m, r)
 
     def __sub__(self, other: "LogMag") -> "LogMag":
         if not isinstance(other, LogMag):
@@ -591,7 +596,7 @@ class LogMag:
             return LogMag.zero()
         a, b = k.numerator, k.denominator
         m = _power(self._m, abs(a))
-        return LogMag.exact(m if a > 0 else 1 / m, self._root * b)
+        return LogMag._positive(m if a > 0 else 1 / m, self._root * b)
 
     __rmul__ = __mul__
 
@@ -775,8 +780,8 @@ def _power(m, e: int):
     """m**e for a magnitude m and e >= 1, refused past _BIT_BUDGET."""
     if e == 1:
         return m
-    parts = (m.a, m.b) if isinstance(m, QuadElem) else (m,)
-    bits = sum(q.numerator.bit_length() + q.denominator.bit_length() for q in parts) * e
+    parts = (m.A, m.B, m.C) if isinstance(m, QuadElem) else (m.numerator, m.denominator)
+    bits = sum(n.bit_length() for n in parts) * e
     if bits > _BIT_BUDGET:
         raise PrecisionExhausted(
             f"exact exponentiation would need ~{bits} bits (cap {_BIT_BUDGET})"
@@ -830,105 +835,163 @@ class QuadField:
             raise ValueError(f"cannot certify {self.d} squarefree")
 
     def element(self, a: RationalLike, b: RationalLike = 0) -> "QuadElem":
-        return QuadElem(self, Fraction(a), Fraction(b))
+        return QuadElem(self, a, b)
 
     def sqrt_gen(self) -> "QuadElem":
-        return QuadElem(self, Fraction(0), Fraction(1))
+        return QuadElem._make(self, 0, 1, 1)
 
     def __repr__(self) -> str:
         return f"Q(sqrt({self.d}))"
 
 
-@dataclass(frozen=True)
 class QuadElem:
-    """a + b*sqrt(d) with rational a, b."""
+    """(A + B*sqrt(d))/C with ints A, B, C, C > 0 and gcd(A, B, C) = 1.
 
-    field: QuadField
-    a: Fraction
-    b: Fraction
+    One common denominator keeps the arithmetic in ints (Cohen, A Course
+    in Computational Algebraic Number Theory, sec. 4.2), and the form is
+    unique, so equality and hashing are structural.  a = A/C and b = B/C
+    are Fraction read-outs.
+    """
 
-    def _coerce(self, other) -> "QuadElem":
+    __slots__ = ("field", "A", "B", "C")
+
+    def __init__(self, field: QuadField, a: RationalLike = 0, b: RationalLike = 0) -> None:
+        a, b = Fraction(a), Fraction(b)
+        C = math.lcm(a.denominator, b.denominator)
+        # a and b in lowest terms over their lcm leave gcd(A, B, C) = 1
+        self.field = field
+        self.A = a.numerator * (C // a.denominator)
+        self.B = b.numerator * (C // b.denominator)
+        self.C = C
+
+    @classmethod
+    def _make(cls, field: QuadField, A: int, B: int, C: int) -> "QuadElem":
+        """(A + B*sqrt(d))/C for C != 0, reduced to the canonical form."""
+        g = math.gcd(A, B, C)
+        if C < 0:
+            g = -g
+        y = object.__new__(cls)
+        y.field, y.A, y.B, y.C = field, A // g, B // g, C // g
+        return y
+
+    @property
+    def a(self) -> Fraction:
+        return Fraction(self.A, self.C)
+
+    @property
+    def b(self) -> Fraction:
+        return Fraction(self.B, self.C)
+
+    def _coerce(self, other) -> Optional["QuadElem"]:
         if isinstance(other, QuadElem):
             if other.field != self.field:
                 raise FieldMismatch("elements of different quadratic fields")
             return other
         if isinstance(other, (int, Fraction)):
-            return QuadElem(self.field, Fraction(other), Fraction(0))
-        raise TypeError(f"cannot coerce {other!r}")
+            return QuadElem._make(self.field, other.numerator, 0, other.denominator)
+        return None
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, QuadElem):
+            return NotImplemented
+        return (
+            self.A == other.A and self.B == other.B and self.C == other.C
+            and self.field == other.field
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.field, self.A, self.B, self.C))
 
     def __add__(self, other):
+        A, B, C = self.A, self.B, self.C
+        if isinstance(other, int):
+            return QuadElem._make(self.field, A + other * C, B, C)
         o = self._coerce(other)
-        return QuadElem(self.field, self.a + o.a, self.b + o.b)
+        if o is None:
+            return NotImplemented
+        return QuadElem._make(self.field, A * o.C + o.A * C, B * o.C + o.B * C, C * o.C)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QuadElem(self.field, -self.a, -self.b)
+        return QuadElem._make(self.field, -self.A, -self.B, self.C)
 
     def __sub__(self, other):
-        return self + (-self._coerce(other))
+        if not isinstance(other, (QuadElem, int, Fraction)):
+            return NotImplemented
+        return self + -other
 
     def __rsub__(self, other):
-        return self._coerce(other) + (-self)
+        if not isinstance(other, (int, Fraction)):
+            return NotImplemented
+        return -self + other
 
     def __mul__(self, other):
+        A, B, C = self.A, self.B, self.C
+        if isinstance(other, int):
+            return QuadElem._make(self.field, A * other, B * other, C)
         o = self._coerce(other)
-        d = self.field.d
-        return QuadElem(
-            self.field,
-            self.a * o.a + d * self.b * o.b,
-            self.a * o.b + self.b * o.a,
+        if o is None:
+            return NotImplemented
+        return QuadElem._make(
+            self.field, A * o.A + self.field.d * B * o.B, A * o.B + B * o.A, C * o.C
         )
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        n = o.norm()
+    def _inverse(self) -> "QuadElem":
+        """1/y = C (A - B*sqrt(d))/(A^2 - d B^2)."""
+        A, B, C = self.A, self.B, self.C
+        n = A * A - self.field.d * B * B
         if n == 0:
             raise ZeroDivisionError("division by zero element")
-        inv = QuadElem(self.field, o.a / n, -o.b / n)
-        return self * inv
+        return QuadElem._make(self.field, A * C, -B * C, n)
+
+    def __truediv__(self, other):
+        o = self._coerce(other)
+        return NotImplemented if o is None else self * o._inverse()
 
     def __rtruediv__(self, other):
-        return self._coerce(other) / self
+        o = self._coerce(other)
+        return NotImplemented if o is None else o * self._inverse()
 
     def __pow__(self, k: int):
-        if k < 0:
-            return (QuadElem(self.field, Fraction(1), Fraction(0)) / self) ** (-k)
-        out = QuadElem(self.field, Fraction(1), Fraction(0))
-        base = self
+        base = self if k >= 0 else self._inverse()
+        k = abs(k)
+        out = QuadElem._make(self.field, 1, 0, 1)
         while k:
             if k & 1:
                 out = out * base
-            base = base * base
             k >>= 1
+            if k:
+                base = base * base
         return out
 
     def conjugate(self) -> "QuadElem":
-        return QuadElem(self.field, self.a, -self.b)
+        return QuadElem._make(self.field, self.A, -self.B, self.C)
 
     def norm(self) -> Fraction:
-        return self.a * self.a - self.field.d * self.b * self.b
+        return Fraction(self.A * self.A - self.field.d * self.B * self.B, self.C * self.C)
 
     def sign(self) -> int:
-        """Sign of a + b*sqrt(d) under sqrt(d) -> +sqrt(d); d > 0 unless b = 0."""
-        sa = (self.a > 0) - (self.a < 0)
-        sb = (self.b > 0) - (self.b < 0)
+        """Sign of (A + B*sqrt(d))/C under sqrt(d) -> +sqrt(d); d > 0 unless B = 0."""
+        A, B = self.A, self.B
+        sa = (A > 0) - (A < 0)
+        sb = (B > 0) - (B < 0)
         if sb and self.field.d < 0:
             raise ValueError(f"{self!r} has no real embedding")
         if sa * sb >= 0:
             return sa or sb
-        # opposite signs: a + b*sqrt(d) has the sign of a exactly when a^2 > d*b^2
-        return sa if self.norm() > 0 else -sa
+        # opposite signs: A + B*sqrt(d) has the sign of A exactly when A^2 > d*B^2
+        return sa if A * A > self.field.d * B * B else -sa
 
     @property
     def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0
+        return self.A == 0 and self.B == 0
 
     @property
     def is_rational(self) -> bool:
-        return self.b == 0
+        return self.B == 0
 
     def __repr__(self) -> str:
         return f"({self.a} + {self.b}*sqrt({self.field.d}))"
@@ -995,10 +1058,6 @@ class Place:
         """[F_w : Q_v]; 1 for places of Q themselves."""
         return 1 if self.kind in (None, SPLIT, REAL) else 2
 
-    @property
-    def restriction(self) -> "Place":
-        return Place(self.p)
-
     def __repr__(self) -> str:
         base = "inf" if self.p is None else str(self.p)
         if self.field is None:
@@ -1049,7 +1108,8 @@ def _split_valuation(y: QuadElem, p: int, index: int) -> int:
     so the factor = 0 mod 4, at index 0 iff A + B = 0 mod 4 (s_0 = 1 mod 4),
     takes ord_2(N) - 1 and the other takes 1.
     """
-    (A, B), c = integer_normal_form([y.a, y.b])
+    g = math.gcd(y.A, y.B)
+    A, B = y.A // g, y.B // g
     k = multiplicity(A * A - y.field.d * B * B, p)
     if index == 1:
         B = -B
@@ -1059,7 +1119,8 @@ def _split_valuation(y: QuadElem, p: int, index: int) -> int:
         own = k - 1 if (A + B) % 4 == 0 else 1
     else:
         own = k if 2 * (-A * pow(B, -1, p) % p) < p else 0
-    return own + multiplicity(c, p)
+    # c = g/C in lowest terms, as gcd(g, C) = gcd(y.A, y.B, C) = 1
+    return own + multiplicity(g, p) - multiplicity(y.C, p)
 
 
 def _abs_quad(y: QuadElem, v: Place) -> LogMag:
@@ -1082,7 +1143,7 @@ def _abs_quad(y: QuadElem, v: Place) -> LogMag:
         return LogMag.exact(y.norm(), 2)
     # real embedding sqrt(d) -> -sqrt(d) (index 1) reads conj(y) under the first
     z = y if v.index == 0 else y.conjugate()
-    return LogMag.exact(z if z.sign() > 0 else -z)
+    return LogMag._positive(z if z.sign() > 0 else -z, 1)
 
 
 def abs_value(x, v: Place) -> LogMag:

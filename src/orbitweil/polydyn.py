@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations_with_replacement
-from math import gcd
+from math import gcd, lcm
 from typing import Mapping, Optional, Sequence, Union
 
 from .exactnum import (
@@ -262,16 +262,17 @@ class HomogPoly:
     def content(self) -> Fraction:
         """Positive rational c with self/c integral, coprime coefficients.
 
-        Quadratic coefficients contribute both components a, b.
+        Quadratic coefficients contribute both components a, b: the gcd of
+        the numerators over the lcm of the denominators, with (A + B*sqrt(d))/C
+        giving gcd(A, B) over C.
         """
         if self.is_zero:
             return Fraction(1)
-        comps = [
-            q
-            for c in self.terms.values()
-            for q in ((c.a, c.b) if isinstance(c, QuadElem) else (c,))
-        ]
-        return abs(integer_normal_form(comps)[1])
+        num, den = 0, 1
+        for c in self.terms.values():
+            n, m = (gcd(c.A, c.B), c.C) if isinstance(c, QuadElem) else (c.numerator, c.denominator)
+            num, den = gcd(num, n), lcm(den, m)
+        return Fraction(num, den)
 
     def primitive(self) -> "HomogPoly":
         c = self.content()
@@ -283,8 +284,8 @@ class HomogPoly:
         for c in self.terms.values():
             if isinstance(c, QuadElem):
                 d = abs(c.field.d)
-                # |a + b sqrt(d)| <= |a| + |b| (isqrt(d)+1) at both embeddings
-                total += abs(c.a) + abs(c.b) * (_isqrt_ceil(d))
+                # |A + B sqrt(d)|/C <= (|A| + |B| ceil(sqrt(d)))/C at both embeddings
+                total += Fraction(abs(c.A) + abs(c.B) * _isqrt_ceil(d), c.C)
             else:
                 total += abs(c)
         return total

@@ -156,7 +156,7 @@ def test_restriction_compatibility():
     for v in [INF, Place.finite(2), Place.finite(5), Place.finite(7)]:
         for w in places_above(v, F):
             assert abs_value(F.element(q), w) == abs_value(q, v)
-            assert w.restriction == v
+            assert Place(w.p) == v
 
 
 def _weighted_sum(y, field, places):
@@ -934,6 +934,98 @@ def test_quadelem_arithmetic():
         QuadField(12)
     with pytest.raises(ValueError):
         QuadField(1)
+
+
+# The Fraction-pair formulas for a + b*sqrt(d): the reference the integer
+# representation (A + B*sqrt(d))/C must reproduce.
+def _ref_mul(x, y, d):
+    return (x[0] * y[0] + d * x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+
+def _ref_norm(x, d):
+    return x[0] * x[0] - d * x[1] * x[1]
+
+
+def _ref_inv(x, d):
+    n = _ref_norm(x, d)
+    return (x[0] / n, -x[1] / n)
+
+
+def _ref_pow(x, k, d):
+    if k < 0:
+        x, k = _ref_inv(x, d), -k
+    out = (Fraction(1), Fraction(0))
+    for _ in range(k):
+        out = _ref_mul(out, x, d)
+    return out
+
+
+def _ref_sign(x, d):
+    a, b = x
+    sa, sb = (a > 0) - (a < 0), (b > 0) - (b < 0)
+    if sb and d < 0:
+        return None
+    if sa * sb >= 0:
+        return sa or sb
+    return sa if _ref_norm(x, d) > 0 else -sa
+
+
+def _assert_is(y, ref, F):
+    """y is the canonical (A + B sqrt d)/C of the pair ref = (a, b)."""
+    A, B, C = y.A, y.B, y.C
+    assert all(type(v) is int for v in (A, B, C))
+    assert C > 0 and math.gcd(A, B, C) == 1
+    assert type(y.a) is Fraction and type(y.b) is Fraction
+    assert (y.a, y.b) == ref
+    # an equal value built another way is the same object, with one hash
+    other = F.element(*ref)
+    assert y == other and hash(y) == hash(other)
+
+
+_quad_fractions = st.builds(Fraction, st.integers(-40, 40), st.integers(1, 12))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    d=st.sampled_from([2, 3, 5, -1, -7]),
+    x=st.tuples(_quad_fractions, _quad_fractions),
+    y=st.tuples(_quad_fractions, _quad_fractions),
+    q=_quad_fractions,
+    n=st.integers(-20, 20),
+    k=st.integers(-4, 5),
+)
+def test_quadelem_integer_form_matches_the_fraction_pair_formulas(d, x, y, q, n, k):
+    F = QuadField(d)
+    u, v = F.element(*x), F.element(*y)
+    _assert_is(u, x, F)
+    _assert_is(u + v, (x[0] + y[0], x[1] + y[1]), F)
+    _assert_is(u - v, (x[0] - y[0], x[1] - y[1]), F)
+    _assert_is(u * v, _ref_mul(x, y, d), F)
+    _assert_is(-u, (-x[0], -x[1]), F)
+    _assert_is(u.conjugate(), (x[0], -x[1]), F)
+    assert type(u.norm()) is Fraction and u.norm() == _ref_norm(x, d)
+    # mixed with ints (the evaluation fast paths) and Fractions, on either side
+    for c in (n, q):
+        _assert_is(u + c, (x[0] + c, x[1]), F)
+        _assert_is(c + u, (x[0] + c, x[1]), F)
+        _assert_is(c - u, (c - x[0], -x[1]), F)
+        _assert_is(u * c, (x[0] * c, x[1] * c), F)
+        _assert_is(c * u, (x[0] * c, x[1] * c), F)
+        if c:
+            _assert_is(u / c, (x[0] / c, x[1] / c), F)
+    if not u.is_zero:
+        _assert_is(u**k, _ref_pow(x, k, d), F)
+        _assert_is(1 / u, _ref_inv(x, d), F)
+        _assert_is(q / u, _ref_mul((q, Fraction(0)), _ref_inv(x, d), d), F)
+        _assert_is(v / u, _ref_mul(y, _ref_inv(x, d), d), F)
+    elif k > 0:
+        _assert_is(u**k, (Fraction(0), Fraction(0)), F)
+    want = _ref_sign(x, d)
+    if want is None:
+        with pytest.raises(ValueError):
+            u.sign()
+    else:
+        assert u.sign() == want
 
 
 def test_quadelem_at_base_place_needs_extension():
