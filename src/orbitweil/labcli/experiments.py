@@ -221,6 +221,12 @@ def _sample_points(nvars: int, bound: int, count, rng_seed: int) -> list[ProjPoi
                 p = ProjPoint.normalize((a, b))
                 seen.setdefault(p.coords, p)
         return list(seen.values())
+    # each point of height <= bound has exactly two primitive representatives +-x in the box
+    most = ((2 * bound + 1) ** nvars - 1) // 2
+    if count > most:
+        raise ConfigError(
+            f"sample/count: {count} exceeds {most}, a bound on the points of height <= {bound}"
+        )
     rng = random.Random(rng_seed)
     out: list[ProjPoint] = []
     seen_keys = set()

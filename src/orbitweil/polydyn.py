@@ -252,13 +252,6 @@ class HomogPoly:
 
     # -- structure -------------------------------------------------------------
 
-    def conjugate(self) -> "HomogPoly":
-        out = {
-            e: (c.conjugate() if isinstance(c, QuadElem) else c)
-            for e, c in self.terms.items()
-        }
-        return HomogPoly(self.nvars, self.degree, out)
-
     def content(self) -> Fraction:
         """Positive rational c with self/c integral, coprime coefficients.
 
@@ -278,24 +271,6 @@ class HomogPoly:
         c = self.content()
         return self if c == 1 else self * (1 / c)
 
-    def coeff_bound(self) -> Fraction:
-        """Rational upper bound for sum_t |coeff_t| under any archimedean embedding."""
-        total = Fraction(0)
-        for c in self.terms.values():
-            if isinstance(c, QuadElem):
-                d = abs(c.field.d)
-                # |A + B sqrt(d)|/C <= (|A| + |B| ceil(sqrt(d)))/C at both embeddings
-                total += Fraction(abs(c.A) + abs(c.B) * _isqrt_ceil(d), c.C)
-            else:
-                total += abs(c)
-        return total
-
-    def ord_along_variable(self, i: int) -> int:
-        """Vanishing order along the coordinate hyperplane x_i = 0."""
-        if self.is_zero:
-            raise ValueError("order of the zero polynomial")
-        return min(e[i] for e in self.terms)
-
     def chart_exponents(self, k: int) -> list[tuple[int, ...]]:
         """Exponent vectors after setting x_k = 1 (coordinate chart k)."""
         return [e[:k] + e[k + 1 :] for e in self.terms]
@@ -309,13 +284,6 @@ def monomials_of_degree(nvars: int, degree: int) -> list[tuple[int, ...]]:
             e[i] += 1
         out.append(tuple(e))
     return sorted(out, reverse=True)
-
-
-def _isqrt_ceil(d: int) -> int:
-    import math
-
-    r = math.isqrt(d)
-    return r if r * r == d else r + 1
 
 
 # ---------------------------------------------------------------------------
@@ -361,14 +329,6 @@ class ProjPoint:
 def height(x: ProjPoint) -> LogMag:
     """Standard Weil height relative to O(1): log max |x_i| for primitive x."""
     return LogMag.exact(max(abs(c) for c in x.coords))
-
-
-def height_twisted(x: ProjPoint, e: Union[int, Fraction]) -> LogMag:
-    """Height relative to O(e): e * h(x)."""
-    e = Fraction(e)
-    if e <= 0:
-        raise ValueError("twist must be positive")
-    return height(x) * e
 
 
 # ---------------------------------------------------------------------------

@@ -234,39 +234,6 @@ class NewtonPolyhedron:
         return status == "optimal"
 
 
-class MonomialValuation:
-    """ord_v(x^m) = <v, m> for a nonzero weight vector v >= 0."""
-
-    __slots__ = ("weights",)
-
-    def __init__(self, weights):
-        w = tuple(int(v) for v in weights)
-        if not w or any(v < 0 for v in w):
-            raise ValueError("weights must be nonnegative integers")
-        if not any(w):
-            raise ValueError("the zero vector is not a valuation")
-        self.weights = w
-
-    @property
-    def discrepancy(self) -> int:
-        return sum(self.weights) - 1
-
-    def ord_monomial(self, exponents) -> int:
-        return sum(w * e for w, e in zip(self.weights, exponents))
-
-    def ord_support(self, support) -> int:
-        vals = [self.ord_monomial(m) for m in support]
-        if not vals:
-            raise ValueError("empty support")
-        return min(vals)
-
-    def ord_ideal(self, ideal: MonomialIdeal) -> int:
-        return ideal.ord_along(self.weights)
-
-    def __repr__(self):
-        return f"MonomialValuation({list(self.weights)})"
-
-
 # ---------------------------------------------------------------------------
 # lct results
 
@@ -388,16 +355,6 @@ def lct_valuation_search(ideal: MonomialIdeal, bound: int) -> LctResult:
     )
 
 
-def lct_snc(coefficients) -> Fraction:
-    """lct of a strict-normal-crossings divisor sum a_i D_i: min of 1/a_i."""
-    coeffs = [Fraction(a) for a in coefficients]
-    if not coeffs:
-        raise ValueError("empty coefficient list")
-    if any(a <= 0 for a in coeffs):
-        raise ValueError("coefficients must be positive")
-    return min(1 / a for a in coeffs)
-
-
 def lct_lower_bound_canonical(max_ord: int) -> LctResult:
     """The reciprocal multiplicity bound 1/M, restricted to the tested family.
 
@@ -423,20 +380,6 @@ def max_ord_over_family(ideal: MonomialIdeal, bound: int) -> int:
     for v in _bounded_weight_vectors(ideal.nvars, bound):
         best = max(best, ideal.ord_along(v))
     return best
-
-
-def lct_form_interval(ideal: MonomialIdeal, bound: int) -> LctResult:
-    """Enclosure [family lower bound, valuation-search upper bound].
-
-    For data that is only formally monomial (the support of a general form),
-    nothing here is exact: the lower end is the family-restricted reciprocal
-    multiplicity and the upper end is the bounded valuation search.
-    """
-    if ideal.is_unit:
-        return LCT_INFINITE
-    lo = Fraction(1, max_ord_over_family(ideal, bound))
-    up = lct_valuation_search(ideal, bound).upper
-    return LctResult(lo, up, "interval", note=f"family bound {bound}; not exact")
 
 
 # ---------------------------------------------------------------------------
@@ -580,28 +523,6 @@ def efd_monomial_exact(A: ExponentMatrix, target_column: int, depth: int = 30) -
 COMPOSE_CAP = 6
 
 
-def _wellformed_gate(f: Morphism) -> None:
-    if f.macaulay_det == 0:
-        raise ValueError("map has a base point; pullback orders are undefined")
-
-
-def ord_pullback_hyperplane(f: Morphism, G: HomogPoly, m: int, i: int) -> int:
-    """Largest k with x_i^k dividing the pullback of G under the m-th iterate."""
-    if m < 1:
-        raise ValueError("iterate must be >= 1")
-    if m > COMPOSE_CAP:
-        raise ValueError(f"iterate {m} exceeds the symbolic composition cap {COMPOSE_CAP}")
-    if not 0 <= i < G.nvars:
-        raise ValueError("coordinate index out of range")
-    _wellformed_gate(f)
-    g = G
-    for _ in range(m):
-        g = pullback(f, g)
-        if g.is_zero:
-            raise ValueError("pullback vanished identically (support degeneracy)")
-    return g.ord_along_variable(i)
-
-
 def family_ord(P: HomogPoly, bound: int, charts=None) -> Fraction:
     """max over charts and weights |v|_inf <= bound of ord_v(P) / sum(v).
 
@@ -638,7 +559,6 @@ class EfdEstimate:
 
     s_seq: tuple
     ratios: tuple
-    roots: tuple
     estimate: float
     exact_estimate: Fraction | None
     bound: int
@@ -669,11 +589,10 @@ def efd_estimate(f: Morphism, D, N: int, bound: int = 2, charts=None) -> EfdEsti
             raise ValueError("pullback vanished identically (support degeneracy)")
         s_seq.append(max(Fraction(1), weight * family_ord(g, bound, charts=charts)))
     ratios = tuple(s_seq[i + 1] / s_seq[i] for i in range(len(s_seq) - 1))
-    roots = tuple(float(s) ** (1.0 / n) for n, s in enumerate(s_seq, start=1))
     tail = ratios[-3:] if len(ratios) >= 3 else ratios
     exact_est = tail[0] if tail and all(r == tail[0] for r in tail) else None
-    est = float(exact_est) if exact_est is not None else roots[-1]
-    return EfdEstimate(tuple(s_seq), ratios, roots, est, exact_est, bound)
+    est = float(exact_est) if exact_est is not None else float(s_seq[-1]) ** (1.0 / N)
+    return EfdEstimate(tuple(s_seq), ratios, est, exact_est, bound)
 
 
 @dataclass(frozen=True)

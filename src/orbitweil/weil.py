@@ -36,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, lcm
+from math import gcd
 from typing import Optional, Union
 
 from .exactnum import (
@@ -144,14 +144,6 @@ class DivisorPresentation:
     def support_test(self, x: ProjPoint) -> bool:
         return LocalTable(self, x).on_support
 
-    def conjugate(self) -> "DivisorPresentation":
-        return DivisorPresentation(
-            self.sd.conjugate(),
-            tuple(g.conjugate() for g in self.numer),
-            tuple(g.conjugate() for g in self.denom),
-            self.weight,
-        )
-
     def scaled(self, c: RationalLike) -> "DivisorPresentation":
         """Same divisor, s_D scaled by a nonzero constant (for invariance tests)."""
         c = Fraction(c)
@@ -162,23 +154,6 @@ class DivisorPresentation:
     def with_extra_numerator(self, g: HomogPoly) -> "DivisorPresentation":
         """Enlarged numerator family generating the same sheaf if g lies in it."""
         return DivisorPresentation(self.sd, self.numer + (g,), self.denom, self.weight)
-
-    def nonnegativity_constant(self) -> Optional[LogMag]:
-        """c with lambda_D(x, v) >= -c at every place, for x off the support.
-
-        Available when the numerator family contains all monomials of its
-        degree.  Archimedean places contribute the coefficient triangle
-        bound; finite places contribute only through coefficient
-        denominators (integral data costs nothing there).
-        """
-        if not self._full_monomials():
-            return None
-        bound = self.sd.coeff_bound() * max(t.coeff_bound() for t in self.denom)
-        # the denominator of a content is the lcm of its form's denominators
-        bound = bound * lcm(*(g.content().denominator for g in (self.sd, *self.denom)))
-        if bound < 1:
-            bound = Fraction(1)
-        return LogMag.exact(bound) * abs(self.weight)
 
     def _full_monomials(self) -> bool:
         have = set(self.numer)

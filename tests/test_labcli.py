@@ -59,6 +59,15 @@ def axis_cfg(**overrides):
     return parse_config(data)
 
 
+@pytest.mark.parametrize("module", [orbitweil, orbitweil.labcli], ids=lambda m: m.__name__)
+def test_export_list_resolves_without_duplicates(module):
+    names = module.__all__
+    assert len(set(names)) == len(names)
+    namespace = {}
+    exec(f"from {module.__name__} import *", namespace)
+    assert set(names) <= set(namespace)
+
+
 def test_config_parsing_round_trip():
     cfg = squaring_cfg(params={"e": "1", "eps": "1/2"}, twist=2)
     assert len(cfg.map.forms) == 2
@@ -586,6 +595,18 @@ def test_sample_points_enumeration():
     assert len({p.coords for p in rand1}) == 20
     with pytest.raises(ConfigError):
         _sample_points(3, 5, "all", 0)
+
+
+def test_oversized_sample_count_is_refused_before_drawing():
+    # 10,000 exceeds the 4 points of height <= 1 on P^1; the refusal draws nothing
+    cfg = parse_config({
+        "divisor": {"field": "Q", "form": {"1,0": "1", "0,1": "-3"}},
+        "places": ["inf", 3],
+        "params": {"eps_prime": "1"},
+        "sample": {"height_bound": 1, "count": 10000},
+    })
+    with pytest.raises(ConfigError, match="^sample/count: "):
+        run_gap_experiment(cfg)
 
 
 def test_closure_proxy_reports():

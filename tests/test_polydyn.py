@@ -18,7 +18,6 @@ from orbitweil.polydyn import (
     ZeroPoint,
     evaluate,
     height,
-    height_twisted,
     iterate,
     macaulay_determinant,
     monomials_of_degree,
@@ -83,13 +82,6 @@ def test_height_examples_and_oracle():
         lam = Fraction(rng.randint(1, 12), rng.randint(1, 12))
         rep = [c * lam for c in prim.coords]
         assert _height_oracle(rep) == height(prim)
-
-
-def test_height_twisted():
-    assert height_twisted(P(16, 1), 2) == LogMag.exact(256)
-    assert height_twisted(P(16, 1), Fraction(1, 2)) == LogMag.exact(4)
-    with pytest.raises(ValueError):
-        height_twisted(P(2, 1), 0)
 
 
 def test_evaluate_and_orbit():
@@ -243,8 +235,6 @@ def test_poly_algebra():
         2, {(3, 0): 1, (2, 1): 3, (1, 2): 3, (0, 3): 1}
     )
     assert g.evaluate((4, 1)) == 7
-    assert g.ord_along_variable(0) == 0
-    assert HomogPoly.monomial([1, 2], 5).ord_along_variable(1) == 2
     with pytest.raises(ValueError):
         x + g
 

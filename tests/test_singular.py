@@ -11,19 +11,15 @@ from orbitweil.singular import (
     LCT_INFINITE,
     ExponentMatrix,
     MonomialIdeal,
-    MonomialValuation,
     NewtonPolyhedron,
     cn_calculator,
     efd_estimate,
     efd_monomial_exact,
     family_ord,
-    lct_form_interval,
     lct_lower_bound_canonical,
     lct_monomial,
-    lct_snc,
     lct_valuation_search,
     max_ord_over_family,
-    ord_pullback_hyperplane,
     remark44_m0,
     solve_lp,
 )
@@ -112,16 +108,6 @@ def test_lct_valuation_search_examples():
         lct_valuation_search(ideal, 0)
 
 
-def test_lct_snc():
-    assert lct_snc([1, 1, 1]) == 1
-    assert lct_snc([2, 3]) == Fraction(1, 3)
-    assert lct_snc([Fraction(1, 2)]) == 2
-    with pytest.raises(ValueError):
-        lct_snc([])
-    with pytest.raises(ValueError):
-        lct_snc([1, 0])
-
-
 def test_lct_lower_bound():
     assert lct_lower_bound_canonical(1).lower == 1
     assert lct_lower_bound_canonical(4).lower == Fraction(1, 4)
@@ -206,25 +192,6 @@ def test_lct_scaling():
         base = lct_monomial(ideal).value
         for k in (2, 3, 5):
             assert lct_monomial(ideal.scaled(k)).value == base / k
-
-
-def test_lct_form_interval():
-    ideal = MonomialIdeal(2, [(2, 0), (0, 3)])
-    res = lct_form_interval(ideal, 3)
-    assert res.certificate_kind == "interval" and not res.is_exact
-    assert res.lower <= Fraction(5, 6) <= res.upper
-
-
-def test_monomial_valuation():
-    v = MonomialValuation((3, 2))
-    assert v.discrepancy == 4
-    assert v.ord_monomial((2, 0)) == 6
-    assert v.ord_support([(2, 0), (0, 3)]) == 6
-    assert v.ord_ideal(MonomialIdeal(2, [(2, 0), (0, 3)])) == 6
-    with pytest.raises(ValueError):
-        MonomialValuation((0, 0))
-    with pytest.raises(ValueError):
-        MonomialValuation((-1, 2))
 
 
 def test_exponent_matrix_validation():
@@ -334,17 +301,6 @@ def test_efd_reducible_mixed():
     # but column 0 never sees node 1: its rate is just the loop at 0
     res0 = efd_monomial_exact(ExponentMatrix([[3, 0], [1, 2]]), 0, depth=8)
     assert res0.exact and res0.value == 3
-
-
-def test_ord_pullback_hyperplane():
-    y = form(2, {(0, 1): 1})
-    assert ord_pullback_hyperplane(SQUARING, y, 2, 1) == 4
-    assert ord_pullback_hyperplane(SQUARING, form(2, {(1, 0): 1, (0, 1): -3}), 1, 0) == 0
-    with pytest.raises(ValueError):
-        ord_pullback_hyperplane(SQUARING, y, 7, 1)
-    bad = Morphism((form(2, {(2, 0): 1}), form(2, {(1, 1): 1})))
-    with pytest.raises(ValueError):
-        ord_pullback_hyperplane(bad, y, 1, 1)
 
 
 def test_family_ord():

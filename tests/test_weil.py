@@ -57,6 +57,12 @@ def test_weil_local_examples():
     assert weil_sum(D_X3Y, x, [INF, Place.finite(13)]) == LogMag.exact(16)
     with pytest.raises(ValueError):
         weil_sum(D_X3Y, x, [INF, INF])
+    # nonarchimedean lambda of integral default data is plain nonnegative
+    d = DivisorPresentation.hypersurface(
+        HomogPoly.from_terms(2, {(2, 0): 3, (1, 1): -1, (0, 2): 5})
+    )
+    for v in (Place.finite(2), Place.finite(3), Place.finite(11)):
+        assert weil_local(d, P(2, 3), v).compare(LogMag.zero()) >= 0
 
 
 def test_support_hit():
@@ -114,8 +120,6 @@ def test_scaled_presentation_shifts_by_log_c():
 def test_extra_numerator_bounded_change():
     x_pts = [P(16, 1), P(5, 2), P(-7, 9)]
     extra = D_X3Y.with_extra_numerator(HomogPoly.from_terms(2, {(1, 0): 1, (0, 1): 1}))
-    c = extra.nonnegativity_constant()
-    assert c is not None
     for x in x_pts:
         for v in (INF, Place.finite(2), Place.finite(13)):
             lam0 = weil_local(D_X3Y, x, v)
@@ -124,24 +128,6 @@ def test_extra_numerator_bounded_change():
             # increase is bounded by the triangle constant of the new section
             assert lam1.compare(lam0) >= 0
             assert (lam1 - lam0).compare(LogMag.exact(2)) <= 0
-
-
-def test_nonnegativity_with_constant():
-    rng = random.Random(23)
-    d = DivisorPresentation.hypersurface(
-        HomogPoly.from_terms(2, {(2, 0): 3, (1, 1): -1, (0, 2): 5})
-    )
-    c = d.nonnegativity_constant()
-    assert c is not None
-    for _ in range(40):
-        x = P(rng.randint(-25, 25), rng.randint(1, 25))
-        if d.support_test(x):
-            continue
-        for v in (INF, Place.finite(2), Place.finite(3), Place.finite(11)):
-            assert weil_local(d, x, v).compare(-c) >= 0
-    # nonarchimedean lambda of integral default data is plain nonnegative
-    for v in (Place.finite(2), Place.finite(3), Place.finite(11)):
-        assert weil_local(d, P(2, 3), v).compare(LogMag.zero()) >= 0
 
 
 def test_residual_aggregation_keeps_exactness():
