@@ -414,16 +414,17 @@ def _ceil_shift(x: int, n: int) -> int:
     return -(-x >> n)
 
 
-def _log_magnitude(m, w: int) -> tuple[int, int]:
-    """Enclosure of log m at scale 2^-w, for a magnitude m of LogMag.
+def _log_magnitude(n, d: Optional[int], w: int) -> tuple[int, int]:
+    """Enclosure of log(n/d) at scale 2^-w, for the magnitude n/d of a LogMag.
 
-    e <= 4 for a rational m and e <= 7 for a real quadratic one (see
+    e <= 4 for ints n, d and e <= 7 for a real quadratic n, d None (see
     LogMag._enclose).
     """
-    if not isinstance(m, QuadElem):
-        v1, e1 = _log2k(m.numerator, 0, w)
-        v2, e2 = _log2k(m.denominator, 0, w)
+    if d is not None:
+        v1, e1 = _log2k(n, 0, w)
+        v2, e2 = _log2k(d, 0, w)
         return v1 - v2, e1 + e2
+    m = n  # a QuadElem; from here on d is its field's radicand
     d = m.field.d
     A, B = abs(m.A), abs(m.B)
     # m = (A + B sqrt(d))/C, and N = |A| + |B| sqrt(d) >= 2^(len(|A| + |B|) - 1),
@@ -463,19 +464,21 @@ def decimal_fraction(q: Fraction, places: int = 12) -> str:
 # ---------------------------------------------------------------------------
 
 class LogMag:
-    """log(m)/root for a positive magnitude m, always exact.
+    """log(n/d)/root for a positive magnitude n/d, always exact.
 
-    m is a Fraction, or a QuadElem (A + B*sqrt(d))/C with A, B != 0 of a real
-    field, read under sqrt(d) -> +sqrt(d).  Values add, subtract, scale by
-    rationals and compare without any rounding; enclosures (_enclose(w))
-    serve only read-outs (decimals, floats, ratio bounds) and comparisons
-    past the bit budget.
+    A rational magnitude is a pair of coprime positive ints n, d.  A real
+    quadratic one is a QuadElem n = (A + B*sqrt(d))/C with A, B != 0, read
+    under sqrt(d) -> +sqrt(d), and d is None.  Values add, subtract, scale
+    by rationals and compare without any rounding; enclosures
+    (_enclose(w)) serve only read-outs (decimals, floats, ratio bounds)
+    and comparisons past the bit budget.
     """
 
-    __slots__ = ("_m", "_root")
+    __slots__ = ("_n", "_d", "_root")
 
-    def __init__(self, m: Union[Fraction, "QuadElem"], root: int) -> None:
-        self._m = m
+    def __init__(self, n: Union[int, "QuadElem"], d: Optional[int], root: int) -> None:
+        self._n = n
+        self._d = d
         self._root = root
 
     # -- constructors -------------------------------------------------------
@@ -484,29 +487,33 @@ class LogMag:
     def exact(cls, m: Union[RationalLike, "QuadElem"], root: int = 1) -> "LogMag":
         if root < 1:
             raise ValueError("root index must be >= 1")
-        if not isinstance(m, (QuadElem, Fraction)):
+        if isinstance(m, QuadElem):
+            if m.sign() <= 0:
+                raise ValueError("log-magnitude of a nonpositive quantity")
+            return cls._positive(m, root)
+        if not isinstance(m, (int, Fraction)):
             m = Fraction(m)
-        if (m.sign() if isinstance(m, QuadElem) else m) <= 0:
+        if m <= 0:
             raise ValueError("log-magnitude of a nonpositive quantity")
-        return cls._positive(m, root)
+        return cls(*_canonical_log(m.numerator, m.denominator, root))
 
     @classmethod
-    def _positive(cls, m: Union[Fraction, "QuadElem"], root: int) -> "LogMag":
-        """log(m)/root in canonical form, for a magnitude m known to be positive."""
-        if isinstance(m, QuadElem):
-            if m.A and m.B:
-                # m/conj(m) is not +-1, so no power of m is rational and the
-                # value differs from every rational-magnitude one
-                return cls(m, root)
-            if m.A:
-                m = Fraction(m.A, m.C)
-            else:
-                m, root = Fraction(m.B * m.B * m.field.d, m.C * m.C), 2 * root
-        return cls(*_canonical_log(m, root))
+    def _positive(cls, m: "QuadElem", root: int) -> "LogMag":
+        """log(m)/root in canonical form, for a QuadElem m known to be positive."""
+        if m.A and m.B:
+            # m/conj(m) is not +-1, so no power of m is rational and the
+            # value differs from every rational-magnitude one
+            return cls(m, None, root)
+        if m.A:
+            # gcd(A, C) = gcd(A, B, C) = 1
+            return cls(*_canonical_log(m.A, m.C, root))
+        n, d = m.B * m.B * m.field.d, m.C * m.C
+        g = math.gcd(n, d)
+        return cls(*_canonical_log(n // g, d // g, 2 * root))
 
     @classmethod
     def zero(cls) -> "LogMag":
-        return cls(Fraction(1), 1)
+        return _ZERO
 
     # -- inspection ----------------------------------------------------------
 
@@ -517,11 +524,17 @@ class LogMag:
 
     @property
     def magnitude(self) -> Union[Fraction, "QuadElem"]:
-        return self._m
+        """The magnitude, a Fraction read-out for a rational one."""
+        return self._n if self._d is None else Fraction(self._n, self._d)
 
     @property
     def root(self) -> int:
         return self._root
+
+    @property
+    def form(self) -> tuple:
+        """(n, d, root) as held: one canonical form per rational value."""
+        return self._n, self._d, self._root
 
     def _enclose(self, w: int) -> tuple[int, int]:
         """Enclosure (v, e) of the value at scale 2^-w: [(v - e)/2^w, (v + e)/2^w].
@@ -532,7 +545,7 @@ class LogMag:
         e/root is rounded up and one more unit added unless it divides
         exactly; e <= 7 for every root.
         """
-        v, e = _log_magnitude(self._m, w)
+        v, e = _log_magnitude(self._n, self._d, w)
         r = self._root
         if r == 1:
             return v, e
@@ -566,8 +579,8 @@ class LogMag:
 
     def __repr__(self) -> str:
         if self._root == 1:
-            return f"LogMag(log {self._m})"
-        return f"LogMag(log({self._m})/{self._root})"
+            return f"LogMag(log {self.magnitude})"
+        return f"LogMag(log({self.magnitude})/{self._root})"
 
     # -- algebra -------------------------------------------------------------
 
@@ -575,9 +588,14 @@ class LogMag:
         if not isinstance(other, LogMag):
             return NotImplemented
         r = math.lcm(self._root, other._root)
-        # a product of positive magnitudes: no sign to decide
-        m = _power(self._m, r // self._root) * _power(other._m, r // other._root)
-        return LogMag._positive(m, r)
+        n1, d1 = _power(self._n, self._d, r // self._root)
+        n2, d2 = _power(other._n, other._d, r // other._root)
+        if d1 is None or d2 is None:
+            # a product of positive magnitudes: no sign to decide
+            return LogMag._positive(_quad_product(n1, d1, n2, d2), r)
+        # n1 n2/(d1 d2) in lowest terms, as in Fraction._mul
+        g1, g2 = math.gcd(n1, d2), math.gcd(n2, d1)
+        return LogMag(*_canonical_log((n1 // g1) * (n2 // g2), (d1 // g2) * (d2 // g1), r))
 
     def __sub__(self, other: "LogMag") -> "LogMag":
         if not isinstance(other, LogMag):
@@ -585,18 +603,24 @@ class LogMag:
         return self + (-other)
 
     def __neg__(self) -> "LogMag":
-        return LogMag(1 / self._m, self._root)
+        if self._d is None:
+            return LogMag(self._n._inverse(), None, self._root)
+        return LogMag(self._d, self._n, self._root)
 
     def __mul__(self, k: RationalLike) -> "LogMag":
         if not isinstance(k, (int, Fraction)):
             return NotImplemented
-        if k == 1:
-            return self
-        if k == 0:
-            return LogMag.zero()
         a, b = k.numerator, k.denominator
-        m = _power(self._m, abs(a))
-        return LogMag._positive(m if a > 0 else 1 / m, self._root * b)
+        if a == b:
+            return self
+        if a == 0:
+            return _ZERO
+        n, d = _power(self._n, self._d, abs(a))
+        if a < 0:
+            n, d = (n._inverse(), None) if d is None else (d, n)
+        if d is None:
+            return LogMag._positive(n, self._root * b)
+        return LogMag(*_canonical_log(n, d, self._root * b))
 
     __rmul__ = __mul__
 
@@ -605,19 +629,19 @@ class LogMag:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LogMag):
             return NotImplemented
-        m1, m2 = self._m, other._m
-        if isinstance(m1, QuadElem) and isinstance(m2, QuadElem) and m1.field == m2.field:
+        n1, n2 = self._n, other._n
+        if self._d is None and other._d is None and n1.field == n2.field:
             return self.compare(other) == 0
         # rational canonical forms are unique, and an irrational magnitude
         # equals no rational one, nor one of another field
-        return m1 == m2 and self._root == other._root
+        return n1 == n2 and self._d == other._d and self._root == other._root
 
     def __hash__(self) -> int:
-        m = self._m
-        if isinstance(m, QuadElem):
+        if self._d is None:
             # equal values have equal |N(m)|**(1/root)
-            return hash(_canonical_log(abs(m.norm()), self._root))
-        return hash((m, self._root))
+            norm = abs(self._n.norm())
+            return hash(_canonical_log(norm.numerator, norm.denominator, self._root))
+        return hash((self._n, self._d, self._root))
 
     def compare(self, other: "LogMag") -> int:
         """-1, 0 or +1 as self is below, equal to or above other, decided exactly.
@@ -628,12 +652,12 @@ class LogMag:
         distinct values, so there the escalation ends; equal values in
         different irrational forms raise PrecisionExhausted at the cap.
         """
-        m1, m2 = self._m, other._m
-        if m1 == m2 and self._root == other._root:
+        r1, r2 = self._root, other._root
+        if self._n == other._n and self._d == other._d and r1 == r2:
             return 0
-        r = math.lcm(self._root, other._root)
+        r = math.lcm(r1, r2)
         try:
-            return _cmp(_power(m1, r // self._root), _power(m2, r // other._root))
+            return _cmp(*_power(self._n, self._d, r // r1), *_power(other._n, other._d, r // r2))
         except PrecisionExhausted:
             pass
 
@@ -645,10 +669,10 @@ class LogMag:
         return _refine(separate)
 
     def sign(self) -> int:
-        return _cmp(self._m, 1)
+        return _cmp(self._n, self._d, 1, 1)
 
     def is_zero(self) -> bool:
-        return self._m == 1
+        return self._n == self._d
 
     # -- ratios --------------------------------------------------------------
 
@@ -661,10 +685,10 @@ class LogMag:
         operands.  None means the ratio is irrational, a magnitude is
         irrational (the ratio is then left undecided), or other is zero.
         """
-        m1, m2 = self._m, other._m
-        if isinstance(m1, QuadElem) or isinstance(m2, QuadElem) or m2 == 1:
+        n1, d1, n2, d2 = self._n, self._d, other._n, other._d
+        if d1 is None or d2 is None or n2 == d2:
             return None
-        if m1 == 1:
+        if n1 == d1:
             return Fraction(0)
         # log m1 / log m2 = p/q in lowest terms (q > 0) exactly when
         # m1 = c**p and m2 = c**q for one rational c != 1: then c is the
@@ -677,14 +701,14 @@ class LogMag:
         # The escalation ends: log m2 != 0 is bounded away from 0 by the
         # size of m2, and the width shrinks with every doubling of
         # precision.
-        big = max(m2.numerator, m2.denominator).bit_length()
+        big = max(n2, d2).bit_length()
         gap = Fraction(1, big * big)
 
         def narrow(w):
-            den = _log_magnitude(m2, w)
+            den = _log_magnitude(n2, d2, w)
             if not _excludes_zero(den):
                 return None
-            lo, hi = _quotient(_log_magnitude(m1, w), den)
+            lo, hi = _quotient(_log_magnitude(n1, d1, w), den)
             return (lo, hi) if hi - lo < gap else None
 
         lo, hi = _refine(narrow)
@@ -692,14 +716,14 @@ class LogMag:
         if not lo <= cand <= hi:
             return None
         p, q = cand.numerator, cand.denominator
-        a = _perfect_power(m2.numerator, q)
-        b = _perfect_power(m2.denominator, q) if a is not None else None
+        a = _perfect_power(n2, q)
+        b = _perfect_power(d2, q) if a is not None else None
         if b is None:
             return None
         # m1 == (a/b)**p, with a/b in lowest terms
         top, bot = (a, b) if p > 0 else (b, a)
         e = abs(p)
-        if not (_is_power(m1.numerator, top, e) and _is_power(m1.denominator, bot, e)):
+        if not (_is_power(n1, top, e) and _is_power(d1, bot, e)):
             return None
         return cand * other._root / self._root
 
@@ -742,6 +766,9 @@ class LogMag:
         return math.nextafter(f, -math.inf), math.nextafter(f, math.inf)
 
 
+_ZERO = LogMag(1, 1, 1)
+
+
 @lru_cache(maxsize=None)
 def _root_primes(root: int) -> tuple[tuple[int, ...], int]:
     """factorize(root) as (primes, cofactor); the same few roots recur."""
@@ -749,51 +776,71 @@ def _root_primes(root: int) -> tuple[tuple[int, ...], int]:
     return tuple(factors), cofactor
 
 
-def _canonical_log(m: Fraction, root: int) -> tuple[Fraction, int]:
-    # reduce (m, root) so that m is not a perfect p-th power for any prime
-    # p | root; this canonical form is unique, making structural equality
-    # semantic
-    if m == 1:
-        return Fraction(1), 1
+def _canonical_log(n: int, d: int, root: int) -> tuple[int, int, int]:
+    """(n, d, root) for log(n/d)/root, coprime n, d > 0, in canonical form.
+
+    n/d is reduced until it is no perfect p-th power for any prime p | root;
+    this form is unique, making structural equality semantic.
+    """
+    if n == d:
+        return 1, 1, 1
     if root == 1:
-        return m, 1
+        return n, d, 1
     primes, cofactor = _root_primes(root)
     # the cofactor's primes exceed 1,000, and a p-th power other than 1 has
     # more than p bits: it reduces nothing whose terms are below 2^1001
-    if cofactor != 1 and max(m.numerator, m.denominator).bit_length() > 1001:
+    if cofactor != 1 and max(n, d).bit_length() > 1001:
         raise ExactnumError(f"cannot reduce a log-magnitude at root {root}: {cofactor} unfactored")
     r = root
     for p in primes:
         while r % p == 0:
-            nr = _perfect_power(m.numerator, p)
+            nr = _perfect_power(n, p)
             if nr is None:
                 break
-            dr = _perfect_power(m.denominator, p)
+            dr = _perfect_power(d, p)
             if dr is None:
                 break
-            m = Fraction(nr, dr)
+            n, d = nr, dr
             r //= p
-    return m, r
+    return n, d, r
 
 
-def _power(m, e: int):
-    """m**e for a magnitude m and e >= 1, refused past _BIT_BUDGET."""
+def _power(n, d: Optional[int], e: int) -> tuple:
+    """(n**e, d**e) for a magnitude n/d (d None: n a QuadElem) and e >= 1.
+
+    Refused past _BIT_BUDGET.
+    """
     if e == 1:
-        return m
-    parts = (m.A, m.B, m.C) if isinstance(m, QuadElem) else (m.numerator, m.denominator)
-    bits = sum(n.bit_length() for n in parts) * e
+        return n, d
+    if d is None:
+        bits = (n.A.bit_length() + n.B.bit_length() + n.C.bit_length()) * e
+    else:
+        bits = (n.bit_length() + d.bit_length()) * e
     if bits > _BIT_BUDGET:
         raise PrecisionExhausted(
             f"exact exponentiation would need ~{bits} bits (cap {_BIT_BUDGET})"
         )
-    return m**e
+    return n**e, None if d is None else d**e
 
 
-def _cmp(x, y) -> int:
-    """Sign of x - y, for rationals or elements of one real quadratic field."""
-    if isinstance(x, QuadElem) or isinstance(y, QuadElem):
-        return (x - y).sign()
-    return (x > y) - (x < y)
+def _quad_product(n1, d1: Optional[int], n2, d2: Optional[int]) -> "QuadElem":
+    """(n1/d1)(n2/d2) for magnitudes of which at least one is a QuadElem (d None)."""
+    if d1 is None and d2 is None:
+        return n1 * n2
+    q, n, d = (n1, n2, d2) if d1 is None else (n2, n1, d1)
+    return QuadElem._make(q.field, q.A * n, q.B * n, q.C * d)
+
+
+def _cmp(n1, d1: Optional[int], n2, d2: Optional[int]) -> int:
+    """Sign of n1/d1 - n2/d2 for magnitudes (d None: n a QuadElem of a real field)."""
+    if d1 is not None and d2 is not None:
+        x, y = n1 * d2, n2 * d1
+        return (x > y) - (x < y)
+    if d1 is None and d2 is None:
+        return (n1 - n2).sign()
+    q, n, d, s = (n1, n2, d2, 1) if d1 is None else (n2, n1, d1, -1)
+    # q - n/d = (A d - n C + B d sqrt(D))/(C d), with C d > 0
+    return s * QuadElem._make(q.field, q.A * d - n * q.C, q.B * d, 1).sign()
 
 
 def logmag_sum(items: Iterable[LogMag]) -> LogMag:
@@ -1082,18 +1129,17 @@ def places_above(v: Place, field: QuadField) -> tuple[Place, ...]:
 # absolute values
 # ---------------------------------------------------------------------------
 
-def _log_p_power(p: int, k: int) -> LogMag:
-    """log p^-k, built directly: p^-k is already canonical at root 1."""
-    if k == 0:
-        return LogMag.zero()
-    return LogMag(Fraction(1, p**k) if k > 0 else Fraction(p**-k), 1)
+def _log_p_power(p: int, k: int, root: int = 1) -> LogMag:
+    """log(p^-k)/root, built from the ints directly."""
+    n, d = (1, p**k) if k >= 0 else (p**-k, 1)
+    return LogMag(*_canonical_log(n, d, root))
 
 
 def _abs_rational(q: RationalLike, v: Place) -> LogMag:
     if q == 0:
         raise ValuationOfZero("absolute value of zero")
     if v.is_archimedean:
-        return LogMag.exact(abs(q))
+        return LogMag(*_canonical_log(abs(q.numerator), q.denominator, 1))
     return _log_p_power(v.p, multiplicity(q, v.p))
 
 
@@ -1134,8 +1180,7 @@ def _abs_quad(y: QuadElem, v: Place) -> LogMag:
         raise FieldMismatch("element and place belong to different fields")
     kind = v.kind
     if kind in (INERT, RAMIFIED):
-        k = multiplicity(y.norm(), v.p)
-        return LogMag.exact(Fraction(v.p) ** (-k), 2)
+        return _log_p_power(v.p, multiplicity(y.norm(), v.p), 2)
     if kind == SPLIT:
         return _log_p_power(v.p, _split_valuation(y, v.p, v.index))
     if kind == COMPLEX:

@@ -14,6 +14,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from ..degree import AlphaEstimate, alpha_estimate
 from ..exactnum import LogMag, bareiss, integer_normal_form
@@ -206,6 +207,48 @@ class GapSeries:
         return len(self.negatives)
 
 
+def _fold(nvars: int, m: int, part) -> int:
+    """Half the nonzero vectors of [-m, m]^nvars, less part(m // g) for g = 2..m.
+
+    Runs once per distinct m // g, so over O(sqrt m) values.
+    """
+    total = ((2 * m + 1) ** nvars - 1) // 2
+    g = 2
+    while g <= m:
+        q = m // g
+        top = m // q
+        total -= (top - g + 1) * part(q)
+        g = top + 1
+    return total
+
+
+def _points_below(nvars: int, bound: int) -> int:
+    """The number of points of P^(nvars-1)(Q) of height <= bound.
+
+    Each such point has two primitive representatives +-x in the box, and
+    every nonzero vector of the box is g times a primitive one in the box
+    of side bound // g, so the count is
+    sum_k mu(k) ((2 floor(bound/k) + 1)^nvars - 1)/2, here by the
+    recursion P(m) = ((2m + 1)^nvars - 1)/2 - sum_(g >= 2) P(m // g) over
+    the O(bound^(3/4)) values m // g.
+    """
+
+    @lru_cache(maxsize=None)
+    def points(m: int) -> int:
+        return _fold(nvars, m, points)
+
+    return points(bound)
+
+
+def _points_below_lower(nvars: int, bound: int) -> int:
+    """A lower bound on _points_below in O(sqrt bound) steps.
+
+    Subtracting half of every nonzero vector of each box of side bound // g
+    removes each non-primitive vector at least once.
+    """
+    return _fold(nvars, bound, lambda q: ((2 * q + 1) ** nvars - 1) // 2)
+
+
 def _sample_points(nvars: int, bound: int, count, rng_seed: int) -> list[ProjPoint]:
     """Deterministic point sample of multiplicative height <= bound."""
     if count in (None, "all"):
@@ -221,12 +264,13 @@ def _sample_points(nvars: int, bound: int, count, rng_seed: int) -> list[ProjPoi
                 p = ProjPoint.normalize((a, b))
                 seen.setdefault(p.coords, p)
         return list(seen.values())
-    # each point of height <= bound has exactly two primitive representatives +-x in the box
-    most = ((2 * bound + 1) ** nvars - 1) // 2
-    if count > most:
-        raise ConfigError(
-            f"sample/count: {count} exceeds {most}, a bound on the points of height <= {bound}"
-        )
+    # the exact count costs O(bound^(3/4)) steps, its lower bound O(sqrt(bound))
+    if count > _points_below_lower(nvars, bound):
+        most = _points_below(nvars, bound)
+        if count > most:
+            raise ConfigError(
+                f"sample/count: {count} exceeds {most}, the number of points of height <= {bound}"
+            )
     rng = random.Random(rng_seed)
     out: list[ProjPoint] = []
     seen_keys = set()

@@ -67,7 +67,7 @@ def write_gap_csv(series, path: str) -> None:
     def cell(value) -> str:
         if not isinstance(value, LogMag):
             return fmt12(value)
-        key = (value.magnitude, value.root)
+        key = value.form
         text = rendered.get(key)
         if text is None:
             text = rendered[key] = fmt12(value)

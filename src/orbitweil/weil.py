@@ -56,6 +56,8 @@ from .polydyn import HomogPoly, ProjPoint, monomials_of_degree
 
 RationalLike = Union[int, Fraction]
 
+_HALF = Fraction(1, 2)
+
 
 class SupportHit(ArithmeticError):
     """The evaluation point lies in the support of the divisor."""
@@ -341,9 +343,13 @@ class LocalTable:
         field_degree = 1 if field is None else 2
         rows: list[tuple[Optional[Place], LogMag]] = []
         for v in [Place.archimedean()] + [Place.finite(p) for p in sorted(primes)]:
-            for w in [v] if field is None else places_above(v, field):
+            if field is None:
+                rows.append((v, self.local(v)))
+                continue
+            # [F_w:Q_v]/[F:Q] is 1/2 at a split or real w, 1 at the others
+            for w in places_above(v, field):
                 lam = self.local(w)
-                rows.append((w, lam * Fraction(w.local_degree, field_degree)))
+                rows.append((w, lam * _HALF if w.local_degree == 1 else lam))
         # Every prime p | b has ord_p(v) = E_b(v) * ord_p(b) in each value v, as
         # the rest of v is prime to b.  So lambda_D(x, p) = weight * ord_p(b) *
         # _base_exponent * log p, and the primes of b sum to weight *

@@ -516,6 +516,71 @@ def test_canonical_forms_are_unique(c, e1, e2, r1, r2, j):
         assert (z.magnitude, z.root) == (x.magnitude, x.root) and hash(z) == hash(x)
 
 
+def _exact_root(n: int, k: int):
+    # the k-th root of n >= 1 by bisection, or None if n is no k-th power
+    lo, hi = 1, 1 << (n.bit_length() // k + 1)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if mid**k < n:
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo if lo**k == n else None
+
+
+def _reference_form(m: Fraction, r: int) -> tuple[Fraction, int]:
+    # log(m)/r with the smallest root r' | r at which m^(r'/r) is rational
+    for small in range(1, r + 1):
+        if r % small:
+            continue
+        k = r // small
+        num, den = _exact_root(m.numerator, k), _exact_root(m.denominator, k)
+        if num is not None and den is not None:
+            return (Fraction(1), 1) if num == den else (Fraction(num, den), small)
+    raise AssertionError("unreachable: k = 1 always succeeds")
+
+
+def _form(x: LogMag) -> tuple[Fraction, int]:
+    return x.magnitude, x.root
+
+
+_magnitudes = st.builds(Fraction, st.integers(1, 10**4), st.integers(1, 10**4))
+_multipliers = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    m1=_magnitudes,
+    m2=_magnitudes,
+    r1=st.integers(1, 12),
+    r2=st.integers(1, 12),
+    k=_multipliers,
+    e=st.integers(1, 4),
+)
+def test_rational_logmag_algebra_matches_the_fraction_reference(m1, m2, r1, r2, k, e):
+    # powers of small bases make reducible forms and equal values common
+    m2 = m2 if e == 4 else m1**e
+    x, y = LogMag.exact(m1, r1), LogMag.exact(m2, r2)
+    assert _form(x) == _reference_form(m1, r1) and _form(y) == _reference_form(m2, r2)
+    r = math.lcm(r1, r2)
+    assert _form(x + y) == _reference_form(m1 ** (r // r1) * m2 ** (r // r2), r)
+    assert _form(x - y) == _reference_form(m1 ** (r // r1) / m2 ** (r // r2), r)
+    assert _form(-x) == _reference_form(1 / m1, r1)
+    assert _form(x * k) == _reference_form(m1**k.numerator, r1 * k.denominator)
+    assert _form(k * x) == _form(x * k)
+    # log(m1)/r1 against log(m2)/r2: m1^r2 against m2^r1
+    lhs, rhs = m1**r2, m2**r1
+    want = (lhs > rhs) - (lhs < rhs)
+    assert x.compare(y) == want and y.compare(x) == -want
+    assert x.sign() == (m1 > 1) - (m1 < 1) and x.is_zero() == (m1 == 1)
+    assert (x == y) == (want == 0)
+    # equal values reached by different routes share their form and hash
+    for a, b in ((x + y, y + x), ((x + y) - y, x), (x * k + y * k, (x + y) * k)):
+        assert a == b and _form(a) == _form(b) and hash(a) == hash(b)
+    if want == 0:
+        assert _form(x) == _form(y) and hash(x) == hash(y)
+
+
 def test_canonical_form_refuses_an_unfactored_root():
     # 1009 * 1013 stays a cofactor of the root, and 2^1009 is a 1009th power:
     # a form kept unreduced would differ from log(2)/1013's
@@ -648,8 +713,10 @@ _precisions = st.sampled_from([64, 128, 512])
     w=_precisions,
 )
 def test_the_enclosure_of_a_rational_log_holds_the_value(n, d, r, w):
-    # built directly: reducing a 2^20-bit magnitude at a root is slow and beside the point
-    x = LogMag(Fraction(n, d), r)
+    # built directly from the coprime pair: reducing a 2^20-bit magnitude at
+    # a root is slow and beside the point
+    g = math.gcd(n, d)
+    x = LogMag(n // g, d // g, r)
     for value, sign in ((x, 1), (-x, -1)):
         v, e = value._enclose(w)
         assert e <= 7 and _encloses(v, e, w, lambda: sign * (mpmath.log(n) - mpmath.log(d)) / r)
@@ -806,7 +873,7 @@ class _Enclosed(LogMag):
     """A LogMag rendered from a given enclosure, to test rendering alone."""
 
     def __init__(self, lo: Fraction, hi: Fraction):
-        super().__init__(Fraction(1), 1)
+        super().__init__(1, 1, 1)
         self.lo, self.hi = lo, hi
 
     def _enclose(self, w):

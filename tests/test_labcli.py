@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -29,6 +30,7 @@ from orbitweil.labcli import (
     write_ratio_csv,
     write_ratio_svg,
 )
+from orbitweil.labcli import experiments
 from orbitweil.labcli.cli import main
 from orbitweil.labcli.experiments import _closure_proxy, _kernel_vector, _sample_points
 from orbitweil.polydyn import HomogPoly, ProjPoint, height, iterate
@@ -607,6 +609,37 @@ def test_oversized_sample_count_is_refused_before_drawing():
     })
     with pytest.raises(ConfigError, match="^sample/count: "):
         run_gap_experiment(cfg)
+
+
+def test_sample_count_past_the_points_of_height_30_is_refused_before_drawing(monkeypatch):
+    # P^1 has 1,112 points of height <= 30, below the 1,860 that halving the box counts
+    def no_draws(seed):
+        raise AssertionError("drew points for a count that cannot be met")
+
+    monkeypatch.setattr(experiments.random, "Random", no_draws)
+    with pytest.raises(ConfigError, match="^sample/count: 1113 exceeds 1112,"):
+        _sample_points(2, 30, 1113, 0)
+
+
+def test_point_count_matches_the_enumeration():
+    for bound in (1, 2, 3, 7, 10, 30, 50):
+        assert experiments._points_below(2, bound) == len(_sample_points(2, bound, "all", 0))
+    # P^2 by brute force over the primitive vectors of the box, up to sign
+    for bound, want in ((1, 13), (2, 49), (5, 577), (7, 1441)):
+        assert experiments._points_below(3, bound) == want
+        box = itertools.product(range(-bound, bound + 1), repeat=3)
+        assert sum(1 for v in box if math.gcd(*v) == 1) // 2 == want
+    # drawing every point of P^1 of height <= 30 still succeeds
+    assert len(_sample_points(2, 30, 1112, 0)) == 1112
+
+
+def test_small_count_at_a_huge_bound_skips_the_exact_count(monkeypatch):
+    # the exact count at 10^12 takes ~10^9 steps; the lower bound already admits 3 points
+    def no_count(nvars, bound):
+        raise AssertionError("counted the points exactly")
+
+    monkeypatch.setattr(experiments, "_points_below", no_count)
+    assert len(_sample_points(2, 10**12, 3, 0)) == 3
 
 
 def test_closure_proxy_reports():
