@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Optional, Sequence, Union
 
 RationalLike = Union[int, Fraction]
@@ -414,6 +414,11 @@ def _ceil_shift(x: int, n: int) -> int:
     return -(-x >> n)
 
 
+def _log_int(n: int, w: int) -> tuple[int, int]:
+    """_log2k(n, 0, w), with log 1 = 0 enclosed exactly without the series."""
+    return (0, 0) if n == 1 else _log2k(n, 0, w)
+
+
 def _log_magnitude(n, d: Optional[int], w: int) -> tuple[int, int]:
     """Enclosure of log(n/d) at scale 2^-w, for the magnitude n/d of a LogMag.
 
@@ -421,8 +426,8 @@ def _log_magnitude(n, d: Optional[int], w: int) -> tuple[int, int]:
     LogMag._enclose).
     """
     if d is not None:
-        v1, e1 = _log2k(n, 0, w)
-        v2, e2 = _log2k(d, 0, w)
+        v1, e1 = _log_int(n, w)
+        v2, e2 = _log_int(d, w)
         return v1 - v2, e1 + e2
     m = n  # a QuadElem; from here on d is its field's radicand
     d = m.field.d
@@ -432,11 +437,11 @@ def _log_magnitude(n, d: Optional[int], w: int) -> tuple[int, int]:
     # lies in [log L, log L + 1/L]: one more unit at scale 2^-w
     c = max(0, w + 1 - (A + B).bit_length())
     vn, en = _log2k((A << c) + math.isqrt(B * B * d << 2 * c), -c, w)
-    vd, ed = _log2k(m.C, 0, w)
+    vd, ed = _log_int(m.C, w)
     if m.A > 0 < m.B:
         return vn - vd, en + 1 + ed
     # of opposite signs, m = |A^2 - d B^2|/(C N): no cancellation
-    vq, eq = _log2k(abs(A * A - d * B * B), 0, w)
+    vq, eq = _log_int(abs(A * A - d * B * B), w)
     return vq - vd - vn, eq + ed + en + 1
 
 
@@ -450,13 +455,26 @@ def _excludes_zero(x: tuple[int, int]) -> bool:
     return abs(x[0]) > x[1]
 
 
-def decimal_fraction(q: Fraction, places: int = 12) -> str:
-    """q rounded half-even to `places` fractional digits, fixed point, no "-0"."""
-    n = round(q * 10**places)
+def _round_div(a: int, b: int) -> int:
+    """a/b rounded half-even to an int, for b > 0: one divmod and a tie test."""
+    q, r = divmod(a, b)
+    r2 = 2 * r
+    if r2 > b or (r2 == b and q & 1):
+        q += 1
+    return q
+
+
+def _fixed_point(n: int, places: int) -> str:
+    """n/10^places written with `places` fractional digits; an int has no "-0"."""
     digits = str(abs(n)).rjust(places + 1, "0")
     if places:
         digits = digits[:-places] + "." + digits[-places:]
     return "-" + digits if n < 0 else digits
+
+
+def decimal_fraction(q: Fraction, places: int = 12) -> str:
+    """q rounded half-even to `places` fractional digits, fixed point, no "-0"."""
+    return _fixed_point(_round_div(q.numerator * 10**places, q.denominator), places)
 
 
 # ---------------------------------------------------------------------------
@@ -553,29 +571,34 @@ class LogMag:
         return q, -(-e // r) + (1 if rem else 0)
 
     def _read_out(self, rounding):
-        """rounding(value) for a monotone rounding of Fractions (Ziv's loop).
+        """rounding(x, w), a monotone rounding of x/2^w, of the value (Ziv's loop).
 
-        Accepts once both endpoints of an enclosure round alike, which ends
-        unless the value is a rounding boundary.  It never is: log 1 is
-        enclosed exactly as [0, 0], and the log of any other positive
-        algebraic number is transcendental (Lindemann, 1882), so
-        log(m)/root is no rational decimal tie or float midpoint.
+        Accepts once both endpoints v - e and v + e of an enclosure at
+        scale 2^-w round alike, which ends unless the value is a rounding
+        boundary.  It never is: log 1 is enclosed exactly as [0, 0], and
+        the log of any other positive algebraic number is transcendental
+        (Lindemann, 1882), so log(m)/root is no rational decimal tie or
+        float midpoint.  A decimal read-out rounds each endpoint on ints,
+        (v -+ e) 10^places / 2^w half-even by _round_div, the rule
+        decimal_fraction applies to a Fraction; a float goes through the
+        exact Fraction x/2^w.
         """
 
         def agree(w):
             v, e = self._enclose(w)
-            lo, hi = (rounding(Fraction(x, 1 << w)) for x in (v - e, v + e))
-            return lo if lo == hi else None
+            lo = rounding(v - e, w)
+            return lo if lo == rounding(v + e, w) else None
 
         return _refine(agree)
 
     def to_float(self) -> float:
         """The value rounded to the nearest float."""
-        return self._read_out(float)
+        return self._read_out(lambda x, w: float(Fraction(x, 1 << w)))
 
     def decimal_str(self, places: int = 12) -> str:
         """The value rounded half-even to `places` fractional digits, fixed point."""
-        return self._read_out(lambda q: decimal_fraction(q, places))
+        scale = 10**places
+        return _fixed_point(self._read_out(lambda x, w: _round_div(x * scale, 1 << w)), places)
 
     def __repr__(self) -> str:
         if self._root == 1:
@@ -844,9 +867,11 @@ def _cmp(n1, d1: Optional[int], n2, d2: Optional[int]) -> int:
 
 
 def logmag_sum(items: Iterable[LogMag]) -> LogMag:
-    total = LogMag.zero()
-    for it in items:
-        total = total + it
+    """The sum, added pairwise from the first term on; 0 for no terms."""
+    it = iter(items)
+    total = next(it, _ZERO)
+    for x in it:
+        total = total + x
     return total
 
 
@@ -1059,7 +1084,8 @@ COMPLEX = "complex"
 class Place:
     """A place of Q (field None), or the index-th place of a quadratic field above p.
 
-    Its kind, and so how many indices it has, follows from the field and p.
+    Its kind, and so how many indices it has, follows from the field and p;
+    kind and local_degree are computed on first use and kept.
     """
 
     p: Optional[int]  # None = archimedean
@@ -1074,17 +1100,19 @@ class Place:
 
     @classmethod
     def archimedean(cls) -> "Place":
-        return cls(None)
+        return _ARCHIMEDEAN
 
     @classmethod
+    @lru_cache(maxsize=1024)
     def finite(cls, p: int) -> "Place":
+        """The place of Q at p, one shared instance per recently used p."""
         return cls(p)
 
     @property
     def is_archimedean(self) -> bool:
         return self.p is None
 
-    @property
+    @cached_property
     def kind(self) -> Optional[str]:
         """split, inert, ramified, real or complex, read from d and p; None over Q."""
         if self.field is None:
@@ -1100,7 +1128,7 @@ class Place:
             return RAMIFIED
         return SPLIT if legendre(d % p, p) == 1 else INERT
 
-    @property
+    @cached_property
     def local_degree(self) -> int:
         """[F_w : Q_v]; 1 for places of Q themselves."""
         return 1 if self.kind in (None, SPLIT, REAL) else 2
@@ -1110,6 +1138,9 @@ class Place:
         if self.field is None:
             return f"v_{base}"
         return f"w_{base}[{self.kind}{self.index}]"
+
+
+_ARCHIMEDEAN = Place(None)
 
 
 @lru_cache(maxsize=None)

@@ -58,15 +58,13 @@ def _refuse_cache(cache) -> None:
         raise TypeError("orbit cache removed: orbits are recomputed")
 
 
-def _audit_row(table: LocalTable, h_raw: LogMag) -> LogMag:
-    """Check sum-over-all-places lambda = weight*deg*h at one point."""
-    d = table.divisor
-    target = h_raw * (d.weight * d.degree)
+def _audit_row(table: LocalTable, h_raw: LogMag, factor: Fraction) -> LogMag:
+    """Check sum-over-all-places lambda = factor*h at one point; factor = weight*deg."""
     total = table.all_places()
-    if total != target:
+    if total != h_raw * factor:
         raise AuditFailure(
             f"height identity violated at {table.point}: "
-            f"sum of local terms != {d.weight * d.degree} * h"
+            f"sum of local terms != {factor} * h"
         )
     return total
 
@@ -136,6 +134,7 @@ def _series_rows(cfg: ExperimentConfig):
         raise ConfigError("experiment needs a nonempty set of places S")
     orbit = iterate(_gate(cfg.map), cfg.seed, cfg.depth)
     d = cfg.divisor
+    factor = d.weight * d.degree
     rows = []
     skips = 0
     for step in orbit.steps:
@@ -147,7 +146,7 @@ def _series_rows(cfg: ExperimentConfig):
             continue
         # lambda_S first: the audit then checks each of its places as a row
         lam = table.lambda_S(cfg.places)
-        lam_all = _audit_row(table, step.h)
+        lam_all = _audit_row(table, step.h, factor)
         h_line = step.h * cfg.twist
         if h_line.is_zero():
             rows.append(
@@ -328,6 +327,7 @@ def run_gap_experiment(cfg: ExperimentConfig, eps_prime=None, cache=None) -> Gap
         triples = [(s.n, s.point, s.h) for s in orbit.steps]
         mode = "orbit"
     coef = eps_prime * cfg.twist + d.nvars
+    factor = d.weight * d.degree
     rows = []
     negatives = []
     skips = 0
@@ -338,7 +338,7 @@ def run_gap_experiment(cfg: ExperimentConfig, eps_prime=None, cache=None) -> Gap
             skips += 1
             continue
         lam = table.lambda_S(cfg.places)
-        _audit_row(table, h_raw)
+        _audit_row(table, h_raw, factor)
         gap = h_raw * coef - lam
         sgn = gap.sign()
         if sgn < 0:

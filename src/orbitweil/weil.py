@@ -240,7 +240,7 @@ def _coprime_base(ns) -> list[int]:
     return sorted(base)
 
 
-def _base_exponent(d: DivisorPresentation, values: list[Fraction], b: int) -> int:
+def _base_exponent(d: DivisorPresentation, values: list[RationalLike], b: int) -> int:
     """E_b(s_D) + min_i E_b(t_i) - min_j E_b(s_j), zero sections skipped.
 
     E_b is exactnum.multiplicity, and values are _support_values(d, x).
@@ -253,12 +253,13 @@ def _base_exponent(d: DivisorPresentation, values: list[Fraction], b: int) -> in
     return k
 
 
-def _support_values(d: DivisorPresentation, x: ProjPoint, sd=None) -> list[Fraction]:
+def _support_values(d: DivisorPresentation, x: ProjPoint, sd=None) -> list[RationalLike]:
     """s_D(x), then (unless D is default) the s_j(x) and t_i(x); norms over Q(sqrt d).
 
     sd is s_D(x) if the caller has it already.  A default presentation
     needs s_D(x) alone: at coprime integer coordinates its monomials and
-    its 1 are units at every prime.
+    its 1 are units at every prime.  Values are ints or Fractions as they
+    come; readers take only numerator and denominator.
     """
     if sd is None:
         sd = d.sd.evaluate(x.coords)
@@ -271,7 +272,7 @@ def _support_values(d: DivisorPresentation, x: ProjPoint, sd=None) -> list[Fract
             val = val.norm()
         elif d.field is not None:
             val = val * val
-        out.append(Fraction(val))
+        out.append(val)
     return out
 
 
@@ -318,7 +319,9 @@ class LocalTable:
         factorize in the values of D's sections, and the places the table
         holds that divide them, so a lambda_S read first is audited place by
         place.  The support left over goes into one coprime base (over
-        Q(sqrt d) only for default D).  parts=True adds the (place, weighted
+        Q(sqrt d) only for default D).  Over Q(sqrt d) the terms are summed
+        with weight [F_w:Q_v], an inert or ramified one listed twice, and
+        the total is halved once.  parts=True adds the (place, weighted
         term) rows, then one (None, term) row per base element.
         """
         d, x = self.divisor, self.point
@@ -340,26 +343,29 @@ class LocalTable:
         base = [b for b in _coprime_base(cofactors + big) if b not in primes]
         if base and field is not None and not d.is_default:
             raise ExactnessLost("a base of norms cannot tell split places apart")
-        field_degree = 1 if field is None else 2
-        rows: list[tuple[Optional[Place], LogMag]] = []
+        # (row key, lambda_D(x, w), [F_w:Q_v]); [F:Q] = 2 divides once at the end
+        terms: list[tuple[Optional[Place], LogMag, int]] = []
         for v in [Place.archimedean()] + [Place.finite(p) for p in sorted(primes)]:
-            if field is None:
-                rows.append((v, self.local(v)))
-                continue
-            # [F_w:Q_v]/[F:Q] is 1/2 at a split or real w, 1 at the others
-            for w in places_above(v, field):
-                lam = self.local(w)
-                rows.append((w, lam * _HALF if w.local_degree == 1 else lam))
+            for w in (v,) if field is None else places_above(v, field):
+                terms.append((w, self.local(w), w.local_degree))
         # Every prime p | b has ord_p(v) = E_b(v) * ord_p(b) in each value v, as
         # the rest of v is prime to b.  So lambda_D(x, p) = weight * ord_p(b) *
         # _base_exponent * log p, and the primes of b sum to weight *
         # _base_exponent * log b.  Over Q(sqrt d) the values are norms of a
-        # default s_D, and the places above p sum to half of that.
+        # default s_D, and the places above p, weighted by [F_w:Q_v], sum to
+        # that too.
         for b in base:
-            k = _base_exponent(d, values, b)
-            rows.append((None, LogMag.exact(b) * (d.weight * k / field_degree)))
-        total = logmag_sum([lm for _, lm in rows])
-        return (total, rows) if parts else total
+            terms.append((None, LogMag.exact(b) * (d.weight * _base_exponent(d, values, b)), 1))
+        total = logmag_sum([lam for w, lam, deg in terms for _ in range(deg)])
+        if field is not None:
+            total = total * _HALF
+        if not parts:
+            return total
+        # [F_w:Q_v]/[F:Q] is 1/2 at a split or real w and at a base row, 1 at the others
+        rows: list[tuple[Optional[Place], LogMag]] = [
+            (key, lam * _HALF if field is not None and deg == 1 else lam) for key, lam, deg in terms
+        ]
+        return total, rows
 
 
 def weil_global(d: DivisorPresentation, x: ProjPoint, *, parts: bool = False):

@@ -908,6 +908,47 @@ def test_decimal_rendering_rounds_the_exact_value_half_even():
     assert decimal_fraction(Fraction(-1, 8), 2) == "-0.12"
 
 
+def _fixed_reference(n: int, places: int) -> str:
+    # n / 10^places in fixed point, written from divmod alone
+    whole, frac = divmod(abs(n), 10**places)
+    text = f"{whole}.{frac:0{places}d}" if places else str(whole)
+    return "-" + text if n < 0 else text
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    x=st.integers(-(2**130), 2**130),
+    w=st.integers(1, 120),
+    places=st.integers(0, 15),
+    k=st.integers(-(2**40), 2**40),
+)
+def test_endpoint_rounding_on_ints_matches_fraction_rounding(x, w, places, k):
+    scale = 10**places
+
+    def check(t):
+        want = round(Fraction(t, 2**w) * scale)
+        assert exactnum._round_div(t * scale, 1 << w) == want
+        q = Fraction(t, 2**w)
+        assert decimal_fraction(q, places) == _fixed_reference(want, places)
+        assert _dyadic_logmag(q, q).decimal_str(places) == _fixed_reference(want, places)
+        return want
+
+    check(x)
+    if places < w:
+        # exact ties t 10^places = 2^(w-1) mod 2^w: t = 2^(w-1-places) 5^-places
+        # mod m = 2^(w-places); t + m moves the quotient by 5^places, an odd
+        # step, so t and t + m reach both parities of the quotient
+        m = 1 << (w - places)
+        t = (1 << (w - 1 - places)) * pow(5, -places, m) % m + k * m
+        parities = set()
+        for tie in (t, t + m):
+            q, r = divmod(tie * scale, 1 << w)
+            assert 2 * r == 1 << w
+            parities.add(q & 1)
+            assert check(tie) == q + (q & 1)
+        assert parities == {0, 1}
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     st.lists(

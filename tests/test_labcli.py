@@ -1058,7 +1058,7 @@ def test_messages_naming_a_point_render_coordinates_past_decimal_digit_limit(mon
     messages.append(str(indet.value))
     axis = DivisorPresentation.hypersurface(HomogPoly.from_terms(2, {(0, 1): Fraction(1)}))
     with pytest.raises(AuditFailure) as audit:
-        experiments._audit_row(LocalTable(axis, x), LogMag.zero())
+        experiments._audit_row(LocalTable(axis, x), LogMag.zero(), axis.weight * axis.degree)
     messages.append(str(audit.value))
     monkeypatch.setattr(experiments, "wellformed_check", lambda g: WellformedReport(FAILED, x))
     with pytest.raises(ConfigError) as gate:

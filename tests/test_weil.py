@@ -165,6 +165,26 @@ def test_galois_symmetrized_example():
     assert LocalTable(dF, x).all_places() == height(x)
 
 
+def test_quadratic_audit_rows_carry_the_local_degree_weights():
+    # D = 5x - sqrt(3) y at x = (17 : 5): N(s_D(x)) = 25 (17^2 - 3) = 2 * 5^2 * 11 * 13,
+    # so the rows hold a real, a ramified, an inert and a split place of Q(sqrt 3)
+    F = QuadField(3)
+    d = DivisorPresentation.hypersurface(HomogPoly.from_terms(2, {(1, 0): F.element(5), (0, 1): -F.sqrt_gen()}))
+    x = P(17, 5)
+    total, rows = LocalTable(d, x).all_places(parts=True)
+    kinds = {None: "real", 2: "ramified", 5: "inert", 11: "split", 13: "split"}
+    assert [(w.p, w.index) for w, _ in rows] == [
+        (None, 0), (None, 1), (2, 0), (5, 0), (11, 0), (11, 1), (13, 0), (13, 1)
+    ]
+    for w, term in rows:
+        assert w.kind == kinds[w.p]
+        lam = weil_local(d, x, w)
+        # [F_w:Q_v]/[F:Q]: 1/2 at a split or real place, 1 at an inert or ramified one
+        assert term == (lam * Fraction(1, 2) if w.kind in ("real", "split") else lam)
+    assert not weil_local(d, x, Place(5, F)).is_zero()
+    assert logmag_sum([term for _, term in rows]) == total == height(x)
+
+
 def test_galois_symmetrized_identity_random():
     F = QuadField(2)
     g = HomogPoly.from_terms(2, {(1, 0): F.element(1), (0, 1): -F.sqrt_gen()})
