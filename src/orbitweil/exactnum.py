@@ -860,10 +860,23 @@ def _cmp(n1, d1: Optional[int], n2, d2: Optional[int]) -> int:
         x, y = n1 * d2, n2 * d1
         return (x > y) - (x < y)
     if d1 is None and d2 is None:
-        return (n1 - n2).sign()
+        if n1.field != n2.field:
+            raise FieldMismatch("elements of different quadratic fields")
+        # n1 - n2 = (A1 C2 - A2 C1 + (B1 C2 - B2 C1) sqrt(D))/(C1 C2), with C1 C2 > 0
+        return _quad_sign(n1.A * n2.C - n2.A * n1.C, n1.B * n2.C - n2.B * n1.C, n1.field.d)
     q, n, d, s = (n1, n2, d2, 1) if d1 is None else (n2, n1, d1, -1)
     # q - n/d = (A d - n C + B d sqrt(D))/(C d), with C d > 0
-    return s * QuadElem._make(q.field, q.A * d - n * q.C, q.B * d, 1).sign()
+    return s * _quad_sign(q.A * d - n * q.C, q.B * d, q.field.d)
+
+
+def _quad_sign(A: int, B: int, d: int) -> int:
+    """Sign of A + B*sqrt(d) under sqrt(d) -> +sqrt(d), for d > 0 or B = 0."""
+    sa = (A > 0) - (A < 0)
+    sb = (B > 0) - (B < 0)
+    if sa * sb >= 0:
+        return sa or sb
+    # opposite signs: A + B*sqrt(d) has the sign of A exactly when A^2 > d*B^2
+    return sa if A * A > d * B * B else -sa
 
 
 def logmag_sum(items: Iterable[LogMag]) -> LogMag:
@@ -1047,15 +1060,9 @@ class QuadElem:
 
     def sign(self) -> int:
         """Sign of (A + B*sqrt(d))/C under sqrt(d) -> +sqrt(d); d > 0 unless B = 0."""
-        A, B = self.A, self.B
-        sa = (A > 0) - (A < 0)
-        sb = (B > 0) - (B < 0)
-        if sb and self.field.d < 0:
+        if self.B and self.field.d < 0:
             raise ValueError(f"{self!r} has no real embedding")
-        if sa * sb >= 0:
-            return sa or sb
-        # opposite signs: A + B*sqrt(d) has the sign of A exactly when A^2 > d*B^2
-        return sa if A * A > self.field.d * B * B else -sa
+        return _quad_sign(self.A, self.B, self.field.d)
 
     @property
     def is_zero(self) -> bool:

@@ -24,6 +24,7 @@ from ..polydyn import (
     ProjPoint,
     height,
     iterate,
+    monomials_of_degree,
     wellformed_check,
 )
 from ..singular import COMPOSE_CAP, EfdEstimate, efd_estimate, remark44_m0
@@ -417,8 +418,6 @@ def _closure_proxy(points) -> str:
     if vec is not None:
         return f"contained in the hyperplane {{{_poly_str(vec, lin_exps)} = 0}}"
     if nvars == 3:
-        from ..weil import monomials_of_degree
-
         quad = monomials_of_degree(3, 2)
         rows = []
         for p in points:
@@ -506,7 +505,7 @@ def thm14_hypothesis_report(cfg: ExperimentConfig, cache=None) -> Thm14Report:
     cond_i, exact_i = _lt(e_param + eps, av)
     if not exact_i:
         labels.append("condition (i) compared in floating point")
-    rep = remark44_m0(e_param, eps, f, cfg.divisor, efd_depth, bound=bound)
+    rep = remark44_m0(e_param, eps, est.s_seq)
     m0 = rep.m0 if rep.found else None
     cond_ii = None
     if m0 is None:
@@ -539,11 +538,12 @@ class Thm17Report:
 def thm17_set_membership(cfg: ExperimentConfig, eps=None) -> Thm17Report:
     """Flag orbit points whose outside-S proximity drops eps below the liminf.
 
-    The liminf of (sum over all places) / h is estimated as the minimum
-    over the last third of the usable rows; a point is flagged when
+    Every usable row passed the height audit, which proves lambda_all =
+    weight * deg * h_raw with h = twist * h_raw, so lambda_all / h is the
+    exact rational weight * deg / twist at every row: that constant is the
+    liminf and the "all" column.  A point is flagged when
     (lambda_all - lambda_S) / h <= liminf - eps, compared exactly.  The
-    audit identity makes every lambda_all / h equal weight * deg / twist,
-    so the liminf is an exact rational.
+    window is the last third of the usable rows, as printed by the report.
     """
     if eps is None:
         eps = cfg.param("eps")
@@ -562,24 +562,21 @@ def thm17_set_membership(cfg: ExperimentConfig, eps=None) -> Thm17Report:
         return exact if exact is not None else 0.5 * (lo + hi)
 
     k = max(1, math.ceil(len(usable) / 3))
-    tail = usable[-k:]
-    liminf = min(r.lambda_all.ratio_exact(r.h) for r in tail)
+    liminf = Fraction(cfg.divisor.weight * cfg.divisor.degree, cfg.twist)
     threshold = liminf - eps
     report_rows = []
     flagged = []
     flagged_points = []
     for r in usable:
         out_term = r.lambda_all - r.lambda_S
-        report_rows.append(
-            (r.n, _ratio_value(r.lambda_all, r.h), _ratio_value(out_term, r.h))
-        )
+        report_rows.append((r.n, liminf, _ratio_value(out_term, r.h)))
         if out_term.compare(r.h * threshold) <= 0:
             flagged.append(r.n)
             flagged_points.append(r.point)
     return Thm17Report(
         eps=eps,
         liminf=liminf,
-        window=(tail[0].n, tail[-1].n),
+        window=(usable[-k].n, usable[-1].n),
         rows=tuple(report_rows),
         flagged=tuple(flagged),
         flagged_points=tuple(flagged_points),

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 from math import gcd, lcm
 from typing import Mapping, Optional, Sequence, Union
 
@@ -131,30 +131,6 @@ class HomogPoly:
 
     # -- algebra ---------------------------------------------------------------
 
-    def _binop(self, other: "HomogPoly", sign: int) -> "HomogPoly":
-        if self.nvars != other.nvars:
-            raise ValueError("variable count mismatch")
-        if not other.terms:
-            return self
-        if not self.terms:
-            return other * sign if sign != 1 else other
-        if self.degree != other.degree:
-            raise ValueError("inhomogeneous sum")
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            cur = out.get(e)
-            val = c * sign if sign != 1 else c
-            out[e] = val if cur is None else cur + val
-            if _is_zero_coeff(out[e]):
-                del out[e]
-        return HomogPoly(self.nvars, self.degree, out)
-
-    def __add__(self, other: "HomogPoly") -> "HomogPoly":
-        return self._binop(other, 1)
-
-    def __sub__(self, other: "HomogPoly") -> "HomogPoly":
-        return self._binop(other, -1)
-
     def __mul__(self, other) -> "HomogPoly":
         if isinstance(other, (int, Fraction, QuadElem)):
             if _is_zero_coeff(other if isinstance(other, QuadElem) else Fraction(other)):
@@ -237,7 +213,7 @@ class HomogPoly:
         if any(f.degree != d or f.nvars != nv for f in forms):
             raise ValueError("forms must share variable count and degree")
         powers: list[dict[int, HomogPoly]] = [dict() for _ in range(self.nvars)]
-        out = HomogPoly.zero(nv, self.degree * d)
+        out: dict[tuple[int, ...], Coeff] = {}
         for e, c in self.terms.items():
             term = HomogPoly(nv, 0, {(0,) * nv: Fraction(1)})
             for i, k in enumerate(e):
@@ -247,8 +223,10 @@ class HomogPoly:
                 if k not in cache:
                     cache[k] = forms[i] ** k
                 term = term * cache[k]
-            out = out + term * c
-        return out
+            for t, tc in term.terms.items():
+                cur = out.get(t)
+                out[t] = c * tc if cur is None else cur + c * tc
+        return HomogPoly(nv, self.degree * d, out)
 
     # -- structure -------------------------------------------------------------
 
@@ -504,17 +482,12 @@ def pullback(f: Morphism, g: HomogPoly) -> HomogPoly:
 # ---------------------------------------------------------------------------
 
 def _small_box_witness(f: Morphism, radius: int = 2) -> Optional[ProjPoint]:
-    from itertools import product
-
     nv = f.nvars
     seen = set()
     for raw in product(range(-radius, radius + 1), repeat=nv):
         if all(c == 0 for c in raw):
             continue
-        try:
-            x = ProjPoint.normalize(raw)
-        except ZeroPoint:
-            continue
+        x = ProjPoint.normalize(raw)
         if x.coords in seen:
             continue
         seen.add(x.coords)

@@ -606,12 +606,13 @@ class M0Report:
     label: str = "family-restricted"
 
 
-def remark44_m0(e, eps, f: Morphism, D, N: int, bound: int = 2) -> M0Report:
+def remark44_m0(e, eps, s_seq) -> M0Report:
     """Smallest m0 <= N with s_m <= (e + eps)^m for every m0 <= m <= N.
 
-    s_m is the family-restricted multiplicity of the m-th pullback, so
-    1/s_m is the matching family lct lower bound; the report says honestly
-    when no such m0 exists within the tested range.
+    s_seq is s_1..s_N, the family-restricted multiplicities of the
+    pullbacks (f^m)^* D as `efd_estimate` returns them (`EfdEstimate.s_seq`),
+    so 1/s_m is the matching family lct lower bound; the report says
+    honestly when no such m0 exists within the tested range.
     """
     e = Fraction(e)
     eps = Fraction(eps)
@@ -619,12 +620,11 @@ def remark44_m0(e, eps, f: Morphism, D, N: int, bound: int = 2) -> M0Report:
         raise ValueError("eps must be positive")
     if e < 0:
         raise ValueError("e must be nonnegative")
-    est = efd_estimate(f, D, N, bound=bound)
     base = e + eps
     rows = []
     ok = []
     power = Fraction(1)
-    for m, s in enumerate(est.s_seq, start=1):
+    for m, s in enumerate(s_seq, start=1):
         power *= base
         rows.append((m, s, power))
         ok.append(s <= power)
@@ -633,7 +633,7 @@ def remark44_m0(e, eps, f: Morphism, D, N: int, bound: int = 2) -> M0Report:
         if not ok[m - 1]:
             break
         m0 = m
-    return M0Report(m0 is not None, m0, N, tuple(rows))
+    return M0Report(m0 is not None, m0, len(s_seq), tuple(rows))
 
 
 def cn_calculator(m_list, dim_x: int, delta_f, m: int, n_iter: int):

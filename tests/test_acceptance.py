@@ -49,6 +49,7 @@ from orbitweil.singular import (
     ExponentMatrix,
     MonomialIdeal,
     cn_calculator,
+    efd_estimate,
     efd_monomial_exact,
     lct_lower_bound_canonical,
     lct_monomial,
@@ -261,9 +262,9 @@ def test_07_pullback_growth():
 
 def test_08_m0_search():
     t0 = time.monotonic()
-    found = remark44_m0(Fraction(1), Fraction(1, 2), SQUARING, D_X3Y, 6)
+    found = remark44_m0(Fraction(1), Fraction(1, 2), efd_estimate(SQUARING, D_X3Y, 6).s_seq)
     assert found.found and found.m0 == 1
-    missing = remark44_m0(Fraction(1), Fraction(1, 2), SQUARING, D_AXIS, 6)
+    missing = remark44_m0(Fraction(1), Fraction(1, 2), efd_estimate(SQUARING, D_AXIS, 6).s_seq)
     assert not missing.found
     assert missing.m0 is None
     elapsed = time.monotonic() - t0

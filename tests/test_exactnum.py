@@ -1038,6 +1038,8 @@ def test_quadelem_arithmetic():
     assert z == y
     with pytest.raises(FieldMismatch):
         y + QuadField(2).element(1)
+    with pytest.raises(FieldMismatch):
+        LogMag.exact(F.element(1, 1)).compare(LogMag.exact(QuadField(2).element(1, 1)))
     with pytest.raises(ValueError):
         QuadField(12)
     with pytest.raises(ValueError):

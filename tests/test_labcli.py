@@ -716,6 +716,36 @@ def test_thm14_report_squaring():
     assert rep.closed_sets == ()
 
 
+def test_thm14_composes_each_pullback_once(monkeypatch):
+    # a quadric of P^2 whose alpha is reached as a float: both conditions
+    # are compared in floating point, and the m0 search reads the family
+    # estimate's s_1..s_6 instead of composing the pullbacks again
+    cfg = parse_config({
+        "map": {"forms": [{"2,0,0": "1", "0,1,1": "1"}, {"0,2,0": "1", "1,0,1": "-1"},
+                          {"0,0,2": "1"}]},
+        "seed": ["2", "3", "1"],
+        "divisor": {"field": "Q", "form": {"1,0,0": "1", "0,1,0": "-3", "0,0,1": "1"}},
+        "places": ["inf", 3],
+        "depth": 12,
+        "params": {"e": "1", "eps": "1/4", "eps0": "1"},
+    })
+    calls = []
+    compose = HomogPoly.compose
+
+    def counted(g, forms):
+        calls.append(g)
+        return compose(g, forms)
+
+    monkeypatch.setattr(HomogPoly, "compose", counted)
+    rep = thm14_hypothesis_report(cfg)
+    assert len(calls) == 6
+    assert rep.efd.s_seq == (1,) * 6
+    assert rep.m0 == 1
+    assert rep.cond_growth is True and rep.cond_margin is True
+    assert "condition (i) compared in floating point" in rep.labels
+    assert "condition (ii) compared in floating point" in rep.labels
+
+
 def test_thm14_flags_ramified_axis():
     cfg = axis_cfg(params={"e": "2", "eps": "1/2", "eps0": "1"})
     rep = thm14_hypothesis_report(cfg)

@@ -400,22 +400,22 @@ def test_submultiplicativity_on_computed_ranges():
 
 
 def test_remark44_m0():
-    found = remark44_m0(1, Fraction(1, 2), SQUARING, D_X3Y, 6)
+    found = remark44_m0(1, Fraction(1, 2), efd_estimate(SQUARING, D_X3Y, 6).s_seq)
     assert found.found and found.m0 == 1
     assert found.rows[0] == (1, Fraction(1), Fraction(3, 2))
-    ok = remark44_m0(2, Fraction(1, 2), SQUARING, D_Y, 6)
+    ok = remark44_m0(2, Fraction(1, 2), efd_estimate(SQUARING, D_Y, 6).s_seq)
     assert ok.found and ok.m0 == 1
-    missing = remark44_m0(1, Fraction(1, 2), SQUARING, D_Y, 6)
+    missing = remark44_m0(1, Fraction(1, 2), efd_estimate(SQUARING, D_Y, 6).s_seq)
     assert not missing.found and missing.m0 is None
     assert missing.depth == 6
     with pytest.raises(ValueError):
-        remark44_m0(1, 0, SQUARING, D_Y, 6)
+        remark44_m0(1, 0, efd_estimate(SQUARING, D_Y, 6).s_seq)
 
 
 def test_remark44_partial_suffix():
     # s_m = 1 for all m but the bound dips below 1 early when e + eps < 1:
     # (3/4)^m >= 1 never holds, so no suffix works at all
-    rep = remark44_m0(Fraction(1, 4), Fraction(1, 2), SQUARING, D_X3Y, 6)
+    rep = remark44_m0(Fraction(1, 4), Fraction(1, 2), efd_estimate(SQUARING, D_X3Y, 6).s_seq)
     assert not rep.found
 
 
