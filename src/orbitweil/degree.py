@@ -31,7 +31,7 @@ def _hplus_float(h: LogMag) -> float:
     return max(h.to_float(), 1.0)
 
 
-def _ratio_entry(hi: LogMag, lo: LogMag):
+def ratio_entry(hi: LogMag, lo: LogMag):
     """h_{n+1}/h_n as an exact Fraction when rational, else a float."""
     if lo.is_zero():
         return hi.to_float() / _hplus_float(lo)
@@ -76,7 +76,7 @@ def alpha_estimate(orbit: OrbitRecord, window: int | None = None) -> AlphaEstima
     if window < 2 or window > depth:
         raise ValueError("window does not fit the orbit")
 
-    ratio_seq = tuple(_ratio_entry(heights[n + 1], heights[n]) for n in range(depth))
+    ratio_seq = tuple(ratio_entry(heights[n + 1], heights[n]) for n in range(depth))
     root_seq = tuple(
         _hplus_float(heights[n]) ** (1.0 / n) for n in range(1, depth + 1)
     )

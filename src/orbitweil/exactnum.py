@@ -1064,9 +1064,8 @@ class QuadElem:
             raise ValueError(f"{self!r} has no real embedding")
         return _quad_sign(self.A, self.B, self.field.d)
 
-    @property
-    def is_zero(self) -> bool:
-        return self.A == 0 and self.B == 0
+    def __bool__(self) -> bool:
+        return bool(self.A or self.B)
 
     @property
     def is_rational(self) -> bool:
@@ -1208,7 +1207,7 @@ def _split_valuation(y: QuadElem, p: int, index: int) -> int:
 
 
 def _abs_quad(y: QuadElem, v: Place) -> LogMag:
-    if y.is_zero:
+    if not y:
         raise ValuationOfZero("absolute value of zero")
     if v.field is None:
         if y.is_rational:

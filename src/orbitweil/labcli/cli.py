@@ -3,8 +3,9 @@
 Every subcommand reads a JSON config (README.md, "Config format") and prints
 a short human-readable report.  A subcommand takes only the flags it reads:
 --depth where it follows iterates, --out where it has a series to write as
-CSV, and ratio also --svg for a plot.  Every orbit is computed afresh by
-iterating the map.
+CSV, ratio also --svg for a plot, and gap and thm17 --eps-prime and --eps.
+A flag overrides the config value of its name before any runner reads it.
+Every orbit is computed afresh by iterating the map.
 """
 
 from __future__ import annotations
@@ -18,10 +19,8 @@ from ..degree import alpha_estimate
 from ..exactnum import ExactnumError, LogMag
 from ..polydyn import iterate
 from ..singular import (
-    COMPOSE_CAP,
     ExponentMatrix,
     MonomialIdeal,
-    efd_estimate,
     efd_monomial_exact,
     cn_calculator,
     lct_monomial,
@@ -31,6 +30,7 @@ from ..weil import LocalTable, SupportHit
 from .config import ConfigError, load_config
 from .experiments import (
     AuditFailure,
+    family_estimate,
     run_gap_experiment,
     run_ratio_experiment,
     thm14_hypothesis_report,
@@ -46,12 +46,21 @@ from .io import (
 
 
 def _load(args):
-    """The config, with --depth applied."""
+    """The config, with each flag the subcommand declares applied.
+
+    --depth replaces depth; --eps and --eps-prime replace params.eps and
+    params.eps_prime.
+    """
     cfg = load_config(args.config)
-    if args.depth is not None:
-        if args.depth < 0:
+    depth = getattr(args, "depth", None)
+    if depth is not None:
+        if depth < 0:
             raise ConfigError("--depth must be >= 0")
-        cfg = dataclasses.replace(cfg, depth=args.depth)
+        cfg = dataclasses.replace(cfg, depth=depth)
+    given = {key: getattr(args, key, None) for key in ("eps", "eps_prime")}
+    params = {key: value for key, value in given.items() if value is not None}
+    if params:
+        cfg = dataclasses.replace(cfg, params={**cfg.params, **params})
     return cfg
 
 
@@ -87,9 +96,7 @@ def cmd_orbit(args) -> int:
 
 
 def cmd_weil(args) -> int:
-    cfg = load_config(args.config).require("seed", "divisor")
-    if not cfg.places:
-        raise ConfigError("weil needs a nonempty places list")
+    cfg = _load(args).require("seed", "divisor", "places")
     table = LocalTable(cfg.divisor, cfg.seed)
     for place in cfg.places:
         print(f"lambda[{place}] = {fmt12(table.local(place))}")
@@ -109,9 +116,7 @@ def cmd_alpha(args) -> int:
 
 
 def cmd_lct(args) -> int:
-    cfg = load_config(args.config)
-    if cfg.lct is None:
-        raise ConfigError("config has no lct section")
+    cfg = _load(args).require("lct")
     ideal = MonomialIdeal(cfg.lct["nvars"], [tuple(g) for g in cfg.lct["generators"]])
     res = lct_monomial(ideal)
     if res.infinite:
@@ -137,19 +142,14 @@ def cmd_efd(args) -> int:
             print("no growth: multiplicities stay bounded")
         print(f"s head     = {res.s_seq[:8]}")
         return 0
-    cfg.require("map", "divisor")
-    # composition is symbolic: at most COMPOSE_CAP iterates, as in thm14
-    depth = min(cfg.depth, COMPOSE_CAP)
-    est = efd_estimate(cfg.map, cfg.divisor, depth, bound=cfg.param("bound", 2))
+    est = family_estimate(cfg.require("map", "divisor"))
     print(f"s sequence = ({', '.join(map(str, est.s_seq))})")
     print(f"estimate   = {_num(est.exact_estimate or est.estimate)} [{est.label}]")
     return 0
 
 
 def cmd_cn(args) -> int:
-    cfg = load_config(args.config)
-    if cfg.cn is None:
-        raise ConfigError("config has no cn section")
+    cfg = _load(args).require("cn")
     blk = cfg.cn
     gamma = None
     for k in range(1, blk["n"] + 1):
@@ -183,7 +183,7 @@ def cmd_ratio(args) -> int:
 
 def cmd_gap(args) -> int:
     cfg = _load(args)
-    series = run_gap_experiment(cfg, eps_prime=args.eps_prime)
+    series = run_gap_experiment(cfg)
     neg = series.negative_count()
     print(f"mode={series.mode}  rows={len(series.rows)}  skips={series.skips}")
     print(f"eps' = {series.eps_prime}")
@@ -217,7 +217,7 @@ def cmd_thm14(args) -> int:
 
 def cmd_thm17(args) -> int:
     cfg = _load(args)
-    rep = thm17_set_membership(cfg, eps=args.eps)
+    rep = thm17_set_membership(cfg)
     print(f"eps = {rep.eps}  liminf proxy = {_num(rep.liminf)} "
           f"(window n={rep.window[0]}..{rep.window[1]})")
     for n, all_r, out_r in rep.rows:

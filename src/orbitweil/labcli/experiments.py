@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from ..degree import AlphaEstimate, alpha_estimate
+from ..degree import AlphaEstimate, alpha_estimate, ratio_entry
 from ..exactnum import LogMag, bareiss, integer_normal_form
 from ..polydyn import (
     FAILED,
@@ -128,38 +128,32 @@ def _ratio_verdict(rows, degenerate: bool):
     return INCONCLUSIVE, None
 
 
-def _series_rows(cfg: ExperimentConfig):
-    """Shared orbit -> audited rows pipeline for ratio and liminf reports."""
-    cfg.require("map", "seed", "divisor")
-    if not cfg.places:
-        raise ConfigError("experiment needs a nonempty set of places S")
-    orbit = iterate(_gate(cfg.map), cfg.seed, cfg.depth)
+def _orbit_points(cfg: ExperimentConfig):
+    """(n, x, h) along the orbit of the seed, once the map is gated."""
+    return [(s.n, s.point, s.h) for s in iterate(_gate(cfg.map), cfg.seed, cfg.depth).steps]
+
+
+def _audited(cfg: ExperimentConfig, points):
+    """(n, x, h_raw, lambda_S, lambda_all) per point; the lambdas are None on Supp(D)."""
     d = cfg.divisor
     factor = d.weight * d.degree
-    rows = []
-    skips = 0
-    for step in orbit.steps:
-        x = step.point
+    for n, x, h_raw in points:
         table = LocalTable(d, x)
         if table.on_support:
-            rows.append(RatioRow(step.n, x, None, None, None, None, None, True, "support"))
-            skips += 1
+            yield n, x, h_raw, None, None
             continue
         # lambda_S first: the audit then checks each of its places as a row
         lam = table.lambda_S(cfg.places)
-        lam_all = _audit_row(table, step.h, factor)
-        h_line = step.h * cfg.twist
-        if h_line.is_zero():
-            rows.append(
-                RatioRow(step.n, x, h_line, None, lam_all, None, None, True, "zero-height")
-            )
-            skips += 1
-            continue
-        exact, bounds = lam.ratio(h_line)
-        rows.append(RatioRow(step.n, x, h_line, lam, lam_all, exact, bounds, False))
-    if skips == len(rows):
-        raise ValueError("every orbit step lies on the divisor support")
-    return rows, skips
+        yield n, x, h_raw, lam, _audit_row(table, h_raw, factor)
+
+
+_SKIP_CAUSES = {"support": "lies on the divisor support", "zero-height": "has height zero"}
+
+
+def _all_skipped(what: str, reasons) -> ValueError:
+    """The error for a run that skipped every row, naming each cause that occurred."""
+    causes = " or ".join(text for r, text in _SKIP_CAUSES.items() if r in reasons)
+    return ValueError(f"every {what} {causes}")
 
 
 def run_ratio_experiment(cfg: ExperimentConfig, cache=None) -> RatioSeries:
@@ -170,7 +164,21 @@ def run_ratio_experiment(cfg: ExperimentConfig, cache=None) -> RatioSeries:
     degenerate and gets no trend verdict.
     """
     _refuse_cache(cache)
-    rows, skips = _series_rows(cfg)
+    cfg.require("map", "seed", "divisor", "places")
+    rows = []
+    for n, x, h_raw, lam, lam_all in _audited(cfg, _orbit_points(cfg)):
+        if lam is None:
+            rows.append(RatioRow(n, x, None, None, None, None, None, True, "support"))
+            continue
+        h = h_raw * cfg.twist
+        if h.is_zero():
+            rows.append(RatioRow(n, x, h, None, lam_all, None, None, True, "zero-height"))
+            continue
+        exact, bounds = lam.ratio(h)
+        rows.append(RatioRow(n, x, h, lam, lam_all, exact, bounds, False))
+    skips = sum(r.skipped for r in rows)
+    if skips == len(rows):
+        raise _all_skipped("orbit step", {r.reason for r in rows})
     degenerate = 2 * skips > cfg.depth
     verdict, value = _ratio_verdict(rows, degenerate)
     return RatioSeries(
@@ -254,16 +262,13 @@ def _sample_points(nvars: int, bound: int, count, rng_seed: int) -> list[ProjPoi
     if count in (None, "all"):
         if nvars != 2:
             raise ConfigError("exhaustive sampling is only supported on the projective line")
-        seen = {}
-        for b in range(0, bound + 1):
+        # (1 : 0), then each (a : b) with b > 0 once, by its primitive pair
+        pts = [ProjPoint._unchecked((1, 0))]
+        for b in range(1, bound + 1):
             for a in range(-bound, bound + 1):
-                if a == 0 and b == 0:
-                    continue
-                if math.gcd(abs(a), b) != 1:
-                    continue
-                p = ProjPoint.normalize((a, b))
-                seen.setdefault(p.coords, p)
-        return list(seen.values())
+                if math.gcd(a, b) == 1:
+                    pts.append(ProjPoint._unchecked((a, b) if a >= 0 else (-a, -b)))
+        return pts
     # the exact count costs O(bound^(3/4)) steps, its lower bound O(sqrt(bound))
     if count > _points_below_lower(nvars, bound):
         most = _points_below(nvars, bound)
@@ -292,7 +297,7 @@ def _sample_points(nvars: int, bound: int, count, rng_seed: int) -> list[ProjPoi
     return out
 
 
-def run_gap_experiment(cfg: ExperimentConfig, eps_prime=None, cache=None) -> GapSeries:
+def run_gap_experiment(cfg: ExperimentConfig, cache=None) -> GapSeries:
     """Gap eps'*h_L - sum_S lambda - h_K along an orbit or a point sample.
 
     On projective space h_K = -(dim + 1) * h, so the gap evaluates to the
@@ -301,52 +306,40 @@ def run_gap_experiment(cfg: ExperimentConfig, eps_prime=None, cache=None) -> Gap
     Zariski-closure proxy (finite set / hyperplane / conic containment).
     """
     _refuse_cache(cache)
-    if eps_prime is None:
-        eps_prime = cfg.param("eps_prime")
+    eps_prime = cfg.param("eps_prime")
     if eps_prime is None:
         raise ConfigError("gap experiment needs eps_prime (params.eps_prime)")
-    eps_prime = Fraction(eps_prime)
     if eps_prime < 0:
         raise ConfigError("eps_prime must be >= 0")
-    cfg.require("divisor")
-    if not cfg.places:
-        raise ConfigError("experiment needs a nonempty set of places S")
+    cfg.require("divisor", "places")
     d = cfg.divisor
     if cfg.sample is not None:
-        nvars = d.nvars
         pts = _sample_points(
-            nvars,
+            d.nvars,
             cfg.sample["height_bound"],
             cfg.sample.get("count", "all"),
             cfg.sample.get("seed", 0),
         )
-        triples = [(i, p, height(p)) for i, p in enumerate(pts)]
-        mode = "sample"
+        points = [(i, p, height(p)) for i, p in enumerate(pts)]
+        mode, what = "sample", "sampled point"
     else:
-        cfg.require("map", "seed")
-        orbit = iterate(_gate(cfg.map), cfg.seed, cfg.depth)
-        triples = [(s.n, s.point, s.h) for s in orbit.steps]
-        mode = "orbit"
+        points = _orbit_points(cfg.require("map", "seed"))
+        mode, what = "orbit", "orbit step"
     coef = eps_prime * cfg.twist + d.nvars
-    factor = d.weight * d.degree
     rows = []
     negatives = []
-    skips = 0
-    for n, x, h_raw in triples:
-        table = LocalTable(d, x)
-        if table.on_support:
+    for n, x, h_raw, lam, _ in _audited(cfg, points):
+        if lam is None:
             rows.append(GapRow(n, x, None, None, None, None, True, "support"))
-            skips += 1
             continue
-        lam = table.lambda_S(cfg.places)
-        _audit_row(table, h_raw, factor)
         gap = h_raw * coef - lam
         sgn = gap.sign()
         if sgn < 0:
             negatives.append(x)
         rows.append(GapRow(n, x, h_raw * cfg.twist, lam, gap, sgn, False))
+    skips = sum(r.skipped for r in rows)
     if skips == len(rows):
-        raise ValueError("every sampled point lies on the divisor support")
+        raise _all_skipped(what, {"support"})
     return GapSeries(
         mode=mode,
         eps_prime=eps_prime,
@@ -452,6 +445,15 @@ class Thm14Report:
     closed_sets: tuple
 
 
+def family_estimate(cfg: ExperimentConfig) -> EfdEstimate:
+    """The family pullback estimate of e_f for cfg's map and divisor.
+
+    Composition is symbolic, so it runs to at most COMPOSE_CAP iterates;
+    the valuation weights are bounded by params.bound, 2 by default.
+    """
+    return efd_estimate(cfg.map, cfg.divisor, min(cfg.depth, COMPOSE_CAP), cfg.param("bound", 2))
+
+
 def thm14_hypothesis_report(cfg: ExperimentConfig, cache=None) -> Thm14Report:
     """Check the two growth hypotheses e + eps < alpha and the m0 margin.
 
@@ -470,16 +472,13 @@ def thm14_hypothesis_report(cfg: ExperimentConfig, cache=None) -> Thm14Report:
         raise ConfigError("hypothesis report needs params e, eps, eps0")
     if eps <= 0 or eps0 <= 0:
         raise ConfigError("eps and eps0 must be positive")
-    f = _gate(cfg.map)
-    orbit = iterate(f, cfg.seed, cfg.depth)
+    orbit = iterate(_gate(cfg.map), cfg.seed, cfg.depth)
     closed = []
     for step in orbit.steps:
         if cfg.divisor.support_test(step.point):
             closed.append(f"orbit meets Supp(D) at n={step.n}")
     alpha = alpha_estimate(orbit)
-    efd_depth = min(cfg.depth, COMPOSE_CAP)
-    bound = cfg.param("bound", 2)
-    est = efd_estimate(f, cfg.divisor, efd_depth, bound=bound)
+    est = family_estimate(cfg)
     e_family = est.exact_estimate if est.exact_estimate is not None else est.estimate
     labels = []
     if alpha.value is None:
@@ -489,7 +488,7 @@ def thm14_hypothesis_report(cfg: ExperimentConfig, cache=None) -> Thm14Report:
             None, None, None, False, tuple(labels), tuple(closed),
         )
     av = alpha.value
-    gt_one, _ = _lt(Fraction(1) if isinstance(av, Fraction) else 1.0, av)
+    gt_one, _ = _lt(Fraction(1), av)
     if not gt_one:
         labels.append("hypothesis alpha_f(x) > 1 violated")
     same = False
@@ -511,11 +510,8 @@ def thm14_hypothesis_report(cfg: ExperimentConfig, cache=None) -> Thm14Report:
     if m0 is None:
         labels.append("m0 not found within the family depth; condition (ii) unverified")
     else:
-        lhs = (e_param + eps) ** m0
-        if isinstance(av, Fraction):
-            cond_ii = lhs < av**m0 * eps0
-        else:
-            cond_ii = float(lhs) < float(av) ** m0 * float(eps0)
+        cond_ii, exact_ii = _lt((e_param + eps) ** m0, av**m0 * eps0)
+        if not exact_ii:
             labels.append("condition (ii) compared in floating point")
     ok = bool(gt_one and cond_i and cond_ii)
     return Thm14Report(
@@ -535,7 +531,7 @@ class Thm17Report:
     closure: str
 
 
-def thm17_set_membership(cfg: ExperimentConfig, eps=None) -> Thm17Report:
+def thm17_set_membership(cfg: ExperimentConfig) -> Thm17Report:
     """Flag orbit points whose outside-S proximity drops eps below the liminf.
 
     Every usable row passed the height audit, which proves lambda_all =
@@ -545,38 +541,41 @@ def thm17_set_membership(cfg: ExperimentConfig, eps=None) -> Thm17Report:
     (lambda_all - lambda_S) / h <= liminf - eps, compared exactly.  The
     window is the last third of the usable rows, as printed by the report.
     """
-    if eps is None:
-        eps = cfg.param("eps")
+    eps = cfg.param("eps")
     if eps is None:
         raise ConfigError("set-membership report needs eps (params.eps)")
-    eps = Fraction(eps)
     if eps <= 0:
         raise ConfigError("eps must be positive")
-    rows, _ = _series_rows(cfg)
-    usable = [r for r in rows if not r.skipped]
+    cfg.require("map", "seed", "divisor", "places")
+    usable = []  # (n, x, h, lambda_S, lambda_all) off Supp(D) and of nonzero height
+    reasons = set()
+    for n, x, h_raw, lam, lam_all in _audited(cfg, _orbit_points(cfg)):
+        if lam is None:
+            reasons.add("support")
+        elif h_raw.is_zero():
+            reasons.add("zero-height")
+        else:
+            usable.append((n, x, h_raw * cfg.twist, lam, lam_all))
+    if not usable:
+        raise _all_skipped("orbit step", reasons)
     if len(usable) < 5:
         raise ValueError("need at least 5 usable rows for a liminf proxy")
-
-    def _ratio_value(num: LogMag, den: LogMag):
-        exact, (lo, hi) = num.ratio(den)
-        return exact if exact is not None else 0.5 * (lo + hi)
-
     k = max(1, math.ceil(len(usable) / 3))
     liminf = Fraction(cfg.divisor.weight * cfg.divisor.degree, cfg.twist)
     threshold = liminf - eps
     report_rows = []
     flagged = []
     flagged_points = []
-    for r in usable:
-        out_term = r.lambda_all - r.lambda_S
-        report_rows.append((r.n, liminf, _ratio_value(out_term, r.h)))
-        if out_term.compare(r.h * threshold) <= 0:
-            flagged.append(r.n)
-            flagged_points.append(r.point)
+    for n, x, h, lam, lam_all in usable:
+        out_term = lam_all - lam
+        report_rows.append((n, liminf, ratio_entry(out_term, h)))
+        if out_term.compare(h * threshold) <= 0:
+            flagged.append(n)
+            flagged_points.append(x)
     return Thm17Report(
         eps=eps,
         liminf=liminf,
-        window=(usable[-k].n, usable[-1].n),
+        window=(usable[-k][0], usable[-1][0]),
         rows=tuple(report_rows),
         flagged=tuple(flagged),
         flagged_points=tuple(flagged_points),

@@ -41,10 +41,6 @@ def _coeff_field(c: Coeff) -> Optional[QuadField]:
     return c.field if isinstance(c, QuadElem) else None
 
 
-def _is_zero_coeff(c: Coeff) -> bool:
-    return c.is_zero if isinstance(c, QuadElem) else c == 0
-
-
 def _coeff(c) -> Coeff:
     # integral rationals are stored as ints, so evaluation stays in ints
     if isinstance(c, (int, QuadElem)):
@@ -81,7 +77,7 @@ class HomogPoly:
                 raise ValueError(f"term {exps} is not of degree {degree}")
             cur = clean.get(exps)
             total = _coeff(c if cur is None else cur + c)
-            if _is_zero_coeff(total):
+            if not total:
                 clean.pop(exps, None)
             else:
                 clean[exps] = total
@@ -123,7 +119,7 @@ class HomogPoly:
 
     @classmethod
     def from_terms(cls, nvars: int, terms: Mapping[tuple[int, ...], Coeff]) -> "HomogPoly":
-        degs = {sum(e) for e in terms if not _is_zero_coeff(terms[e])}
+        degs = {sum(e) for e in terms if terms[e]}
         if len(degs) > 1:
             raise ValueError(f"mixed degrees {sorted(degs)}")
         degree = degs.pop() if degs else 0
@@ -133,7 +129,7 @@ class HomogPoly:
 
     def __mul__(self, other) -> "HomogPoly":
         if isinstance(other, (int, Fraction, QuadElem)):
-            if _is_zero_coeff(other if isinstance(other, QuadElem) else Fraction(other)):
+            if not other:
                 return HomogPoly.zero(self.nvars, self.degree)
             return HomogPoly(
                 self.nvars, self.degree, {e: c * other for e, c in self.terms.items()}

@@ -164,12 +164,7 @@ class DivisorPresentation:
 
 
 def _abs_or_none(val, w: Place) -> Optional[LogMag]:
-    if isinstance(val, QuadElem):
-        if val.is_zero:
-            return None
-    elif val == 0:
-        return None
-    return abs_value(val, w)
+    return abs_value(val, w) if val else None
 
 
 def _choose_place(d: DivisorPresentation, v: Place) -> Place:
@@ -295,8 +290,7 @@ class LocalTable:
     @property
     def on_support(self) -> bool:
         """Whether x lies on Supp(D), i.e. s_D(x) = 0."""
-        sd = self._sd
-        return sd.is_zero if isinstance(sd, QuadElem) else sd == 0
+        return not self._sd
 
     def local(self, v: Place) -> LogMag:
         """lambda_D(x, w) at the place w that weil_local chooses for v."""

@@ -449,11 +449,12 @@ def test_ratio_on_the_readme_config_at_depth_20():
 
 def test_runners_reject_duplicate_places_in_hand_built_config():
     inf = Place.archimedean()
-    cfg = dataclasses.replace(squaring_cfg(depth=3), places=(inf, Place.finite(3), inf))
+    cfg = dataclasses.replace(squaring_cfg(depth=3, params={"eps_prime": "1"}),
+                              places=(inf, Place.finite(3), inf))
     with pytest.raises(ValueError, match="duplicate places"):
         run_ratio_experiment(cfg)
     with pytest.raises(ValueError, match="duplicate places"):
-        run_gap_experiment(cfg, eps_prime=Fraction(1))
+        run_gap_experiment(cfg)
 
 
 def test_cli_weil_prints_terms_and_sum_of_one_table_over_quadratic_places(tmp_path, capsys):
@@ -547,11 +548,10 @@ def test_gap_orbit_mode_exact_rows():
 
 
 def test_gap_eps_prime_zero_allowed_negative_rejected():
-    cfg = axis_cfg()
-    series = run_gap_experiment(cfg, eps_prime=Fraction(0))
+    series = run_gap_experiment(axis_cfg(params={"eps_prime": "0"}))
     assert all(r.sign == 1 for r in series.rows)  # gap = 2h - lambda = h > 0
     with pytest.raises(ConfigError):
-        run_gap_experiment(cfg, eps_prime=Fraction(-1))
+        run_gap_experiment(axis_cfg(params={"eps_prime": "-1"}))
     with pytest.raises(ConfigError):
         run_gap_experiment(axis_cfg())  # no eps_prime anywhere
 
@@ -597,6 +597,14 @@ def test_sample_points_enumeration():
     assert len({p.coords for p in rand1}) == 20
     with pytest.raises(ConfigError):
         _sample_points(3, 5, "all", 0)
+    # the gap CSVs list rows in the order of normalizing every pair, first seen first
+    for bound in (1, 2, 8, 50):
+        ref = {}
+        for b in range(bound + 1):
+            for a in range(-bound, bound + 1):
+                if (a, b) != (0, 0):
+                    ref.setdefault(ProjPoint.normalize((a, b)).coords, None)
+        assert [p.coords for p in _sample_points(2, bound, "all", 0)] == list(ref)
 
 
 def test_oversized_sample_count_is_refused_before_drawing():
@@ -786,7 +794,7 @@ def test_thm14_support_hits_tracked():
 
 
 def test_thm17_flags_initial_proximity():
-    rep = thm17_set_membership(squaring_cfg(), eps=Fraction(1, 10))
+    rep = thm17_set_membership(squaring_cfg(params={"eps": "1/10"}))
     assert rep.liminf == Fraction(1)
     # |2 - 3| = |4 - 3| = 1: the first two points carry the full height at
     # the archimedean place, so their outside-S ratio is 0, not near 1
@@ -797,12 +805,11 @@ def test_thm17_flags_initial_proximity():
 
 
 def test_thm17_axis_divisor_thresholds():
-    cfg = axis_cfg()
-    rep = thm17_set_membership(cfg, eps=Fraction(1, 2))
+    rep = thm17_set_membership(axis_cfg(params={"eps": "1/2"}))
     # lambda_all = lambda_S exactly, so the outside-S ratio is 0 everywhere
     assert rep.liminf == Fraction(1)
     assert rep.flagged == tuple(range(9))
-    rep2 = thm17_set_membership(cfg, eps=Fraction(3, 2))
+    rep2 = thm17_set_membership(axis_cfg(params={"eps": "3/2"}))
     assert rep2.flagged == ()
     assert rep2.closure == "empty set"
 
@@ -820,15 +827,44 @@ def test_thm17_liminf_is_exact_under_a_weight_and_a_twist():
         "places": ["inf", 7],
         "twist": 3,
         "depth": 6,
+        "params": {"eps": "1/10"},
     })
-    rep = thm17_set_membership(cfg, eps=Fraction(1, 10))
+    rep = thm17_set_membership(cfg)
     assert type(rep.liminf) is Fraction and rep.liminf == Fraction(1, 6)
     assert all(all_r == Fraction(1, 6) for _, all_r, _ in rep.rows)
 
 
+def test_all_skipped_runs_name_height_zero_not_the_support():
+    # (1 : 1) is fixed by squaring and has height zero; it is off x - 3y
+    cfg = squaring_cfg(seed=["1", "1"], depth=6, params={"eps": "1/10"})
+    assert not cfg.divisor.support_test(cfg.seed)
+    for run in (run_ratio_experiment, thm17_set_membership):
+        with pytest.raises(ValueError) as exc:
+            run(cfg)
+        assert str(exc.value) == "every orbit step has height zero"
+
+
+def test_gap_names_orbit_steps_when_every_one_lies_on_the_support():
+    cfg = axis_cfg(seed=["0", "1"], divisor={"form": {"1,0": "1"}},
+                   params={"eps_prime": "1"})
+    with pytest.raises(ValueError) as exc:
+        run_gap_experiment(cfg)
+    assert str(exc.value) == "every orbit step lies on the divisor support"
+    # the four points of height <= 1 all lie on xy(x - y)(x + y)
+    sample = parse_config({
+        "divisor": {"form": {"3,1": "1", "1,3": "-1"}},
+        "places": ["inf"],
+        "sample": {"height_bound": 1},
+        "params": {"eps_prime": "1"},
+    })
+    with pytest.raises(ValueError) as exc:
+        run_gap_experiment(sample)
+    assert str(exc.value) == "every sampled point lies on the divisor support"
+
+
 def test_thm17_needs_enough_rows():
     with pytest.raises(ValueError):
-        thm17_set_membership(squaring_cfg(depth=3), eps=Fraction(1, 10))
+        thm17_set_membership(squaring_cfg(depth=3, params={"eps": "1/10"}))
     with pytest.raises(ConfigError):
         thm17_set_membership(squaring_cfg())  # no eps anywhere
 
@@ -862,7 +898,7 @@ def test_csv_skipped_rows_and_refusal(tmp_path):
 
 
 def test_gap_csv_format(tmp_path):
-    series = run_gap_experiment(axis_cfg(depth=3), eps_prime=Fraction(1, 2))
+    series = run_gap_experiment(axis_cfg(depth=3, params={"eps_prime": "1/2"}))
     path = tmp_path / "gap.csv"
     write_gap_csv(series, str(path))
     lines = path.read_text().splitlines()
@@ -1109,6 +1145,18 @@ def test_cli_reports_an_exact_arithmetic_limit_as_an_error(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("error: exact exponentiation would need"), err
         assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, flag, key", [
+    ("gap", "--eps-prime", "eps_prime"), ("thm17", "--eps", "eps")])
+def test_cli_rational_flags_override_the_params_they_name(tmp_path, capsys, command, flag, key):
+    cfg = _readme_cfg_file(tmp_path)
+    assert main([command, cfg, flag, "1/10"]) == 0
+    by_flag = capsys.readouterr().out
+    path = tmp_path / "set.json"
+    path.write_text(json.dumps(dict(README_CFG, params={**README_CFG["params"], key: "1/10"})))
+    assert main([command, str(path)]) == 0
+    assert capsys.readouterr().out == by_flag
 
 
 @pytest.mark.parametrize("command, flag", [("gap", "--eps-prime"), ("thm17", "--eps")])
