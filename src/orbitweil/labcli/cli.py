@@ -78,7 +78,10 @@ def _num(v) -> str:
     if isinstance(v, LogMag):
         return v.decimal_str(12)
     if isinstance(v, Fraction):
-        return f"{v} ({float(v):.6g})"
+        try:
+            return f"{v} ({float(v):.6g})"
+        except OverflowError:
+            return f"{v} (out of float range)"
     if isinstance(v, float):
         return f"{v:.6g}"
     return str(v)
@@ -122,7 +125,7 @@ def cmd_lct(args) -> int:
     if res.infinite:
         print("lct = +infinity (unit ideal)")
         return 0
-    print(f"lct        = {res.value} ({float(res.value):.6g})")
+    print(f"lct        = {_num(res.value)}")
     print(f"witness    = {res.witness} [{res.certificate_kind}]")
     bound = cfg.lct.get("bound")
     if bound:
@@ -156,7 +159,7 @@ def cmd_cn(args) -> int:
         gamma, c_k = cn_calculator(
             blk["m_list"], blk["dim"], blk["delta"], blk["m"], k
         )
-        print(f"c_{k} = {c_k} ({float(c_k):.6g})")
+        print(f"c_{k} = {_num(c_k)}")
     print(f"gamma = {gamma}")
     return 0
 

@@ -116,8 +116,9 @@ def _ratio_verdict(rows, degenerate: bool):
         return INCONCLUSIVE, None
     tail = usable[-3:] if len(usable) >= 3 else usable
     mids = [r.ratio_mid for r in tail]
-    if all(m < 1e-3 for m in mids) and _nonincreasing(mids):
-        rate = mids[-1] / mids[-2] if mids[-2] > 0 else 0.0
+    mags = [abs(m) for m in mids]
+    if all(m < 1e-3 for m in mags) and _nonincreasing(mags):
+        rate = mags[-1] / mags[-2] if mags[-2] > 0 else 0.0
         return TRENDING_TO_ZERO, rate
     exacts = [r.ratio for r in tail]
     if all(e is not None for e in exacts) and len(set(exacts)) == 1:

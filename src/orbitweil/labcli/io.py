@@ -14,16 +14,14 @@ from ..exactnum import LogMag, decimal_fraction
 from ..polydyn import OrbitRecord
 
 def fmt12(value) -> str:
-    """Render a cell: LogMag, Fraction, float, int, or None (empty)."""
+    """Render a cell: LogMag, int, None (empty), or a Fraction or float rounded exactly."""
     if value is None:
         return ""
     if isinstance(value, LogMag):
         return value.decimal_str(12)
-    if isinstance(value, Fraction):
-        return decimal_fraction(value, 12)
     if isinstance(value, int):
         return str(value)
-    return f"{value:.12f}"
+    return decimal_fraction(Fraction(value), 12)
 
 
 def _write_lines(path: str, lines: list[str]) -> None:

@@ -37,10 +37,6 @@ class IndeterminatePoint(ValueError):
     """A self-map was evaluated at a common zero of its forms."""
 
 
-def _coeff_field(c: Coeff) -> Optional[QuadField]:
-    return c.field if isinstance(c, QuadElem) else None
-
-
 def _coeff(c) -> Coeff:
     # integral rationals are stored as ints, so evaluation stays in ints
     if isinstance(c, (int, QuadElem)):
@@ -59,6 +55,10 @@ class HomogPoly:
     """Sparse homogeneous polynomial with rational or quadratic coefficients.
 
     A rational coefficient is an int when it is integral, else a Fraction.
+    Outside input enters through `from_terms` (and `monomial`), which checks
+    every exponent vector, degree and coefficient field.  The constructor
+    only drops zero coefficients: the algebra calls it on terms it built
+    from valid forms, and `QuadElem` arithmetic refuses mixed fields.
     """
 
     __slots__ = ("nvars", "degree", "terms")
@@ -68,34 +68,13 @@ class HomogPoly:
             raise ValueError("need at least one variable")
         if degree < 0:
             raise ValueError("degree must be nonnegative")
-        clean: dict[tuple[int, ...], Coeff] = {}
-        for exps, c in terms.items():
-            exps = tuple(int(e) for e in exps)
-            if len(exps) != nvars or any(e < 0 for e in exps):
-                raise ValueError(f"bad exponent vector {exps}")
-            if sum(exps) != degree:
-                raise ValueError(f"term {exps} is not of degree {degree}")
-            cur = clean.get(exps)
-            total = _coeff(c if cur is None else cur + c)
-            if not total:
-                clean.pop(exps, None)
-            else:
-                clean[exps] = total
         self.nvars = nvars
         self.degree = degree
-        self.terms = clean
-        f = self.field  # validates coefficient-field consistency
+        self.terms = {e: _coeff(c) for e, c in terms.items() if c}
 
     @property
     def field(self) -> Optional[QuadField]:
-        found = None
-        for c in self.terms.values():
-            fc = _coeff_field(c)
-            if fc is not None:
-                if found is not None and fc != found:
-                    raise FieldMismatch("mixed quadratic fields in one polynomial")
-                found = fc
-        return found
+        return next((c.field for c in self.terms.values() if isinstance(c, QuadElem)), None)
 
     @property
     def is_zero(self) -> bool:
@@ -105,8 +84,7 @@ class HomogPoly:
 
     @classmethod
     def monomial(cls, exps: Sequence[int], coeff: Coeff = Fraction(1)) -> "HomogPoly":
-        exps = tuple(exps)
-        return cls(len(exps), sum(exps), {exps: coeff})
+        return cls.from_terms(len(exps), {tuple(exps): coeff})
 
     @classmethod
     def variable(cls, nvars: int, i: int) -> "HomogPoly":
@@ -119,11 +97,24 @@ class HomogPoly:
 
     @classmethod
     def from_terms(cls, nvars: int, terms: Mapping[tuple[int, ...], Coeff]) -> "HomogPoly":
+        """The checked entry: one degree, valid exponent vectors, one field."""
         degs = {sum(e) for e in terms if terms[e]}
         if len(degs) > 1:
             raise ValueError(f"mixed degrees {sorted(degs)}")
         degree = degs.pop() if degs else 0
-        return cls(nvars, degree, terms)
+        clean: dict[tuple[int, ...], Coeff] = {}
+        for exps, c in terms.items():
+            exps = tuple(int(e) for e in exps)
+            if len(exps) != nvars or any(e < 0 for e in exps):
+                raise ValueError(f"bad exponent vector {exps}")
+            if sum(exps) != degree:
+                raise ValueError(f"term {exps} is not of degree {degree}")
+            cur = clean.get(exps)
+            clean[exps] = _coeff(c if cur is None else cur + c)
+        poly = cls(nvars, degree, clean)
+        if len({c.field for c in poly.terms.values() if isinstance(c, QuadElem)}) > 1:
+            raise FieldMismatch("mixed quadratic fields in one polynomial")
+        return poly
 
     # -- algebra ---------------------------------------------------------------
 

@@ -169,11 +169,14 @@ class MonomialIdeal:
             gens.add(e)
         if not gens:
             raise ValueError("the zero ideal has no monomial generators")
-        minimal = tuple(
-            sorted(g for g in gens if not any(h != g and _dominates(g, h) for h in gens))
-        )
+        # distinct h <= g componentwise forces sum(h) < sum(g), and domination is transitive:
+        # taken by total degree, g is redundant iff it dominates a generator kept earlier
+        kept: list[tuple[int, ...]] = []
+        for g in sorted(gens, key=sum):
+            if not any(_dominates(g, h) for h in kept):
+                kept.append(g)
         self.nvars = nvars
-        self.generators = minimal
+        self.generators = tuple(sorted(kept))
 
     @property
     def is_unit(self) -> bool:

@@ -327,6 +327,20 @@ def test_orbit_runners_refuse_a_map_with_a_common_zero():
     assert len(run_ratio_experiment(squares).rows) == 5
 
 
+# the squaring map from (10^15 : 1), D = x + y, S = {inf}: |lambda_S| < 10^-14 on every row
+_NEAR_AXIS = {
+    "map": {"forms": [{"2,0": "1"}, {"0,2": "1"}]},
+    "seed": ["1000000000000000", "1"],
+    "divisor": {"field": "Q", "form": {"1,0": "1", "0,1": "1"}, "weight": 1},
+    "places": ["inf"],
+    "depth": 3,
+}
+
+
+def _near_axis_cfg():
+    return parse_config(_NEAR_AXIS)
+
+
 def test_ratio_series_squaring_line():
     series = run_ratio_experiment(squaring_cfg())
     assert len(series.rows) == 9
@@ -372,6 +386,25 @@ def test_ratio_single_row_inconclusive():
     series = run_ratio_experiment(squaring_cfg(depth=0))
     assert len(series.rows) == 1
     assert series.verdict == "inconclusive"
+
+
+def test_ratio_verdict_reads_magnitudes_of_a_negative_series():
+    # weight -1: the ratios run away from zero through negative values
+    series = run_ratio_experiment(parse_config({
+        "map": {"forms": [{"2,0": "3", "1,1": "1", "0,2": "1"}, {"0,2": "2", "1,1": "0"}]},
+        "seed": ["3", "5"],
+        "divisor": {"field": "Q", "form": {"1,0": "0", "0,1": "3"}, "weight": -1},
+        "places": ["inf", 2, 3],
+        "depth": 6,
+    }))
+    assert all(-0.42 < r.ratio_mid < -0.4 for r in series.rows[-3:])
+    assert series.verdict == "inconclusive" and series.verdict_value is None
+    # lambda_S = log(x/(x + y)) < 0 shrinks like 1/x against h = log x
+    series = run_ratio_experiment(_near_axis_cfg())
+    mids = [r.ratio_mid for r in series.rows]
+    assert all(m < 0 for m in mids)
+    assert series.verdict == "trending-to-zero"
+    assert series.verdict_value == abs(mids[-1]) / abs(mids[-2])
 
 
 def test_ratio_skip_policies():
@@ -487,6 +520,25 @@ def test_fmt12_renders_fractions_in_fixed_point_half_even():
     assert fmt12(Fraction(1, 10**7)) == "0.000000100000"
     assert fmt12(Fraction(-2, 3)) == "-0.666666666667"
     assert fmt12(Fraction(10**50 + 1, 2)) == "5" + "0" * 49 + ".500000000000"
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.floats(allow_nan=False, allow_infinity=False))
+def test_fmt12_renders_floats_like_fixed_point_format_but_for_negative_zero(x):
+    fixed = f"{x:.12f}"
+    assert fmt12(x) == ("0.000000000000" if fixed == "-0.000000000000" else fixed)
+
+
+def test_tiny_negative_float_ratios_print_without_a_sign(tmp_path, capsys):
+    cfg = tmp_path / "near.json"
+    cfg.write_text(json.dumps(_NEAR_AXIS))
+    out_csv = tmp_path / "near.csv"
+    assert main(["ratio", str(cfg), "--out", str(out_csv)]) == 0
+    printed = capsys.readouterr().out
+    assert "ratio=0.000000000000" in printed
+    for text in (printed, out_csv.read_text()):
+        assert "-0.000000000000" not in text
+    assert out_csv.read_text().splitlines()[1] == "0,34.538776394911,0.000000000000,0.000000000000,0"
 
 
 def test_ratio_quadratic_divisor_runs():
@@ -1026,6 +1078,18 @@ def test_cli_depth_override_and_errors(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
     assert main(["ratio", str(tmp_path / "nope.json")]) == 2
     capsys.readouterr()
+
+
+def test_cli_cn_prints_exact_constants_past_the_float_range(tmp_path, capsys):
+    path = tmp_path / "cn.json"
+    path.write_text(json.dumps({"cn": {"m_list": [5], "dim": 1, "delta": "1/1000", "m": 1, "n": 120}}))
+    assert main(["cn", str(path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    # c_k = (5 - 10) * 1000^k: c_102 = -5e306 is the last one a float holds
+    assert lines[101] == f"c_102 = {-5 * 10**306} (-5e+306)"
+    assert lines[102] == f"c_103 = {-5 * 10**309} (out of float range)"
+    assert lines[119] == f"c_120 = {-5 * 10**360} (out of float range)"
+    assert lines[120] == "gamma = 10"
 
 
 def test_cli_misc_subcommands(tmp_path, capsys):

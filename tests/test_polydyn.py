@@ -7,7 +7,15 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from orbitweil.exactnum import LogMag, Place, abs_value, logmag_sum, rational_support
+from orbitweil.exactnum import (
+    FieldMismatch,
+    LogMag,
+    Place,
+    QuadField,
+    abs_value,
+    logmag_sum,
+    rational_support,
+)
 from orbitweil.polydyn import (
     FAILED,
     VERIFIED,
@@ -253,6 +261,51 @@ def test_poly_algebra():
         2, {(3, 0): 1, (2, 1): 3, (1, 2): 3, (0, 3): 1}
     )
     assert g.evaluate((4, 1)) == 7
+
+
+_F2, _F3 = QuadField(2), QuadField(3)
+
+
+@pytest.mark.parametrize(
+    "nvars, terms, error, message",
+    [
+        (2, {(2, 0): 1, (1, 0): 1}, ValueError, "mixed degrees [1, 2]"),
+        (2, {(1, 0, 0): 1}, ValueError, "bad exponent vector (1, 0, 0)"),
+        (2, {(2, 0): 1, (-1, 3): 1}, ValueError, "bad exponent vector (-1, 3)"),
+        # a zero coefficient takes no part in the degree, but its term is still checked
+        (2, {(2, 0): 1, (1, 0): 0}, ValueError, "term (1, 0) is not of degree 2"),
+        (2, {(1, 0): 0}, ValueError, "term (1, 0) is not of degree 0"),
+        # terms are checked in input order
+        (2, {(0, 1): 0, (1, 1, 0): 1}, ValueError, "term (0, 1) is not of degree 2"),
+        (2, {(1, 0): _F2.element(1), (0, 1): _F3.element(0, 1)}, FieldMismatch,
+         "mixed quadratic fields in one polynomial"),
+    ],
+    ids=["mixed-degrees", "arity", "negative", "zero-term-degree", "all-zero", "order",
+         "mixed-fields"],
+)
+def test_from_terms_checks_outside_input(nvars, terms, error, message):
+    with pytest.raises(error) as info:
+        HomogPoly.from_terms(nvars, terms)
+    assert str(info.value) == message
+
+
+def test_monomial_checks_its_exponents():
+    with pytest.raises(ValueError, match=r"bad exponent vector \(-1, 2\)"):
+        HomogPoly.monomial([-1, 2])
+
+
+def test_forms_drop_zero_terms_and_keep_integral_rationals_as_ints():
+    def linear(a, b):
+        return HomogPoly.from_terms(2, {(1, 0): a, (0, 1): b})
+
+    g = HomogPoly.from_terms(2, {(1, 0): Fraction(4, 2), (0, 1): Fraction(0)})
+    assert g.terms == {(1, 0): 2} and type(g.terms[(1, 0)]) is int
+    # (x/3 + y)(3x - 3y) = x^2 + 2xy - 3y^2, and (x + y)(x - y) has no xy term
+    product = linear(Fraction(1, 3), 1) * linear(3, -3)
+    assert product.terms == {(2, 0): 1, (1, 1): 2, (0, 2): -3}
+    assert all(type(c) is int for c in product.terms.values())
+    assert (linear(1, 1) * linear(1, -1)).terms == {(2, 0): 1, (0, 2): -1}
+    assert linear(_F2.element(1), 0).field == _F2 and linear(1, 0).field is None
 
 
 def test_content_and_primitive():

@@ -61,6 +61,25 @@ def test_monomial_ideal_reduction():
     assert MonomialIdeal(2, [(2, 0), (0, 3)]).ord_along((3, 2)) == 6
 
 
+@st.composite
+def _exponent_sets(draw):
+    n = draw(st.integers(1, 4))
+    vec = st.tuples(*[st.integers(0, 6)] * n)
+    return n, draw(st.lists(vec, min_size=1, max_size=40))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_exponent_sets())
+def test_monomial_ideal_keeps_exactly_the_undominated_generators(data):
+    n, vectors = data
+    gens = set(vectors)
+    minimal = [
+        g for g in gens
+        if not any(h != g and all(a >= b for a, b in zip(g, h)) for h in gens)
+    ]
+    assert MonomialIdeal(n, vectors).generators == tuple(sorted(minimal))
+
+
 def test_newton_membership():
     newt = NewtonPolyhedron(MonomialIdeal(2, [(2, 0), (0, 3)]))
     assert not newt.contains((1, 1))
