@@ -13,19 +13,22 @@ Conventions:
   * Log-magnitudes are exact: the log of a positive rational, or of a
     positive element of a real Q(sqrt(d)) under sqrt(d) -> +sqrt(d), over
     a root index.  Enclosures on Python ints, an integer v and an error e
-    at a scale 2^-w, with logs summed as fixed-point atanh series, serve
-    only correctly rounded decimals and floats, float ratio bounds, and
-    comparisons past the bit budget.  One loop (_refine) doubles w until
-    a question is decided.  The module needs nothing beyond the standard
-    library.
+    at a scale 2^-w, serve only correctly rounded decimals and floats,
+    float ratio bounds, and comparisons past the bit budget.  The log of a
+    whole magnitude is one fixed-point atanh series, run on one quotient
+    of the top bits of its numerator and denominator (_log_quotient).  One
+    loop (_refine) doubles w until a question is decided.  The module
+    needs nothing beyond the standard library.
+  * Fields and places are interned: one QuadField per d and one Place per
+    (p, field, index), each checked once when first built, so they
+    compare and hash by identity.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Iterable, Optional, Sequence, Union
 
 RationalLike = Union[int, Fraction]
@@ -414,35 +417,54 @@ def _ceil_shift(x: int, n: int) -> int:
     return -(-x >> n)
 
 
-def _log_int(n: int, w: int) -> tuple[int, int]:
-    """_log2k(n, 0, w), with log 1 = 0 enclosed exactly without the series."""
-    return (0, 0) if n == 1 else _log2k(n, 0, w)
+def _log_quotient(n: int, d: int, s: int, w: int) -> tuple[int, int]:
+    """Enclosure (v, e) of log(n 2^s/d) at scale 2^-w, e <= 3, for ints n, d >= 1.
+
+    One series for the whole quotient.  With K = w + _GUARD, n' = floor(n/2^a)
+    and d' = floor(d/2^b) keep the top K bits of n and d (a = 0 and n' = n
+    when n has at most K bits; so for d), and q = floor(n' 2^c/d') with
+    c = K + 1 + len(d') - len(n') >= 2, so q > 2^(len(n') - 1 + c - len(d'))
+    = 2^K.  For a real y with x = floor(y) >= 2^(K-1), log y - log x lies in
+    [0, 1/x) within [0, 2^(1-K)); an n' or d' cut from K + 1 bits or more
+    is such a floor, and so is q.  So log(n 2^s/d) - log(q 2^(s + a - b - c))
+    lies in (-2^(1-K), 2^(1-K) + 2^-K): n' and q round the log down, d'
+    rounds it up.  At scale 2^-w that is (-2^-19, 2^-18) units, and
+    _log2k's e <= 2 plus one unit covers it, with room for a caller that
+    hands in the floor of a real n or d >= 2^K, which moves the log by
+    below 2^-K, 2^-20 units, more.
+    """
+    K = w + _GUARD
+    a = max(0, n.bit_length() - K)
+    b = max(0, d.bit_length() - K)
+    n, d = n >> a, d >> b
+    c = K + 1 + d.bit_length() - n.bit_length()
+    v, e = _log2k((n << c) // d, s + a - b - c, w)
+    return v, e + 1
 
 
 def _log_magnitude(n, d: Optional[int], w: int) -> tuple[int, int]:
-    """Enclosure of log(n/d) at scale 2^-w, for the magnitude n/d of a LogMag.
+    """Enclosure of log(n/d) at scale 2^-w, e <= 3, for the magnitude n/d of a LogMag.
 
-    e <= 4 for ints n, d and e <= 7 for a real quadratic n, d None (see
-    LogMag._enclose).
+    A rational n/d is one _log_quotient, and log 1 is enclosed exactly.  A
+    real quadratic n = y = (A + B sqrt(D))/C with d None is one too: with
+    N = |A| + |B| sqrt(D) >= |A| + |B| >= 2^(len(|A| + |B|) - 1) and
+    c = max(0, K + 1 - len(|A| + |B|)), K = w + _GUARD as there,
+    L = floor(N 2^c) = |A| 2^c + isqrt(B^2 D 4^c) >= 2^K, the floor of a
+    real >= 2^K that _log_quotient makes room for.  Of one sign, y = N/C is
+    L 2^-c/C.  Of opposite signs, y = |A^2 - D B^2|/(C N), with no
+    cancellation, is |A^2 - D B^2| 2^c/(C L): C L <= C N 2^c < C (L + 1), so
+    log(C N 2^c) - log(C L) lies in [0, 1/L), within the same room.
     """
     if d is not None:
-        v1, e1 = _log_int(n, w)
-        v2, e2 = _log_int(d, w)
-        return v1 - v2, e1 + e2
-    m = n  # a QuadElem; from here on d is its field's radicand
-    d = m.field.d
-    A, B = abs(m.A), abs(m.B)
-    # m = (A + B sqrt(d))/C, and N = |A| + |B| sqrt(d) >= 2^(len(|A| + |B|) - 1),
-    # so L = floor(N 2^c) = |A| 2^c + isqrt(B^2 d 4^c) >= 2^w, and log(N 2^c)
-    # lies in [log L, log L + 1/L]: one more unit at scale 2^-w
-    c = max(0, w + 1 - (A + B).bit_length())
-    vn, en = _log2k((A << c) + math.isqrt(B * B * d << 2 * c), -c, w)
-    vd, ed = _log_int(m.C, w)
-    if m.A > 0 < m.B:
-        return vn - vd, en + 1 + ed
-    # of opposite signs, m = |A^2 - d B^2|/(C N): no cancellation
-    vq, eq = _log_int(abs(A * A - d * B * B), w)
-    return vq - vd - vn, eq + ed + en + 1
+        return (0, 0) if n == d else _log_quotient(n, d, 0, w)
+    y = n
+    D = y.field.d
+    A, B = abs(y.A), abs(y.B)
+    c = max(0, w + _GUARD + 1 - (A + B).bit_length())
+    L = (A << c) + math.isqrt(B * B * D << 2 * c)
+    if y.A > 0 < y.B:
+        return _log_quotient(L, y.C, -c, w)
+    return _log_quotient(abs(A * A - D * B * B) << c, y.C * L, 0, w)
 
 
 def _quotient(x: tuple[int, int], y: tuple[int, int]) -> tuple[Fraction, Fraction]:
@@ -557,11 +579,11 @@ class LogMag:
     def _enclose(self, w: int) -> tuple[int, int]:
         """Enclosure (v, e) of the value at scale 2^-w: [(v - e)/2^w, (v + e)/2^w].
 
-        log m takes e <= 7 (_log_magnitude: at most three integer logs of
-        e <= 2 each, plus one unit for the floor of a square root).  The
-        division by root rounds v down, |v/root - floor(v/root)| < 1, so
-        e/root is rounded up and one more unit added unless it divides
-        exactly; e <= 7 for every root.
+        log m takes e <= 3 (_log_magnitude: one series of e <= 2, plus one
+        unit for the truncations of its operands).  The division by root
+        rounds v down, |v/root - floor(v/root)| < 1, so e/root is rounded up
+        and one more unit added unless it divides exactly:
+        ceil(3/root) + 1 <= 3 for root >= 2, so e <= 3 for every root.
         """
         v, e = _log_magnitude(self._n, self._d, w)
         r = self._root
@@ -653,7 +675,7 @@ class LogMag:
         if not isinstance(other, LogMag):
             return NotImplemented
         n1, n2 = self._n, other._n
-        if self._d is None and other._d is None and n1.field == n2.field:
+        if self._d is None and other._d is None and n1.field is n2.field:
             return self.compare(other) == 0
         # rational canonical forms are unique, and an irrational magnitude
         # equals no rational one, nor one of another field
@@ -662,8 +684,9 @@ class LogMag:
     def __hash__(self) -> int:
         if self._d is None:
             # equal values have equal |N(m)|**(1/root)
-            norm = abs(self._n.norm())
-            return hash(_canonical_log(norm.numerator, norm.denominator, self._root))
+            n, c = self._n._norm_pair()
+            g = math.gcd(n, c)
+            return hash(_canonical_log(abs(n) // g, c // g, self._root))
         return hash((self._n, self._d, self._root))
 
     def compare(self, other: "LogMag") -> int:
@@ -860,7 +883,7 @@ def _cmp(n1, d1: Optional[int], n2, d2: Optional[int]) -> int:
         x, y = n1 * d2, n2 * d1
         return (x > y) - (x < y)
     if d1 is None and d2 is None:
-        if n1.field != n2.field:
+        if n1.field is not n2.field:
             raise FieldMismatch("elements of different quadratic fields")
         # n1 - n2 = (A1 C2 - A2 C1 + (B1 C2 - B2 C1) sqrt(D))/(C1 C2), with C1 C2 > 0
         return _quad_sign(n1.A * n2.C - n2.A * n1.C, n1.B * n2.C - n2.B * n1.C, n1.field.d)
@@ -902,22 +925,58 @@ def logmag_max(items: Sequence[LogMag]) -> LogMag:
 # quadratic fields
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class QuadField:
-    """Q(sqrt(d)) for a squarefree integer d not in {0, 1}."""
+class _Interned:
+    """Immutable instances, one per constructor key, built by the subclass's __new__.
 
-    d: int
+    Equality and hashing are object identity; a copy or a pickle calls the
+    constructor again (on the attributes named in _ARGS) and so comes back
+    as the same instance.
+    """
 
-    def __post_init__(self) -> None:
-        if self.d in (0, 1):
-            raise ValueError("d must not be 0 or 1")
-        fac, cof = factorize(abs(self.d))
-        # a cofactor below 1,000^3 is composite with no prime factor below
-        # 1,000, so it is p * q: squarefree unless a square
-        if any(e > 1 for e in fac.values()) or math.isqrt(cof) ** 2 == cof > 1:
-            raise ValueError(f"{self.d} is not squarefree")
-        if cof >= 10**9:
-            raise ValueError(f"cannot certify {self.d} squarefree")
+    __slots__ = ()
+    _ARGS: tuple[str, ...] = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self._ARGS)
+
+    @classmethod
+    def _new(cls, **attrs):
+        obj = object.__new__(cls)
+        for name, value in attrs.items():
+            object.__setattr__(obj, name, value)
+        return obj
+
+
+_FIELDS: dict[int, "QuadField"] = {}
+
+
+class QuadField(_Interned):
+    """Q(sqrt(d)) for a squarefree integer d not in {0, 1}; one instance per d."""
+
+    __slots__ = ("d",)
+    _ARGS = ("d",)
+
+    def __new__(cls, d: int) -> "QuadField":
+        field = _FIELDS.get(d)
+        if field is None:
+            if d in (0, 1):
+                raise ValueError("d must not be 0 or 1")
+            fac, cof = factorize(abs(d))
+            # a cofactor below 1,000^3 is composite with no prime factor below
+            # 1,000, so it is p * q: squarefree unless a square
+            if any(e > 1 for e in fac.values()) or math.isqrt(cof) ** 2 == cof > 1:
+                raise ValueError(f"{d} is not squarefree")
+            if cof >= 10**9:
+                raise ValueError(f"cannot certify {d} squarefree")
+            # setdefault: of two threads building one field, both return the first
+            field = _FIELDS.setdefault(d, cls._new(d=d))
+        return field
 
     def element(self, a: RationalLike, b: RationalLike = 0) -> "QuadElem":
         return QuadElem(self, a, b)
@@ -969,7 +1028,7 @@ class QuadElem:
 
     def _coerce(self, other) -> Optional["QuadElem"]:
         if isinstance(other, QuadElem):
-            if other.field != self.field:
+            if other.field is not self.field:
                 raise FieldMismatch("elements of different quadratic fields")
             return other
         if isinstance(other, (int, Fraction)):
@@ -981,7 +1040,7 @@ class QuadElem:
             return NotImplemented
         return (
             self.A == other.A and self.B == other.B and self.C == other.C
-            and self.field == other.field
+            and self.field is other.field
         )
 
     def __hash__(self) -> int:
@@ -1056,7 +1115,11 @@ class QuadElem:
         return QuadElem._make(self.field, self.A, -self.B, self.C)
 
     def norm(self) -> Fraction:
-        return Fraction(self.A * self.A - self.field.d * self.B * self.B, self.C * self.C)
+        return Fraction(*self._norm_pair())
+
+    def _norm_pair(self) -> tuple[int, int]:
+        """(A^2 - d B^2, C^2): the norm as a pair of ints, not reduced."""
+        return self.A * self.A - self.field.d * self.B * self.B, self.C * self.C
 
     def sign(self) -> int:
         """Sign of (A + B*sqrt(d))/C under sqrt(d) -> +sqrt(d); d > 0 unless B = 0."""
@@ -1086,58 +1149,65 @@ REAL = "real"
 COMPLEX = "complex"
 
 
-@dataclass(frozen=True)
-class Place:
+def _place_kind(p: Optional[int], field: Optional[QuadField]) -> Optional[str]:
+    """split, inert, ramified, real or complex, read from d and p; None over Q."""
+    if field is None:
+        return None
+    d = field.d
+    if p is None:
+        return REAL if d > 0 else COMPLEX
+    if p == 2:
+        if d % 2 == 0 or d % 4 == 3:
+            return RAMIFIED
+        return SPLIT if d % 8 == 1 else INERT
+    if d % p == 0:
+        return RAMIFIED
+    return SPLIT if legendre(d % p, p) == 1 else INERT
+
+
+_PLACES: dict[tuple, "Place"] = {}
+
+
+class Place(_Interned):
     """A place of Q (field None), or the index-th place of a quadratic field above p.
 
-    Its kind, and so how many indices it has, follows from the field and p;
-    kind and local_degree are computed on first use and kept.
+    One instance per (p, field, index), p None for the archimedean place.
+    Its kind (_place_kind), and so how many indices it has, follows from
+    the field and p; kind and local_degree = [F_w : Q_v] (1 for places of
+    Q themselves) are set when the place is first built.  A refused place
+    is not kept.
     """
 
-    p: Optional[int]  # None = archimedean
-    field: Optional[QuadField] = None
-    index: int = 0
+    __slots__ = ("p", "field", "index", "kind", "local_degree")
+    _ARGS = ("p", "field", "index")
 
-    def __post_init__(self) -> None:
-        if self.p is not None and not is_prime(self.p):
-            raise ValueError(f"{self.p} is not prime")
-        if self.index != 0 and (self.index != 1 or self.kind not in (SPLIT, REAL)):
-            raise ValueError(f"a {self.kind or 'rational'} place has no index {self.index!r}")
+    def __new__(cls, p: Optional[int], field: Optional[QuadField] = None, index: int = 0) -> "Place":
+        key = (p, field, index)
+        place = _PLACES.get(key)
+        if place is None:
+            if p is not None and not is_prime(p):
+                raise ValueError(f"{p} is not prime")
+            kind = _place_kind(p, field)
+            if index != 0 and (index != 1 or kind not in (SPLIT, REAL)):
+                raise ValueError(f"a {kind or 'rational'} place has no index {index!r}")
+            local_degree = 1 if kind in (None, SPLIT, REAL) else 2
+            place = _PLACES.setdefault(
+                key, cls._new(p=p, field=field, index=index, kind=kind, local_degree=local_degree)
+            )
+        return place
 
     @classmethod
     def archimedean(cls) -> "Place":
         return _ARCHIMEDEAN
 
     @classmethod
-    @lru_cache(maxsize=1024)
     def finite(cls, p: int) -> "Place":
-        """The place of Q at p, one shared instance per recently used p."""
+        """The place of Q at p."""
         return cls(p)
 
     @property
     def is_archimedean(self) -> bool:
         return self.p is None
-
-    @cached_property
-    def kind(self) -> Optional[str]:
-        """split, inert, ramified, real or complex, read from d and p; None over Q."""
-        if self.field is None:
-            return None
-        d, p = self.field.d, self.p
-        if p is None:
-            return REAL if d > 0 else COMPLEX
-        if p == 2:
-            if d % 2 == 0 or d % 4 == 3:
-                return RAMIFIED
-            return SPLIT if d % 8 == 1 else INERT
-        if d % p == 0:
-            return RAMIFIED
-        return SPLIT if legendre(d % p, p) == 1 else INERT
-
-    @cached_property
-    def local_degree(self) -> int:
-        """[F_w : Q_v]; 1 for places of Q themselves."""
-        return 1 if self.kind in (None, SPLIT, REAL) else 2
 
     def __repr__(self) -> str:
         base = "inf" if self.p is None else str(self.p)
@@ -1213,16 +1283,20 @@ def _abs_quad(y: QuadElem, v: Place) -> LogMag:
         if y.is_rational:
             return _abs_rational(y.a, v)
         raise FieldMismatch("quadratic element at a place of Q; choose a place above")
-    if v.field != y.field:
+    if v.field is not y.field:
         raise FieldMismatch("element and place belong to different fields")
     kind = v.kind
     if kind in (INERT, RAMIFIED):
-        return _log_p_power(v.p, multiplicity(y.norm(), v.p), 2)
+        # ord_p N(y) = ord_p(A^2 - d B^2) - 2 ord_p(C)
+        n, _ = y._norm_pair()
+        return _log_p_power(v.p, multiplicity(n, v.p) - 2 * multiplicity(y.C, v.p), 2)
     if kind == SPLIT:
         return _log_p_power(v.p, _split_valuation(y, v.p, v.index))
     if kind == COMPLEX:
-        # |a + b*i*sqrt(|d|)|^2 = a^2 + |d| b^2 = N(y), exactly rational
-        return LogMag.exact(y.norm(), 2)
+        # |a + b*i*sqrt(|d|)|^2 = a^2 + |d| b^2 = N(y) > 0, exactly rational
+        n, c = y._norm_pair()
+        g = math.gcd(n, c)
+        return LogMag(*_canonical_log(n // g, c // g, 2))
     # real embedding sqrt(d) -> -sqrt(d) (index 1) reads conj(y) under the first
     z = y if v.index == 0 else y.conjugate()
     return LogMag._positive(z if z.sign() > 0 else -z, 1)

@@ -57,8 +57,10 @@ class HomogPoly:
     A rational coefficient is an int when it is integral, else a Fraction.
     Outside input enters through `from_terms` (and `monomial`), which checks
     every exponent vector, degree and coefficient field.  The constructor
-    only drops zero coefficients: the algebra calls it on terms it built
-    from valid forms, and `QuadElem` arithmetic refuses mixed fields.
+    checks only nvars and degree, drops zero coefficients and turns an
+    integral Fraction into an int: it takes ints, Fractions and QuadElems,
+    and the algebra calls it on terms it built from valid forms, where
+    `QuadElem` arithmetic refuses mixed fields.
     """
 
     __slots__ = ("nvars", "degree", "terms")
@@ -70,7 +72,11 @@ class HomogPoly:
             raise ValueError("degree must be nonnegative")
         self.nvars = nvars
         self.degree = degree
-        self.terms = {e: _coeff(c) for e, c in terms.items() if c}
+        self.terms = {
+            e: c.numerator if type(c) is Fraction and c.denominator == 1 else c
+            for e, c in terms.items()
+            if c
+        }
 
     @property
     def field(self) -> Optional[QuadField]:
@@ -143,7 +149,7 @@ class HomogPoly:
     def __pow__(self, k: int) -> "HomogPoly":
         if k < 0:
             raise ValueError("negative power of a polynomial")
-        result = HomogPoly(self.nvars, 0, {(0,) * self.nvars: Fraction(1)})
+        result = HomogPoly(self.nvars, 0, {(0,) * self.nvars: 1})
         base = self
         while k:
             if k & 1:
@@ -180,16 +186,39 @@ class HomogPoly:
     # -- evaluation and composition -------------------------------------------
 
     def evaluate(self, coords: Sequence[Union[int, Fraction]]) -> Coeff:
+        """The value at rational coords: rational, or one QuadElem over the form's field.
+
+        The terms with QuadElem coefficients are summed as one triple of
+        ints (A + B*sqrt(d))/C, over the product of the denominators, and
+        reduced once at the end with the rational part.
+        """
         if len(coords) != self.nvars:
             raise ValueError("coordinate count mismatch")
-        total: Coeff = 0
+        total: Union[int, Fraction] = 0
+        field = None
+        A = B = 0
+        C = 1
         for e, c in self.terms.items():
-            term = c
+            quad = type(c) is QuadElem
+            # a rational term starts from its coefficient, a quadratic one from 1
+            term = 1 if quad else c
             for x, k in zip(coords, e):
                 if k:
                     term = term * x**k
-            total = term + total
-        return total
+            if not quad:
+                total = term + total
+                continue
+            if c.field is not field:
+                if field is not None:
+                    raise FieldMismatch("elements of different quadratic fields")
+                field = c.field
+            n, m = term.numerator, term.denominator
+            Ci = c.C * m
+            A, B, C = A * Ci + c.A * n * C, B * Ci + c.B * n * C, C * Ci
+        if field is None:
+            return total
+        n, m = total.numerator, total.denominator
+        return QuadElem._make(field, A * m + n * C, B * m, C * m)
 
     def compose(self, forms: Sequence["HomogPoly"]) -> "HomogPoly":
         """Substitute x_i -> forms[i]; forms must share nvars and degree."""
@@ -202,7 +231,7 @@ class HomogPoly:
         powers: list[dict[int, HomogPoly]] = [dict() for _ in range(self.nvars)]
         out: dict[tuple[int, ...], Coeff] = {}
         for e, c in self.terms.items():
-            term = HomogPoly(nv, 0, {(0,) * nv: Fraction(1)})
+            term = HomogPoly(nv, 0, {(0,) * nv: 1})
             for i, k in enumerate(e):
                 if not k:
                     continue

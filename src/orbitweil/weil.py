@@ -172,7 +172,7 @@ def _choose_place(d: DivisorPresentation, v: Place) -> Place:
     if field is None:
         return v
     if v.field is not None:
-        if v.field != field:
+        if v.field is not field:
             raise FieldMismatch("place extends a different quadratic field")
         return v
     return places_above(v, field)[0]
@@ -195,17 +195,19 @@ def weil_local(d: DivisorPresentation, x: ProjPoint, v: Place, *, sd=None) -> Lo
         # x is a primitive integer vector, so max_i |x_i|_w = 1 at every
         # finite w and the term is -weight * log|s_D(x)|_w alone there
         if w.is_archimedean:
-            top = LogMag.exact(max(abs(c) for c in x.coords) ** d.degree)
-            return (top - sd_val) * d.weight
-        return -sd_val * d.weight
-    denom_vals = [t for t in (_abs_or_none(g.evaluate(x.coords), w) for g in d.denom) if t is not None]
-    if not denom_vals:
-        raise ArithmeticError("denominator family vanishes at the point")
-    numer_vals = [t for t in (_abs_or_none(g.evaluate(x.coords), w) for g in d.numer) if t is not None]
-    if not numer_vals:
-        raise ArithmeticError("numerator family vanishes at the point")
-    # max_j min_i (log|s_j| - log|t_i| - log|s_D|) = max_j log|s_j| - max_i log|t_i| - log|s_D|
-    return (logmag_max(numer_vals) - logmag_max(denom_vals) - sd_val) * d.weight
+            lam = LogMag.exact(max(abs(c) for c in x.coords) ** d.degree) - sd_val
+        else:
+            lam = -sd_val
+    else:
+        denom_vals = [t for t in (_abs_or_none(g.evaluate(x.coords), w) for g in d.denom) if t is not None]
+        if not denom_vals:
+            raise ArithmeticError("denominator family vanishes at the point")
+        numer_vals = [t for t in (_abs_or_none(g.evaluate(x.coords), w) for g in d.numer) if t is not None]
+        if not numer_vals:
+            raise ArithmeticError("numerator family vanishes at the point")
+        # max_j min_i (log|s_j| - log|t_i| - log|s_D|) = max_j log|s_j| - max_i log|t_i| - log|s_D|
+        lam = logmag_max(numer_vals) - logmag_max(denom_vals) - sd_val
+    return lam if d.weight == 1 else lam * d.weight
 
 
 def weil_sum(d: DivisorPresentation, x: ProjPoint, places: list[Place]) -> LogMag:
@@ -254,7 +256,8 @@ def _support_values(d: DivisorPresentation, x: ProjPoint, sd=None) -> list[Ratio
     sd is s_D(x) if the caller has it already.  A default presentation
     needs s_D(x) alone: at coprime integer coordinates its monomials and
     its 1 are units at every prime.  Values are ints or Fractions as they
-    come; readers take only numerator and denominator.
+    come, a norm (A^2 - d B^2)/C^2 an int unless C > 1; readers take only
+    numerator and denominator.
     """
     if sd is None:
         sd = d.sd.evaluate(x.coords)
@@ -264,7 +267,8 @@ def _support_values(d: DivisorPresentation, x: ProjPoint, sd=None) -> list[Ratio
     out = []
     for val in raw:
         if isinstance(val, QuadElem):
-            val = val.norm()
+            n, c = val._norm_pair()
+            val = n if c == 1 else Fraction(n, c)
         elif d.field is not None:
             val = val * val
         out.append(val)

@@ -1,7 +1,9 @@
+import copy
 import functools
 import itertools
 import math
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -118,6 +120,38 @@ def test_a_place_takes_its_kind_from_its_field_and_prime(d):
                 Place(p, F, index)
         with pytest.raises(ValueError):
             Place(p, None, 1)
+
+
+def test_fields_and_places_are_interned():
+    F = QuadField(2)
+    assert QuadField(2) is F
+    assert Place(7, QuadField(2)) is Place(7, QuadField(2))
+    assert Place.finite(7) is Place(7) and Place.archimedean() is Place(None)
+    for v in (Place.finite(7), Place.finite(5), INF):
+        expected = [Place(v.p, F)] + ([Place(v.p, F, 1)] if Place(v.p, F).kind in ("split", "real") else [])
+        assert all(w is e for w, e in zip(places_above(v, F), expected, strict=True))
+    for obj in (F, Place(7, F, 1), Place(5, F), Place.finite(3), INF):
+        assert copy.copy(obj) is obj and copy.deepcopy(obj) is obj
+        assert pickle.loads(pickle.dumps(obj)) is obj
+    # an interned instance is shared, so it cannot be changed
+    with pytest.raises(AttributeError):
+        F.d = 3
+    with pytest.raises(AttributeError):
+        del Place.finite(7).p
+
+
+def test_a_refused_field_or_place_is_not_kept():
+    F = QuadField(2)
+    kept = (len(exactnum._FIELDS), len(exactnum._PLACES))
+    # refused twice: the first refusal leaves nothing behind to return
+    for _ in range(2):
+        for args in ((4,), (1,), (7, None, 1), (5, F, 1), (7, F, 2)):
+            with pytest.raises(ValueError):
+                Place(*args)
+        for d in (12, 1):
+            with pytest.raises(ValueError):
+                QuadField(d)
+    assert (len(exactnum._FIELDS), len(exactnum._PLACES)) == kept
 
 
 def test_abs_value_quadratic_examples():
@@ -764,6 +798,89 @@ def test_the_enclosure_of_a_real_quadratic_log_holds_the_value(d, a, b, r, w):
         return mpmath.log(abs(a_ + b_ * mpmath.sqrt(d))) / r
 
     assert e <= 7 and _encloses(v, e, w, value)
+
+
+def _holds(v: int, e: int, w: int, value, prec: int) -> bool:
+    # value() at prec >= 2,000 bits is within 2^-1,900 of the value, and the
+    # endpoints (v -+ e)/2^w with w <= 1,024 are exact there
+    with mpmath.workprec(prec):
+        slack = mpmath.mpf(2) ** -1900
+        return mpmath.mpf(v - e) / 2**w - slack <= value() <= mpmath.mpf(v + e) / 2**w + slack
+
+
+def _near_one(d: int, delta: int) -> tuple[int, int]:
+    # n/d with 0 < |n/d - 1| <= 2^190/2^600 < 2^-400, in lowest terms
+    n = d + delta
+    g = math.gcd(n, d)
+    return n // g, d // g
+
+
+_wide_rationals = st.one_of(
+    st.tuples(st.integers(1, 2**20000), st.integers(1, 2**20000)),
+    st.builds(_near_one, st.integers(2**600, 2**1200), st.integers(-(2**190), 2**190).filter(bool)),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(nd=_wide_rationals, r=st.integers(1, 12), w=st.sampled_from([64, 128, 1024]))
+def test_one_series_encloses_a_rational_log_to_its_bound(nd, r, w):
+    # LogMag._enclose: e <= 3 at every root, from one _log_quotient of the
+    # top bits of numerator and denominator
+    n, d = nd
+    g = math.gcd(n, d)
+    n, d = n // g, d // g
+    x = LogMag(n, d, r) if n != d else LogMag.zero()
+    v, e = x._enclose(w)
+    assert e <= 3 and _holds(v, e, w, lambda: (mpmath.log(n) - mpmath.log(d)) / r, 2000)
+
+
+@st.composite
+def _real_quadratic_parts(draw):
+    # (A, B, C) with A, B != 0 of either sign pattern; A/B near +-sqrt(d) at times,
+    # where A + B sqrt(d) of opposite signs cancels almost to 0
+    d = draw(st.sampled_from([2, 3, 5, 7, 13]))
+    B = draw(st.integers(1, 2**2000))
+    A = draw(st.one_of(
+        st.integers(1, 2**2000),
+        st.builds(lambda k: math.isqrt(d * B * B) + k, st.integers(0, 3)),
+    ))
+    sa, sb = draw(st.sampled_from([(1, 1), (1, -1), (-1, 1)]))
+    return d, sa * A, sb * B, draw(st.integers(1, 2**300))
+
+
+@settings(max_examples=100, deadline=None)
+@given(parts=_real_quadratic_parts(), r=st.integers(1, 6), w=st.sampled_from([64, 128, 1024]))
+def test_one_series_encloses_a_real_quadratic_log_to_its_bound(parts, r, w):
+    d, A, B, C = parts
+    y = QuadField(d).element(Fraction(A, C), Fraction(B, C))
+    x = LogMag.exact(y if y.sign() > 0 else -y, r)
+    v, e = x._enclose(w)
+    # 2,000 bits past the cancellation of |A| against |B| sqrt(d)
+    prec = 2000 + 2 * max(A.bit_length(), B.bit_length())
+    assert e <= 3 and _holds(
+        v, e, w, lambda: mpmath.log(abs(A + B * mpmath.sqrt(d)) / C) / r, prec
+    )
+
+
+def test_a_read_out_at_the_first_precision_runs_one_log_series(monkeypatch):
+    calls = []
+    log2k = exactnum._log2k
+
+    def counted(n, s, w):
+        calls.append(w)
+        return log2k(n, s, w)
+
+    monkeypatch.setattr(exactnum, "_log2k", counted)
+    F = QuadField(2)
+    for x in (
+        LogMag.exact(Fraction(10**30 + 7, 3**40)),
+        LogMag.exact(Fraction(2**400 + 1, 3**300), 6),
+        LogMag.exact(F.element(3, 1)),
+        LogMag.exact(F.element(-1, 1), 5),
+    ):
+        calls.clear()
+        x.decimal_str(12)
+        assert calls == [exactnum._PREC_START]
 
 
 def test_logmag_real_quadratic_is_exact():

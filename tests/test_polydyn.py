@@ -11,6 +11,7 @@ from orbitweil.exactnum import (
     FieldMismatch,
     LogMag,
     Place,
+    QuadElem,
     QuadField,
     abs_value,
     logmag_sum,
@@ -249,6 +250,41 @@ def test_pullback_functoriality_random_points():
                 continue
             raw = [F.evaluate(c) for F in forms]
             assert pb.evaluate(c) == g.evaluate(raw)
+
+
+_small_rationals = st.one_of(
+    st.integers(-30, 30), st.builds(Fraction, st.integers(-30, 30), st.integers(1, 6))
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(d=st.sampled_from([2, 3, -1]), data=st.data())
+def test_evaluate_over_a_quadratic_field_is_the_sum_of_its_terms(d, data):
+    # one (A, B, C) triple and one reduction against QuadElem arithmetic term by term
+    F = QuadField(d)
+    nv, deg = data.draw(st.integers(1, 3)), data.draw(st.integers(0, 3))
+    coeff = st.one_of(_small_rationals, st.builds(F.element, _small_rationals, _small_rationals))
+    exps = data.draw(st.lists(st.sampled_from(monomials_of_degree(nv, deg)), unique=True))
+    g = HomogPoly(nv, deg, {e: data.draw(coeff) for e in exps})
+    coords = data.draw(st.lists(_small_rationals, min_size=nv, max_size=nv))
+    want = 0
+    for e, c in g.terms.items():
+        term = c
+        for x, k in zip(coords, e):
+            if k:
+                term = term * x**k
+        want = term + want
+    got = g.evaluate(coords)
+    assert got == want and type(got) is type(want)
+    if isinstance(got, QuadElem):
+        assert got.field is F
+
+
+def test_evaluate_refuses_a_form_of_two_fields():
+    # only the unchecked constructor can build one
+    g = HomogPoly(2, 1, {(1, 0): QuadField(2).element(1), (0, 1): QuadField(3).element(0, 1)})
+    with pytest.raises(FieldMismatch):
+        g.evaluate((1, 1))
 
 
 def test_poly_algebra():
