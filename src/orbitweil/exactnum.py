@@ -874,7 +874,7 @@ def _quad_product(n1, d1: Optional[int], n2, d2: Optional[int]) -> "QuadElem":
     if d1 is None and d2 is None:
         return n1 * n2
     q, n, d = (n1, n2, d2) if d1 is None else (n2, n1, d1)
-    return QuadElem._make(q.field, q.A * n, q.B * n, q.C * d)
+    return QuadElem(q.field, q.A * n, q.B * n, q.C * d)
 
 
 def _cmp(n1, d1: Optional[int], n2, d2: Optional[int]) -> int:
@@ -979,10 +979,12 @@ class QuadField(_Interned):
         return field
 
     def element(self, a: RationalLike, b: RationalLike = 0) -> "QuadElem":
-        return QuadElem(self, a, b)
+        """a + b*sqrt(d) for rationals a = n/m and b = k/l."""
+        (n, m), (k, l) = Fraction(a).as_integer_ratio(), Fraction(b).as_integer_ratio()
+        return QuadElem(self, n * l, k * m, m * l)
 
     def sqrt_gen(self) -> "QuadElem":
-        return QuadElem._make(self, 0, 1, 1)
+        return QuadElem(self, 0, 1, 1)
 
     def __repr__(self) -> str:
         return f"Q(sqrt({self.d}))"
@@ -994,29 +996,17 @@ class QuadElem:
     One common denominator keeps the arithmetic in ints (Cohen, A Course
     in Computational Algebraic Number Theory, sec. 4.2), and the form is
     unique, so equality and hashing are structural.  a = A/C and b = B/C
-    are Fraction read-outs.
+    are Fraction read-outs; a + b*sqrt(d) for rationals is QuadField.element.
     """
 
     __slots__ = ("field", "A", "B", "C")
 
-    def __init__(self, field: QuadField, a: RationalLike = 0, b: RationalLike = 0) -> None:
-        a, b = Fraction(a), Fraction(b)
-        C = math.lcm(a.denominator, b.denominator)
-        # a and b in lowest terms over their lcm leave gcd(A, B, C) = 1
-        self.field = field
-        self.A = a.numerator * (C // a.denominator)
-        self.B = b.numerator * (C // b.denominator)
-        self.C = C
-
-    @classmethod
-    def _make(cls, field: QuadField, A: int, B: int, C: int) -> "QuadElem":
-        """(A + B*sqrt(d))/C for C != 0, reduced to the canonical form."""
+    def __init__(self, field: QuadField, A: int, B: int, C: int) -> None:
+        """(A + B*sqrt(d))/C for ints with C != 0, reduced to the canonical form."""
         g = math.gcd(A, B, C)
         if C < 0:
             g = -g
-        y = object.__new__(cls)
-        y.field, y.A, y.B, y.C = field, A // g, B // g, C // g
-        return y
+        self.field, self.A, self.B, self.C = field, A // g, B // g, C // g
 
     @property
     def a(self) -> Fraction:
@@ -1032,7 +1022,7 @@ class QuadElem:
                 raise FieldMismatch("elements of different quadratic fields")
             return other
         if isinstance(other, (int, Fraction)):
-            return QuadElem._make(self.field, other.numerator, 0, other.denominator)
+            return QuadElem(self.field, other.numerator, 0, other.denominator)
         return None
 
     def __eq__(self, other) -> bool:
@@ -1049,16 +1039,16 @@ class QuadElem:
     def __add__(self, other):
         A, B, C = self.A, self.B, self.C
         if isinstance(other, int):
-            return QuadElem._make(self.field, A + other * C, B, C)
+            return QuadElem(self.field, A + other * C, B, C)
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return QuadElem._make(self.field, A * o.C + o.A * C, B * o.C + o.B * C, C * o.C)
+        return QuadElem(self.field, A * o.C + o.A * C, B * o.C + o.B * C, C * o.C)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QuadElem._make(self.field, -self.A, -self.B, self.C)
+        return QuadElem(self.field, -self.A, -self.B, self.C)
 
     def __sub__(self, other):
         if not isinstance(other, (QuadElem, int, Fraction)):
@@ -1073,11 +1063,11 @@ class QuadElem:
     def __mul__(self, other):
         A, B, C = self.A, self.B, self.C
         if isinstance(other, int):
-            return QuadElem._make(self.field, A * other, B * other, C)
+            return QuadElem(self.field, A * other, B * other, C)
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return QuadElem._make(
+        return QuadElem(
             self.field, A * o.A + self.field.d * B * o.B, A * o.B + B * o.A, C * o.C
         )
 
@@ -1089,7 +1079,7 @@ class QuadElem:
         n = A * A - self.field.d * B * B
         if n == 0:
             raise ZeroDivisionError("division by zero element")
-        return QuadElem._make(self.field, A * C, -B * C, n)
+        return QuadElem(self.field, A * C, -B * C, n)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -1102,7 +1092,7 @@ class QuadElem:
     def __pow__(self, k: int):
         base = self if k >= 0 else self._inverse()
         k = abs(k)
-        out = QuadElem._make(self.field, 1, 0, 1)
+        out = QuadElem(self.field, 1, 0, 1)
         while k:
             if k & 1:
                 out = out * base
@@ -1112,7 +1102,7 @@ class QuadElem:
         return out
 
     def conjugate(self) -> "QuadElem":
-        return QuadElem._make(self.field, self.A, -self.B, self.C)
+        return QuadElem(self.field, self.A, -self.B, self.C)
 
     def norm(self) -> Fraction:
         return Fraction(*self._norm_pair())

@@ -20,7 +20,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ..exactnum import ExactnumError, Place, QuadElem, QuadField, is_prime
+from ..exactnum import ExactnumError, Place, QuadField, is_prime
 from ..polydyn import HomogPoly, Morphism, ProjPoint
 from ..weil import DivisorPresentation
 
@@ -86,7 +86,7 @@ def _coefficient(value, path: str, quad: QuadField | None):
         a, b = (_fraction(value[k], f"{path}/{k}") for k in "ab")
         if quad is None:
             raise ConfigError(f"{path}: quadratic coefficient given but divisor field is Q")
-        return QuadElem(quad, a, b)
+        return quad.element(a, b)
     if isinstance(value, str) and not _RATIONAL.search(value):
         raise ConfigError(f"{path}: {value!r} is not an integer or a 'p/q' string")
     return _fraction(value, path)

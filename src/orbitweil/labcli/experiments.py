@@ -268,7 +268,7 @@ def _sample_points(nvars: int, bound: int, count, rng_seed: int) -> list[ProjPoi
         for b in range(1, bound + 1):
             for a in range(-bound, bound + 1):
                 if math.gcd(a, b) == 1:
-                    pts.append(ProjPoint._unchecked((a, b) if a >= 0 else (-a, -b)))
+                    pts.append(ProjPoint._unchecked((a, b)))
         return pts
     # the exact count costs O(bound^(3/4)) steps, its lower bound O(sqrt(bound))
     if count > _points_below_lower(nvars, bound):
@@ -482,38 +482,35 @@ def thm14_hypothesis_report(cfg: ExperimentConfig, cache=None) -> Thm14Report:
     est = family_estimate(cfg)
     e_family = est.exact_estimate if est.exact_estimate is not None else est.estimate
     labels = []
-    if alpha.value is None:
-        labels.append("alpha estimate inconclusive; hypothesis checks skipped")
-        return Thm14Report(
-            alpha, est, None, e_family, e_param, eps, eps0,
-            None, None, None, False, tuple(labels), tuple(closed),
-        )
     av = alpha.value
-    gt_one, _ = _lt(Fraction(1), av)
-    if not gt_one:
-        labels.append("hypothesis alpha_f(x) > 1 violated")
-    same = False
-    if isinstance(av, Fraction) and isinstance(e_family, Fraction):
-        same = av == e_family
-    elif not isinstance(av, Fraction) and not isinstance(e_family, Fraction):
-        same = abs(float(av) - float(e_family)) < 1e-9
-    if same:
-        labels.append(
-            "family lower bound for e_f equals the alpha estimate; "
-            "hypothesis (i) cannot hold"
-        )
-    cond_i, exact_i = _lt(e_param + eps, av)
-    if not exact_i:
-        labels.append("condition (i) compared in floating point")
-    rep = remark44_m0(e_param, eps, est.s_seq)
-    m0 = rep.m0 if rep.found else None
-    cond_ii = None
-    if m0 is None:
-        labels.append("m0 not found within the family depth; condition (ii) unverified")
+    gt_one = m0 = cond_i = cond_ii = None
+    if av is None:
+        labels.append("alpha estimate inconclusive; hypothesis checks skipped")
     else:
-        cond_ii, exact_ii = _lt((e_param + eps) ** m0, av**m0 * eps0)
-        if not exact_ii:
-            labels.append("condition (ii) compared in floating point")
+        gt_one, _ = _lt(Fraction(1), av)
+        if not gt_one:
+            labels.append("hypothesis alpha_f(x) > 1 violated")
+        same = False
+        if isinstance(av, Fraction) and isinstance(e_family, Fraction):
+            same = av == e_family
+        elif not isinstance(av, Fraction) and not isinstance(e_family, Fraction):
+            same = abs(float(av) - float(e_family)) < 1e-9
+        if same:
+            labels.append(
+                "family lower bound for e_f equals the alpha estimate; "
+                "hypothesis (i) cannot hold"
+            )
+        cond_i, exact_i = _lt(e_param + eps, av)
+        if not exact_i:
+            labels.append("condition (i) compared in floating point")
+        rep = remark44_m0(e_param, eps, est.s_seq)
+        m0 = rep.m0 if rep.found else None
+        if m0 is None:
+            labels.append("m0 not found within the family depth; condition (ii) unverified")
+        else:
+            cond_ii, exact_ii = _lt((e_param + eps) ** m0, av**m0 * eps0)
+            if not exact_ii:
+                labels.append("condition (ii) compared in floating point")
     ok = bool(gt_one and cond_i and cond_ii)
     return Thm14Report(
         alpha, est, av, e_family, e_param, eps, eps0,

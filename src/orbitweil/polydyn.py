@@ -37,14 +37,6 @@ class IndeterminatePoint(ValueError):
     """A self-map was evaluated at a common zero of its forms."""
 
 
-def _coeff(c) -> Coeff:
-    # integral rationals are stored as ints, so evaluation stays in ints
-    if isinstance(c, (int, QuadElem)):
-        return c
-    c = Fraction(c)
-    return c.numerator if c.denominator == 1 else c
-
-
 def _coeff_str(c: Coeff) -> str:
     if isinstance(c, QuadElem):
         return f"{c.a}+{c.b}r{c.field.d}"
@@ -54,13 +46,13 @@ def _coeff_str(c: Coeff) -> str:
 class HomogPoly:
     """Sparse homogeneous polynomial with rational or quadratic coefficients.
 
-    A rational coefficient is an int when it is integral, else a Fraction.
-    Outside input enters through `from_terms` (and `monomial`), which checks
-    every exponent vector, degree and coefficient field.  The constructor
-    checks only nvars and degree, drops zero coefficients and turns an
-    integral Fraction into an int: it takes ints, Fractions and QuadElems,
-    and the algebra calls it on terms it built from valid forms, where
-    `QuadElem` arithmetic refuses mixed fields.
+    A rational coefficient is an int when it is integral, else a Fraction,
+    so evaluation stays in ints.  Outside input enters through `from_terms`
+    (and `monomial`), which checks every exponent vector, degree and field.
+    The constructor alone drops zero coefficients and turns an integral
+    Fraction into an int; it checks only nvars and degree, and the algebra
+    calls it on terms it built from valid forms, where `QuadElem`
+    arithmetic refuses mixed fields.
     """
 
     __slots__ = ("nvars", "degree", "terms")
@@ -115,8 +107,9 @@ class HomogPoly:
                 raise ValueError(f"bad exponent vector {exps}")
             if sum(exps) != degree:
                 raise ValueError(f"term {exps} is not of degree {degree}")
+            c = c if isinstance(c, (int, QuadElem)) else Fraction(c)
             cur = clean.get(exps)
-            clean[exps] = _coeff(c if cur is None else cur + c)
+            clean[exps] = c if cur is None else cur + c
         poly = cls(nvars, degree, clean)
         if len({c.field for c in poly.terms.values() if isinstance(c, QuadElem)}) > 1:
             raise FieldMismatch("mixed quadratic fields in one polynomial")
@@ -126,8 +119,6 @@ class HomogPoly:
 
     def __mul__(self, other) -> "HomogPoly":
         if isinstance(other, (int, Fraction, QuadElem)):
-            if not other:
-                return HomogPoly.zero(self.nvars, self.degree)
             return HomogPoly(
                 self.nvars, self.degree, {e: c * other for e, c in self.terms.items()}
             )
@@ -218,7 +209,7 @@ class HomogPoly:
         if field is None:
             return total
         n, m = total.numerator, total.denominator
-        return QuadElem._make(field, A * m + n * C, B * m, C * m)
+        return QuadElem(field, A * m + n * C, B * m, C * m)
 
     def compose(self, forms: Sequence["HomogPoly"]) -> "HomogPoly":
         """Substitute x_i -> forms[i]; forms must share nvars and degree."""
@@ -307,7 +298,9 @@ class ProjPoint:
 
     @classmethod
     def _unchecked(cls, coords: Sequence[int]) -> "ProjPoint":
-        """The point of coprime coords with a positive lead, without __post_init__'s gcd."""
+        """The point of coprime coords, its lead made positive, without __post_init__'s gcd."""
+        if next(c for c in coords if c) < 0:
+            coords = [-c for c in coords]
         point = object.__new__(cls)
         object.__setattr__(point, "coords", tuple(coords))
         return point
@@ -449,8 +442,6 @@ def evaluate(f: Morphism, x: ProjPoint) -> ProjPoint:
             raise IndeterminatePoint(f"{x} is a common zero of the defining forms")
         return ProjPoint.normalize(vals)
     g = 1 if abs(delta) == 1 else gcd(delta, *(v % delta for v in vals))
-    if next(v for v in vals if v) < 0:
-        g = -g
     return ProjPoint._unchecked(vals if g == 1 else [v // g for v in vals])
 
 

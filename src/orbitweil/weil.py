@@ -107,10 +107,7 @@ class DivisorPresentation:
     def hypersurface(cls, g: HomogPoly, weight: RationalLike = 1) -> "DivisorPresentation":
         """Default presentation of the hypersurface {g = 0}."""
         g = g.primitive()
-        nv, e = g.nvars, g.degree
-        numer = tuple(HomogPoly.monomial(m) for m in monomials_of_degree(nv, e))
-        denom = (HomogPoly(nv, 0, {(0,) * nv: Fraction(1)}),)
-        return cls(g, numer, denom, Fraction(weight))
+        return cls(g, *_default_families(g.nvars, g.degree), Fraction(weight))
 
     # -- inspection -------------------------------------------------------------
 
@@ -128,11 +125,11 @@ class DivisorPresentation:
 
         Such a presentation takes the closed form, whatever s_D is.
         """
-        nv = self.nvars
+        numer, denom = _default_families(self.nvars, self.degree)
         return (
-            self.denom == (HomogPoly(nv, 0, {(0,) * nv: 1}),)
-            and len(self.numer) == len(monomials_of_degree(nv, self.degree))
-            and self._full_monomials()
+            self.denom == denom
+            and len(self.numer) == len(numer)
+            and set(self.numer) == set(numer)
         )
 
     @cached_property
@@ -157,10 +154,11 @@ class DivisorPresentation:
         """Enlarged numerator family generating the same sheaf if g lies in it."""
         return DivisorPresentation(self.sd, self.numer + (g,), self.denom, self.weight)
 
-    def _full_monomials(self) -> bool:
-        have = set(self.numer)
-        needed = [HomogPoly.monomial(m) for m in monomials_of_degree(self.nvars, self.numer[0].degree)]
-        return all(m in have for m in needed)
+
+def _default_families(nv: int, e: int) -> tuple[tuple[HomogPoly, ...], tuple[HomogPoly, ...]]:
+    """The default presentation's families: every monomial of degree e, and 1."""
+    numer = tuple(HomogPoly.monomial(m) for m in monomials_of_degree(nv, e))
+    return numer, (HomogPoly(nv, 0, {(0,) * nv: 1}),)
 
 
 def _abs_or_none(val, w: Place) -> Optional[LogMag]:

@@ -19,6 +19,7 @@ from orbitweil.exactnum import (
     LogMag,
     Place,
     PrecisionExhausted,
+    QuadElem,
     QuadField,
     UndecidableComparison,
     ValuationOfZero,
@@ -1225,6 +1226,12 @@ def test_quadelem_integer_form_matches_the_fraction_pair_formulas(d, x, y, q, n,
     F = QuadField(d)
     u, v = F.element(*x), F.element(*y)
     _assert_is(u, x, F)
+    assert u.a == x[0] and u.b == x[1]
+    # the constructor reduces an int triple at any scale and sign to one form
+    for s in (n, -n, k):
+        if s:
+            _assert_is(QuadElem(F, s * u.A, s * u.B, s * u.C), x, F)
+            assert QuadElem(F, s * u.A, s * u.B, s * u.C) == QuadElem(F, u.A, u.B, u.C)
     _assert_is(u + v, (x[0] + y[0], x[1] + y[1]), F)
     _assert_is(u - v, (x[0] - y[0], x[1] - y[1]), F)
     _assert_is(u * v, _ref_mul(x, y, d), F)

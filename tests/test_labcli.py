@@ -776,11 +776,9 @@ def test_thm14_report_squaring():
     assert rep.closed_sets == ()
 
 
-def test_thm14_composes_each_pullback_once(monkeypatch):
-    # a quadric of P^2 whose alpha is reached as a float: both conditions
-    # are compared in floating point, and the m0 search reads the family
-    # estimate's s_1..s_6 instead of composing the pullbacks again
-    cfg = parse_config({
+def p2_quadric_cfg(**overrides):
+    # the quadric map of P^2 of tier1.yml's console step
+    data = {
         "map": {"forms": [{"2,0,0": "1", "0,1,1": "1"}, {"0,2,0": "1", "1,0,1": "-1"},
                           {"0,0,2": "1"}]},
         "seed": ["2", "3", "1"],
@@ -788,7 +786,16 @@ def test_thm14_composes_each_pullback_once(monkeypatch):
         "places": ["inf", 3],
         "depth": 12,
         "params": {"e": "1", "eps": "1/4", "eps0": "1"},
-    })
+    }
+    data.update(overrides)
+    return parse_config(data)
+
+
+def test_thm14_composes_each_pullback_once(monkeypatch):
+    # a quadric of P^2 whose alpha is reached as a float: both conditions
+    # are compared in floating point, and the m0 search reads the family
+    # estimate's s_1..s_6 instead of composing the pullbacks again
+    cfg = p2_quadric_cfg()
     calls = []
     compose = HomogPoly.compose
 
@@ -804,6 +811,14 @@ def test_thm14_composes_each_pullback_once(monkeypatch):
     assert rep.cond_growth is True and rep.cond_margin is True
     assert "condition (i) compared in floating point" in rep.labels
     assert "condition (ii) compared in floating point" in rep.labels
+
+
+def test_thm14_skips_both_conditions_when_alpha_is_inconclusive():
+    rep = thm14_hypothesis_report(p2_quadric_cfg(depth=5))
+    assert rep.alpha_value is None
+    assert rep.m0 is None and rep.cond_growth is None and rep.cond_margin is None
+    assert rep.hypothesis_ok is False
+    assert rep.labels == ("alpha estimate inconclusive; hypothesis checks skipped",)
 
 
 def test_thm14_flags_ramified_axis():

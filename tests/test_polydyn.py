@@ -59,6 +59,9 @@ def test_normalize():
         ProjPoint((0, 0))
     # normalize builds its point without the constructor's checks
     assert P(-4, 6) == ProjPoint((2, -3)) and hash(P(-4, 6)) == hash(ProjPoint((2, -3)))
+    # and so does every caller that has coprime coordinates; the lead's sign is fixed there
+    assert ProjPoint._unchecked((-3, 2)).coords == (3, -2)
+    assert ProjPoint._unchecked([0, -1, 4]).coords == (0, 1, -4)
 
 
 def _height_oracle(coords):
@@ -342,6 +345,12 @@ def test_forms_drop_zero_terms_and_keep_integral_rationals_as_ints():
     assert all(type(c) is int for c in product.terms.values())
     assert (linear(1, 1) * linear(1, -1)).terms == {(2, 0): 1, (0, 2): -1}
     assert linear(_F2.element(1), 0).field == _F2 and linear(1, 0).field is None
+    # (0, 1) given twice, once as a range: coefficients that sum to zero leave no term
+    for c in (3, Fraction(1, 3), _F2.element(1, 2)):
+        assert HomogPoly.from_terms(2, {(1, 0): 1, (0, 1): c, range(2): -c}).terms == {(1, 0): 1}
+    # a zero scalar leaves the zero form of the same degree
+    for zero in (0, Fraction(0), _F2.element(0)):
+        assert product * zero == HomogPoly.zero(2, 2) and (zero * product).is_zero
 
 
 def test_content_and_primitive():
