@@ -632,9 +632,12 @@ class LogMag:
     def __add__(self, other: "LogMag") -> "LogMag":
         if not isinstance(other, LogMag):
             return NotImplemented
-        r = math.lcm(self._root, other._root)
-        n1, d1 = _power(self._n, self._d, r // self._root)
-        n2, d2 = _power(other._n, other._d, r // other._root)
+        n1, d1, r = self._n, self._d, self._root
+        n2, d2 = other._n, other._d
+        if other._root != r:
+            r = math.lcm(r, other._root)
+            n1, d1 = _power(n1, d1, r // self._root)
+            n2, d2 = _power(n2, d2, r // other._root)
         if d1 is None or d2 is None:
             # a product of positive magnitudes: no sign to decide
             return LogMag._positive(_quad_product(n1, d1, n2, d2), r)
@@ -903,12 +906,29 @@ def _quad_sign(A: int, B: int, d: int) -> int:
 
 
 def logmag_sum(items: Iterable[LogMag]) -> LogMag:
-    """The sum, added pairwise from the first term on; 0 for no terms."""
+    """The sum, in the form of the left fold items[0] + items[1] + ...; 0 for no terms.
+
+    A run of rational terms of the running root is multiplied in place by
+    the cross gcds of __add__ and put in canonical form once, where it
+    ends: a rational value has one canonical form, so the fold's
+    intermediate reductions change nothing.  Any other term is added by
+    __add__.
+    """
     it = iter(items)
     total = next(it, _ZERO)
+    # (n, d, r): total's fields, or while d is not None the run's product
+    n, d, r = total._n, total._d, total._root
     for x in it:
+        n2, d2 = x._n, x._d
+        if d is not None and d2 is not None and x._root == r:
+            g1, g2 = math.gcd(n, d2), math.gcd(n2, d)
+            n, d = (n // g1) * (n2 // g2), (d // g2) * (d2 // g1)
+            continue
+        if d is not None:
+            total = LogMag(*_canonical_log(n, d, r))
         total = total + x
-    return total
+        n, d, r = total._n, total._d, total._root
+    return total if d is None else LogMag(*_canonical_log(n, d, r))
 
 
 def logmag_max(items: Sequence[LogMag]) -> LogMag:

@@ -102,8 +102,8 @@ class HomogPoly:
         degree = degs.pop() if degs else 0
         clean: dict[tuple[int, ...], Coeff] = {}
         for exps, c in terms.items():
-            exps = tuple(int(e) for e in exps)
-            if len(exps) != nvars or any(e < 0 for e in exps):
+            exps = tuple(exps)
+            if len(exps) != nvars or not all(isinstance(e, int) and e >= 0 for e in exps):
                 raise ValueError(f"bad exponent vector {exps}")
             if sum(exps) != degree:
                 raise ValueError(f"term {exps} is not of degree {degree}")

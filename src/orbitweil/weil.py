@@ -21,6 +21,8 @@ is_default reads that off the families, and scaling s_D keeps it, as
 log|c|_v cancels in both paths.  Points are primitive integer
 vectors, so max_i |x_i|_v = 1 at every finite v; the terms are exact at
 every place and sum over all places to weight * e * h(x) on the nose.
+Over Q the closed form is built on ints: weight * ord_p(s_D(x)) * log p
+at a finite p, and weight * log(max_i |x_i|^e / |s_D(x)|) at infinity.
 
 LocalTable holds lambda_D(x, w) for one point, each place evaluated
 once from one value of s_D(x).  It is the one implementation of the sum
@@ -133,6 +135,11 @@ class DivisorPresentation:
         )
 
     @cached_property
+    def _unit_weight(self) -> bool:
+        """weight == 1, decided once: a local term then takes no scaling."""
+        return self.weight == 1
+
+    @cached_property
     def field(self) -> Optional[QuadField]:
         for g in (self.sd, *self.numer, *self.denom):
             f = g.field
@@ -166,37 +173,63 @@ def _abs_or_none(val, w: Place) -> Optional[LogMag]:
 
 
 def _choose_place(d: DivisorPresentation, v: Place) -> Place:
+    """v if it is a place of D's field (or D is rational), else the first place above it."""
     field = d.field
-    if field is None:
+    if field is None or v.field is field:
         return v
     if v.field is not None:
-        if v.field is not field:
-            raise FieldMismatch("place extends a different quadratic field")
-        return v
+        raise FieldMismatch("place extends a different quadratic field")
     return places_above(v, field)[0]
 
 
-def weil_local(d: DivisorPresentation, x: ProjPoint, v: Place, *, sd=None) -> LogMag:
+def _closed_form_Q(sd: RationalLike, p: Optional[int], top: int) -> LogMag:
+    """e * log max_i |x_i|_p - log|s_D(x)|_p for rational s_D(x), on ints.
+
+    At a finite p it is ord_p(s_D(x)) * log p; at infinity log(top/|s_D(x)|),
+    top = max_i |x_i|^e, reduced by gcd(top, |numerator|): the denominator
+    of s_D(x) is prime to its numerator, and top/g to numerator/g.
+    """
+    if p is None:
+        n = abs(sd.numerator)
+        g = gcd(top, n)
+        return LogMag((top // g) * sd.denominator, n // g, 1)
+    k = multiplicity(sd, p)
+    return LogMag(p**k, 1, 1) if k >= 0 else LogMag(1, p**-k, 1)
+
+
+def weil_local(
+    d: DivisorPresentation, x: ProjPoint, v: Place, *, sd=None, top: Optional[int] = None
+) -> LogMag:
     """lambda_D(x, v) from the presentation; exact wherever the inputs are.
 
-    sd is s_D(x) if the caller has it already.  A default presentation
-    takes the closed form weight * (e * log max_i |x_i|_w - log|s_D(x)|_w);
-    any other runs max_j log|s_j(x)|_w - max_i log|t_i(x)|_w - log|s_D(x)|_w.
+    sd is s_D(x), and top is max_i |x_i|^e with e = deg D, if the caller
+    has them already.  A default presentation takes the closed form
+    weight * (e * log max_i |x_i|_w - log|s_D(x)|_w), on ints over Q; any
+    other runs max_j log|s_j(x)|_w - max_i log|t_i(x)|_w - log|s_D(x)|_w.
     """
     if d.nvars != len(x.coords):
         raise ValueError("point/divisor dimension mismatch")
-    w = _choose_place(d, v)
-    sd_val = _abs_or_none(d.sd.evaluate(x.coords) if sd is None else sd, w)
-    if sd_val is None:
+    field = d.field
+    # a place of D's field, as LocalTable passes it, is chosen already
+    w = v if v.field is field else _choose_place(d, v)
+    if sd is None:
+        sd = d.sd.evaluate(x.coords)
+    if not sd:
         raise SupportHit(x, v)
+    p = w.p
     if d.is_default:
         # x is a primitive integer vector, so max_i |x_i|_w = 1 at every
         # finite w and the term is -weight * log|s_D(x)|_w alone there
-        if w.is_archimedean:
-            lam = LogMag.exact(max(abs(c) for c in x.coords) ** d.degree) - sd_val
+        if p is None and top is None:
+            top = max(map(abs, x.coords)) ** d.degree
+        if field is None:
+            lam = _closed_form_Q(sd, p, top)
+        elif p is None:
+            lam = LogMag(top, 1, 1) - abs_value(sd, w)
         else:
-            lam = -sd_val
+            lam = -abs_value(sd, w)
     else:
+        sd_val = abs_value(sd, w)
         denom_vals = [t for t in (_abs_or_none(g.evaluate(x.coords), w) for g in d.denom) if t is not None]
         if not denom_vals:
             raise ArithmeticError("denominator family vanishes at the point")
@@ -205,7 +238,7 @@ def weil_local(d: DivisorPresentation, x: ProjPoint, v: Place, *, sd=None) -> Lo
             raise ArithmeticError("numerator family vanishes at the point")
         # max_j min_i (log|s_j| - log|t_i| - log|s_D|) = max_j log|s_j| - max_i log|t_i| - log|s_D|
         lam = logmag_max(numer_vals) - logmag_max(denom_vals) - sd_val
-    return lam if d.weight == 1 else lam * d.weight
+    return lam if d._unit_weight else lam * d.weight
 
 
 def weil_sum(d: DivisorPresentation, x: ProjPoint, places: list[Place]) -> LogMag:
@@ -281,13 +314,15 @@ class LocalTable:
     """
 
     def __init__(self, d: DivisorPresentation, x: ProjPoint):
+        if d.nvars != len(x.coords):
+            raise ValueError("point/divisor dimension mismatch")
         self.divisor = d
         self.point = x
+        self._sd = d.sd.evaluate(x.coords)
+        # max_i |x_i|^e, e = deg D: the closed form's archimedean numerator,
+        # built once for the one or two real places
+        self._top = max(map(abs, x.coords)) ** d.degree if d.is_default else None
         self._terms: dict[Place, LogMag] = {}
-
-    @cached_property
-    def _sd(self):
-        return self.divisor.sd.evaluate(self.point.coords)
 
     @property
     def on_support(self) -> bool:
@@ -299,7 +334,7 @@ class LocalTable:
         w = _choose_place(self.divisor, v)
         lam = self._terms.get(w)
         if lam is None:
-            lam = self._terms[w] = weil_local(self.divisor, self.point, w, sd=self._sd)
+            lam = self._terms[w] = weil_local(self.divisor, self.point, w, sd=self._sd, top=self._top)
         return lam
 
     def lambda_S(self, places) -> LogMag:
@@ -326,24 +361,27 @@ class LocalTable:
         if values[0] == 0:
             raise SupportHit(x)
         primes: set[int] = set()
-        cofactors = []
+        cofactors = []  # the parts past trial division, each > 1
         for q in values:
             for n in (abs(q.numerator), q.denominator):
                 if n > 1:
                     fac, cof = factorize(n)
                     primes.update(fac)
-                    cofactors.append(cof)
-        primes.update(w.p for w in self._terms if w.p and any(c % w.p == 0 for c in cofactors))
-        # a prime is its own base element, so the others are prime to every place row
-        big = [p for p in primes if p > 1000]
-        base = [b for b in _coprime_base(cofactors + big) if b not in primes]
-        if base and field is not None and not d.is_default:
-            raise ExactnessLost("a base of norms cannot tell split places apart")
+                    if cof > 1:
+                        cofactors.append(cof)
+        base = []
+        if cofactors:
+            primes.update(w.p for w in self._terms if w.p and any(c % w.p == 0 for c in cofactors))
+            # a prime is its own base element, so the others are prime to every place row
+            big = [p for p in primes if p > 1000]
+            base = [b for b in _coprime_base(cofactors + big) if b not in primes]
+            if base and field is not None and not d.is_default:
+                raise ExactnessLost("a base of norms cannot tell split places apart")
         # (row key, lambda_D(x, w), [F_w:Q_v]); [F:Q] = 2 divides once at the end
-        terms: list[tuple[Optional[Place], LogMag, int]] = []
-        for v in [Place.archimedean()] + [Place.finite(p) for p in sorted(primes)]:
-            for w in (v,) if field is None else places_above(v, field):
-                terms.append((w, self.local(w), w.local_degree))
+        places = [Place.archimedean(), *map(Place, sorted(primes))]
+        if field is not None:
+            places = [w for v in places for w in places_above(v, field)]
+        terms = [(w, self.local(w), w.local_degree) for w in places]
         # Every prime p | b has ord_p(v) = E_b(v) * ord_p(b) in each value v, as
         # the rest of v is prime to b.  So lambda_D(x, p) = weight * ord_p(b) *
         # _base_exponent * log p, and the primes of b sum to weight *

@@ -616,6 +616,32 @@ def test_rational_logmag_algebra_matches_the_fraction_reference(m1, m2, r1, r2, 
         assert _form(x) == _form(y) and hash(x) == hash(y)
 
 
+def _positive_quad(a, b, r):
+    y = QuadField(2).element(a, b)
+    return LogMag.exact(y if y.sign() > 0 else -y, r)
+
+
+# powers of small bases, so that sums of one root reduce to another; magnitudes
+# below 1 (negative logs) and 1 itself (zero); and Q(sqrt 2) magnitudes
+_sum_terms = st.one_of(
+    st.builds(
+        LogMag.exact,
+        st.builds(Fraction, st.sampled_from([1, 2, 3, 4, 8, 9, 27]), st.sampled_from([1, 2, 4, 9])),
+        st.integers(1, 4),
+    ),
+    st.just(LogMag.zero()),
+    st.builds(_positive_quad, st.integers(-9, 9).filter(bool), st.integers(-9, 9).filter(bool),
+              st.integers(1, 4)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(xs=st.lists(_sum_terms, max_size=8))
+def test_logmag_sum_has_the_form_of_the_left_fold(xs):
+    fold = functools.reduce(lambda a, b: a + b, xs) if xs else LogMag.zero()
+    assert logmag_sum(xs).form == fold.form
+
+
 def test_canonical_form_refuses_an_unfactored_root():
     # 1009 * 1013 stays a cofactor of the root, and 2^1009 is a 1009th power:
     # a form kept unreduced would differ from log(2)/1013's

@@ -328,6 +328,14 @@ def test_from_terms_checks_outside_input(nvars, terms, error, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize("e", [1.5, 1.0, Fraction(1)], ids=["float", "integral-float", "fraction"])
+def test_from_terms_refuses_exponents_that_are_not_ints(e):
+    # no truncation to another monomial, whether or not the exponent is integral
+    with pytest.raises(ValueError) as info:
+        HomogPoly.from_terms(2, {(e, 1 - e): 1})
+    assert str(info.value) == f"bad exponent vector {(e, 1 - e)}"
+
+
 def test_monomial_checks_its_exponents():
     with pytest.raises(ValueError, match=r"bad exponent vector \(-1, 2\)"):
         HomogPoly.monomial([-1, 2])

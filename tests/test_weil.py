@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -244,6 +245,33 @@ def test_local_table_evaluates_each_place_once(monkeypatch):
         table.lambda_S([INF, INF])
 
 
+def test_local_terms_choose_their_place_and_build_M_e_once(monkeypatch):
+    import orbitweil.weil as weil
+
+    chosen, tops = [], []
+    real_choose, real_local = weil._choose_place, weil.weil_local
+
+    def choose(d, v):
+        chosen.append(v)
+        return real_choose(d, v)
+
+    def local(d, x, v, **kw):
+        tops.append((v, kw["top"]))
+        return real_local(d, x, v, **kw)
+
+    monkeypatch.setattr(weil, "_choose_place", choose)
+    monkeypatch.setattr(weil, "weil_local", local)
+    d = DivisorPresentation.hypersurface(
+        HomogPoly.from_terms(2, {(1, 0): _F2.element(1), (0, 1): _F2.element(0, -1)}))
+    table = LocalTable(d, P(16, 3))
+    S = [INF, Place.finite(7)]
+    table.lambda_S(S)
+    assert chosen == S  # weil_local takes the place the table chose
+    table.all_places()
+    # M^e = 16 reaches both real places from the table
+    assert [top for w, top in tops if w.p is None] == [16, 16]
+
+
 _F2 = QuadField(2)
 _PLACES_Q = [INF] + [Place.finite(p) for p in (2, 3, 5, 7, 11, 13, 10007)]
 _PLACES_F = [*_PLACES_Q, *places_above(Place.finite(7), _F2)]  # 7 splits in Q(sqrt 2)
@@ -325,10 +353,17 @@ def _assert_closed_form_is_general_path(d, x, places):
 @settings(max_examples=100, deadline=None)
 @given(
     case=st.one_of(st.tuples(_divisors_Q, _points), st.tuples(_ternary_divisors_Q, _ternary_points)),
+    scale=st.sampled_from([1, Fraction(12, 35), -6]),
+    negative=st.booleans(),
     S=st.lists(st.sampled_from(_PLACES_Q), unique=True),
 )
-def test_closed_form_equals_general_path_over_Q(case, S):
+def test_closed_form_equals_general_path_over_Q(case, scale, negative, S):
     d, coords = case
+    # s_D(x) a non-integral or negated multiple of the primitive form's value,
+    # and weight -1, beside the drawn primitive, positive-weight divisors
+    d = d.scaled(scale)
+    if negative:
+        d = replace(d, weight=Fraction(-1))
     x = P(*coords)
     assume(not d.support_test(x))
     _assert_closed_form_is_general_path(d, x, S)
