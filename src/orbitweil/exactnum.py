@@ -16,9 +16,11 @@ Conventions:
     at a scale 2^-w, serve only correctly rounded decimals and floats,
     float ratio bounds, and comparisons past the bit budget.  The log of a
     whole magnitude is one fixed-point atanh series, run on one quotient
-    of the top bits of its numerator and denominator (_log_quotient).  One
-    loop (_refine) doubles w until a question is decided.  The module
-    needs nothing beyond the standard library.
+    of the top bits of its numerator and denominator (_log_quotient), or
+    near 1 on (n - d)/(n + d) (_log_near_one).  One loop (_refine) doubles
+    w until a question is decided; floats and ratios start each log at
+    its own relative precision (_offset).  The module needs nothing
+    beyond the standard library.
   * Fields and places are interned: one QuadField per d and one Place per
     (p, field, index), each checked once when first built, so they
     compare and hash by identity.
@@ -306,26 +308,62 @@ def sqrt_mod(a: int, p: int) -> int:
 # point as in Brent and Zimmermann, Modern Computer Arithmetic (2010), ch. 4:
 # n 2^s = 2^k r with r in [1, 2), and log r = 2 atanh((r - 1)/(r + 1)).
 
-# The first precision of every loop, in bits after the binary point; 64
-# bits decide nearly every read-out at once.
+# The first precision of every loop, in bits: after the binary point for
+# decimals and comparisons, and past an operand's offset (_offset, the bits
+# its log starts below 1) for floats and ratios, so that a log near 0 gets
+# 64 significant bits at once too.  64 bits decide nearly every read-out.
 _PREC_START = 64
 _PREC_CAP = 2**16
 
 # Guard bits of the log series; see _log2k for why 20 bits keep e <= 2.
 _GUARD = 20
 
+# A float read-out needs no more offset than this: a value below 2^-1,075
+# rounds to 0.0, and 2^-(_FLOAT_OFFSET + _PREC_START) is far below that.
+_FLOAT_OFFSET = 1100
 
-def _refine(step):
+# The largest prime below 2^30, for the ratio witness (LogMag.ratio_exact).
+_WITNESS_PRIME = 2**30 - 35
+
+
+def _refine(step, k: int = 0):
     """step(w) for w = _PREC_START, doubled until it is not None (Ziv's loop).
 
-    Raises PrecisionExhausted past _PREC_CAP bits.
+    step encloses at w plus offsets of at most k bits; raises
+    PrecisionExhausted once w + k passes _PREC_CAP bits.
     """
     w = _PREC_START
-    while w <= _PREC_CAP:
+    while w + k <= _PREC_CAP:
         if (out := step(w)) is not None:
             return out
         w *= 2
     raise PrecisionExhausted(f"enclosures undecided at {_PREC_CAP} bits")
+
+
+def _offset(n, d: Optional[int], root: int = 1) -> int:
+    """k >= 0 with |log(n/d)|/root >= 2^-k, read from bit lengths, for rational n/d != 1.
+
+    A quadratic n (d None) and n = d take 0, which bounds nothing: loops
+    that start there escalate as before.
+
+    For n != d, |log(n/d)| >= |n - d|/max(n, d) (log(1 + x) >= x/(1 + x)),
+    and max(n, d) < 2^L for L = max(len(n), len(d)).  The top bits
+    n' = floor(n/2^c), d' = floor(d/2^c), c = max(0, L - 64), give
+    |n - d| > (|n' - d'| - 1) 2^c; only when they agree to within 1 is
+    |n - d| taken exactly, and then n/d is within 2^-62 of 1.  Lengths
+    three or more apart give |log(n/d)| > log 4 > 1, and k = 0 at once.
+    """
+    if d is None or n == d:
+        return 0
+    nb, db = n.bit_length(), d.bit_length()
+    L, k = max(nb, db), 0
+    if abs(nb - db) < 3:
+        c = max(0, L - 64)
+        diff = abs((n >> c) - (d >> c)) - 1
+        if diff < 1:
+            diff, c = abs(n - d), 0
+        k = max(0, L - c - diff.bit_length() + 1)
+    return k + (root - 1).bit_length()
 
 
 def _atanh_sum(t: int, step) -> tuple[int, int]:
@@ -442,11 +480,47 @@ def _log_quotient(n: int, d: int, s: int, w: int) -> tuple[int, int]:
     return v, e + 1
 
 
+def _log_near_one(n: int, d: int, w: int) -> Optional[tuple[int, int]]:
+    """Enclosure (v, e) of log(n/d) at scale 2^-w, e <= 2, or None if n/d is not near 1.
+
+    One series, with no square root and no log 2 (Brent and Zimmermann,
+    sec. 4.2): log(n/d) = 2 atanh(x), x = (n - d)/(n + d).  With
+    K = w + _GUARD and c = max(0, min(len(n), len(d)) - K), a = floor(n/2^c)
+    and b = floor(d/2^c) are n and d when c = 0, and both at least 2^(K-1)
+    otherwise, so log(n/d) - log(a/b) lies in (-2^(1-K), 2^(1-K)), within
+    (-2, 2) units at scale 2^-K (as in _log_quotient).  Say a > b (else
+    swap, and negate v).  n/d is near 1 when a - b <= b/2^j, j = m + 2 for
+    the m square roots _log2k would take, so x <= 2^-(j+1) <= 1/3 and the
+    series stops within about K/(2j) terms.  X = floor(2^K x) is exact,
+    and the steps T -> floor(T Y/2^K), Y = floor(X^2/2^K), meet
+    _atanh_sum's needs as in _log_r, so 2^K log(a/b) lies in [2S, 2S + 2E)
+    with E <= K + 5.  Hence |2^K log(n/d) - V| < E + 2 for V = 2S + E, and
+    the floor to scale 2^-w adds below one unit: e <= ceil((E + 2 + V mod
+    2^_GUARD)/2^_GUARD) <= 2 for every w <= _PREC_CAP.
+    """
+    # lengths two or more apart put n/d outside (1/2, 2), with no subtraction
+    if abs(n.bit_length() - d.bit_length()) > 1:
+        return None
+    K = w + _GUARD
+    c = max(0, min(n.bit_length(), d.bit_length()) - K)
+    a, b, sign = n >> c, d >> c, 1
+    if a < b:
+        a, b, sign = b, a, -1
+    if (a - b) << (math.isqrt(w) // 4 + 2) > b:
+        return None
+    x = ((a - b) << K) // (a + b)
+    sq = x * x >> K
+    s, err = _atanh_sum(x, lambda u: u * sq >> K)
+    V = 2 * s + err
+    return sign * (V >> _GUARD), _ceil_shift(err + 2 + (V & ((1 << _GUARD) - 1)), _GUARD)
+
+
 def _log_magnitude(n, d: Optional[int], w: int) -> tuple[int, int]:
     """Enclosure of log(n/d) at scale 2^-w, e <= 3, for the magnitude n/d of a LogMag.
 
-    A rational n/d is one _log_quotient, and log 1 is enclosed exactly.  A
-    real quadratic n = y = (A + B sqrt(D))/C with d None is one too: with
+    A rational n/d near 1 is one atanh series (_log_near_one), any other
+    one _log_quotient, and log 1 is enclosed exactly.  A real quadratic
+    n = y = (A + B sqrt(D))/C with d None is one _log_quotient too: with
     N = |A| + |B| sqrt(D) >= |A| + |B| >= 2^(len(|A| + |B|) - 1) and
     c = max(0, K + 1 - len(|A| + |B|)), K = w + _GUARD as there,
     L = floor(N 2^c) = |A| 2^c + isqrt(B^2 D 4^c) >= 2^K, the floor of a
@@ -456,7 +530,9 @@ def _log_magnitude(n, d: Optional[int], w: int) -> tuple[int, int]:
     log(C N 2^c) - log(C L) lies in [0, 1/L), within the same room.
     """
     if d is not None:
-        return (0, 0) if n == d else _log_quotient(n, d, 0, w)
+        if n == d:
+            return 0, 0
+        return _log_near_one(n, d, w) or _log_quotient(n, d, 0, w)
     y = n
     D = y.field.d
     A, B = abs(y.A), abs(y.B)
@@ -467,10 +543,22 @@ def _log_magnitude(n, d: Optional[int], w: int) -> tuple[int, int]:
     return _log_quotient(abs(A * A - D * B * B) << c, y.C * L, 0, w)
 
 
-def _quotient(x: tuple[int, int], y: tuple[int, int]) -> tuple[Fraction, Fraction]:
-    """Exact endpoints of x/y for enclosures at one scale, y excluding 0."""
-    qs = [Fraction(a, b) for a in (x[0] - x[1], x[0] + x[1]) for b in (y[0] - y[1], y[0] + y[1])]
-    return min(qs), max(qs)
+def _quotient_ends(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int, int, int]:
+    """(ln, ld, hn, hd), ld, hd > 0: [ln/ld, hn/hd] is x/y, for enclosures at one scale.
+
+    y excludes 0; taken positive (negating both if not), x/y rises with x
+    and falls with y where x >= 0, and rises with y where x < 0.
+    """
+    (v1, e1), (v2, e2) = x, y
+    if v2 < 0:
+        v1, v2 = -v1, -v2
+    lo, hi = v1 - e1, v1 + e1
+    return lo, v2 + e2 if lo >= 0 else v2 - e2, hi, v2 - e2 if hi >= 0 else v2 + e2
+
+
+def _shifted_float(a: int, b: int, s: int) -> float:
+    """a 2^s/b, for b > 0, rounded to the nearest float by int true division."""
+    return (a << s) / b if s >= 0 else a / (b << -s)
 
 
 def _excludes_zero(x: tuple[int, int]) -> bool:
@@ -592,7 +680,7 @@ class LogMag:
         q, rem = divmod(v, r)
         return q, -(-e // r) + (1 if rem else 0)
 
-    def _read_out(self, rounding):
+    def _read_out(self, rounding, k: int = 0):
         """rounding(x, w), a monotone rounding of x/2^w, of the value (Ziv's loop).
 
         Accepts once both endpoints v - e and v + e of an enclosure at
@@ -602,20 +690,25 @@ class LogMag:
         (Lindemann, 1882), so log(m)/root is no rational decimal tie or
         float midpoint.  A decimal read-out rounds each endpoint on ints,
         (v -+ e) 10^places / 2^w half-even by _round_div, the rule
-        decimal_fraction applies to a Fraction; a float goes through the
-        exact Fraction x/2^w.
+        decimal_fraction applies to a Fraction; a float is x/2^w by int
+        true division, which rounds correctly.  Enclosures are taken at
+        w + k, k bits past the loop's precision.
         """
 
         def agree(w):
+            w += k
             v, e = self._enclose(w)
             lo = rounding(v - e, w)
             return lo if lo == rounding(v + e, w) else None
 
-        return _refine(agree)
+        return _refine(agree, k)
 
     def to_float(self) -> float:
-        """The value rounded to the nearest float."""
-        return self._read_out(lambda x, w: float(Fraction(x, 1 << w)))
+        """The value rounded to the nearest float, from _PREC_START significant bits on."""
+        k = min(_offset(*self.form), _FLOAT_OFFSET)
+        f = self._read_out(lambda x, w: x / (1 << w), k)
+        # a value within 2^-1075 of 0 reads 0.0 with the value's sign, not an endpoint's
+        return f if f else math.copysign(0.0, self.sign())
 
     def decimal_str(self, places: int = 12) -> str:
         """The value rounded half-even to `places` fractional digits, fixed point."""
@@ -729,10 +822,11 @@ class LogMag:
         """self/other as an exact Fraction whenever it is rational, for rational magnitudes.
 
         Decides every rational ratio of two rational magnitudes from an
-        enclosure and exact root extraction; every power it builds is at
-        most two bits longer than a numerator or denominator of the
-        operands.  None means the ratio is irrational, a magnitude is
-        irrational (the ratio is then left undecided), or other is zero.
+        enclosure, a congruence mod one prime (_witness) and exact root
+        extraction; every power it builds is at most two bits longer than
+        a numerator or denominator of the operands.  None means the ratio
+        is irrational, a magnitude is irrational (the ratio is then left
+        undecided), or other is zero.
         """
         n1, d1, n2, d2 = self._n, self._d, other._n, other._d
         if d1 is None or d2 is None or n2 == d2:
@@ -749,22 +843,29 @@ class LogMag:
         # nearest the midpoint, and that is the only candidate to verify.
         # The escalation ends: log m2 != 0 is bounded away from 0 by the
         # size of m2, and the width shrinks with every doubling of
-        # precision.
+        # precision.  The gap is absolute, so both logs are enclosed at w
+        # plus the offset of log m2 alone: |log m2| >= 2^-k.
         big = max(n2, d2).bit_length()
-        gap = Fraction(1, big * big)
+        k = _offset(n2, d2)
 
         def narrow(w):
-            den = _log_magnitude(n2, d2, w)
+            den = _log_magnitude(n2, d2, w + k)
             if not _excludes_zero(den):
                 return None
-            lo, hi = _quotient(_log_magnitude(n1, d1, w), den)
-            return (lo, hi) if hi - lo < gap else None
+            ends = _quotient_ends(_log_magnitude(n1, d1, w + k), den)
+            ln, ld, hn, hd = ends
+            # the width hn/hd - ln/ld is below 1/big^2
+            return ends if (hn * ld - ln * hd) * big * big < ld * hd else None
 
-        lo, hi = _refine(narrow)
-        cand = ((lo + hi) / 2).limit_denominator(big)
-        if not lo <= cand <= hi:
-            return None
+        ln, ld, hn, hd = _refine(narrow, k)
+        cand = Fraction(ln * hd + hn * ld, 2 * ld * hd).limit_denominator(big)
         p, q = cand.numerator, cand.denominator
+        if not (ln * q <= p * ld and p * hd <= hn * q):
+            return None
+        # m1^q = m2^p, as ints, mod one prime first: a mismatch refutes p/q
+        # without a q-th root
+        if q > 1 and not _witness(n1, d1, n2, d2, p, q):
+            return None
         a = _perfect_power(n2, q)
         b = _perfect_power(d2, q) if a is not None else None
         if b is None:
@@ -802,16 +903,22 @@ class LogMag:
         """
         if other.is_zero():
             raise UndecidableComparison("ratio denominator is zero")
+        # each log at _PREC_START significant bits and more; past
+        # _FLOAT_OFFSET bits below the denominator the ratio reads 0.0
+        k2 = _offset(*other.form)
+        k1 = min(_offset(*self.form), k2 + _FLOAT_OFFSET)
 
         def nearest(w):
             # log m != 0 for m != 1: more precision will exclude 0
-            den = other._enclose(w)
+            den = other._enclose(w + k2)
             if not _excludes_zero(den):
                 return None
-            lo, hi = (float(q) for q in _quotient(self._enclose(w), den))
-            return lo if lo == hi else None
+            # the quotient of enclosures at scales 2^-(w + k1) and 2^-(w + k2)
+            ln, ld, hn, hd = _quotient_ends(self._enclose(w + k1), den)
+            lo = _shifted_float(ln, ld, k2 - k1)
+            return lo if lo == _shifted_float(hn, hd, k2 - k1) else None
 
-        f = _refine(nearest)
+        f = _refine(nearest, max(k1, k2))
         return math.nextafter(f, -math.inf), math.nextafter(f, math.inf)
 
 
@@ -823,6 +930,19 @@ def _root_primes(root: int) -> tuple[tuple[int, ...], int]:
     """factorize(root) as (primes, cofactor); the same few roots recur."""
     factors, cofactor = factorize(root)
     return tuple(factors), cofactor
+
+
+def _witness(n1: int, d1: int, n2: int, d2: int, p: int, q: int) -> bool:
+    """False only if (n1/d1)^q != (n2/d2)^p, read mod _WITNESS_PRIME (q > 0, p != 0).
+
+    The identity is n1^q d2^p = n2^p d1^q, with the powers of p < 0 moved
+    across; a true one holds mod every prime.
+    """
+    P = _WITNESS_PRIME
+    n1, d1, n2, d2 = n1 % P, d1 % P, n2 % P, d2 % P
+    if p < 0:
+        n2, d2, p = d2, n2, -p
+    return pow(n1, q, P) * pow(d2, p, P) % P == pow(n2, p, P) * pow(d1, q, P) % P
 
 
 def _canonical_log(n: int, d: int, root: int) -> tuple[int, int, int]:

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from orbitweil import exactnum
 from orbitweil.exactnum import (
@@ -719,6 +719,149 @@ def test_to_float_does_not_cancel():
     assert huge.to_float() == pytest.approx(2000 * math.log(2) - math.log(3), rel=1e-15)
     assert (-huge).to_float() == -huge.to_float()
     assert LogMag.exact(Fraction(1, 2**1060)).to_float() == pytest.approx(-1060 * math.log(2), rel=1e-15)
+
+
+def _counting(monkeypatch, name):
+    """Record the calls of exactnum.<name> made through the module."""
+    calls = []
+    f = getattr(exactnum, name)
+
+    def counted(*args):
+        calls.append(args)
+        return f(*args)
+
+    monkeypatch.setattr(exactnum, name, counted)
+    return calls
+
+
+def test_to_float_starts_at_the_relative_precision_of_the_value(monkeypatch):
+    calls = _counting(monkeypatch, "_log_magnitude")
+    assert LogMag.exact(Fraction(2**200 + 1, 2**200)).to_float() == math.log1p(2.0**-200)
+    assert len(calls) == 1
+    # a value within 2^-1075 of 0 reads 0.0 with its own sign
+    tiny = LogMag.exact(Fraction(2**5000 + 1, 2**5000))
+    assert math.copysign(1, tiny.to_float()) == 1 and math.copysign(1, (-tiny).to_float()) == -1
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(1, 2**2000),
+    d=st.integers(1, 2**2000),
+    root=st.sampled_from([1, 2, 3, 7, 64]),
+)
+def test_the_offset_bounds_the_log_from_below(n, d, root):
+    assume(n != d)
+    k = exactnum._offset(n, d, root)
+    with mpmath.workprec(4200):
+        assert abs(mpmath.log1p(mpmath.mpf(n - d) / d)) / root >= mpmath.mpf(2) ** -k
+
+
+@st.composite
+def _near_one_magnitudes(draw):
+    # n/d with d of 8 to 2,000 bits and n within d/2^j of d, either side
+    w = draw(st.integers(64, 4096))
+    bits = draw(st.integers(8, 2000))
+    d = draw(st.integers(2 ** (bits - 1), 2**bits - 1))
+    j = draw(st.integers(min(math.isqrt(w) // 4 + 2, bits), bits))
+    n = d + draw(st.sampled_from([1, -1])) * draw(st.integers(1, max(1, d >> j)))
+    return n, d, w
+
+
+@settings(max_examples=200, deadline=None)
+@given(_near_one_magnitudes())
+def test_the_near_one_series_encloses_the_log(nwd):
+    n, d, w = nwd
+    out = exactnum._log_near_one(n, d, w)
+    assume(out is not None)
+    v, e = out
+    prec = w + 2 * d.bit_length() + 200
+    assert e <= 3 and _holds(v, e, w, lambda: mpmath.log1p(mpmath.mpf(n - d) / d), prec)
+    # the general series encloses the same value: the intervals meet
+    v2, e2 = exactnum._log_quotient(n, d, 0, w)
+    assert abs(v - v2) <= e + e2
+
+
+def _float_of(x) -> float:
+    # an mpf rounded once to the nearest float, through its exact Fraction
+    sign, man, exp, _ = x._mpf_
+    return (-1) ** sign * float(Fraction(man) * Fraction(2) ** exp) if man else 0.0
+
+
+def _near_one_value(bits, delta):
+    return Fraction(2**bits + delta, 2**bits)
+
+
+_ratio_operands = st.one_of(
+    st.builds(Fraction, st.integers(1, 2**300), st.integers(1, 2**300)),
+    # near 1 down to 2^-1,100 and past: subnormal ratios, and ratios that read 0.0
+    st.builds(
+        _near_one_value,
+        st.integers(8, 1200) | st.integers(1015, 1085),
+        st.integers(-(2**7), 2**7).filter(bool),
+    ),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    m1=_ratio_operands,
+    m2=st.builds(Fraction, st.integers(1, 2**300), st.integers(1, 2**300)),
+    r1=st.integers(1, 6),
+    r2=st.integers(1, 6),
+)
+@example(m1=_near_one_value(1050, 1), m2=Fraction(2), r1=1, r2=1)  # subnormal
+@example(m1=_near_one_value(1080, -1), m2=Fraction(3), r1=2, r2=1)  # 0.0, from below
+def test_ratio_interval_is_the_nearest_float_widened_by_one_ulp(m1, m2, r1, r2):
+    assume(m1 != 1 and m2 != 1)
+    with mpmath.workdps(1500):
+
+        def log(m):
+            return mpmath.log1p(mpmath.mpf(m.numerator - m.denominator) / m.denominator)
+
+        f = _float_of(log(m1) * r2 / (log(m2) * r1))
+    got = LogMag.exact(m1, r1).ratio_interval(LogMag.exact(m2, r2))
+    assert got == (math.nextafter(f, -math.inf), math.nextafter(f, math.inf))
+
+
+def test_ratio_interval_encloses_each_log_once_at_its_own_precision(monkeypatch):
+    # log(1 + 3 2^-512)/log 2^512: the denominator at 64 bits, the
+    # numerator, above 2^-512, at 64 + 512, and no doubling
+    calls = _counting(monkeypatch, "_log_magnitude")
+    lam = LogMag.exact(Fraction(2**512 + 3, 2**512))
+    lam.ratio_interval(LogMag.exact(2**512))
+    assert [w for _, _, w in calls] == [64, 64 + 512]
+
+
+def test_an_offset_counts_against_the_precision_cap():
+    seen = []
+    with pytest.raises(PrecisionExhausted):
+        exactnum._refine(seen.append, exactnum._PREC_CAP - 100)
+    assert seen == [exactnum._PREC_START]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    c=st.builds(
+        Fraction,
+        st.integers(1, 10**6).map(lambda a: a * exactnum._WITNESS_PRIME**2)
+        | st.integers(1, 10**6),
+        st.integers(1, 10**6).map(lambda b: b * exactnum._WITNESS_PRIME) | st.integers(1, 10**6),
+    ).filter(lambda c: c != 1),
+    p=st.integers(-40, 40).filter(bool),
+    q=st.integers(1, 40),
+    r=st.integers(1, 4),
+)
+def test_the_witness_never_refutes_a_true_ratio(c, p, q, r):
+    g = math.gcd(p, q)
+    p, q = p // g, q // g
+    m1, m2 = c ** (p * r), c ** (q * r)
+    assert exactnum._witness(m1.numerator, m1.denominator, m2.numerator, m2.denominator, p, q)
+    assert LogMag.exact(m1).ratio_exact(LogMag.exact(m2)) == Fraction(p, q)
+
+
+def test_the_witness_prime_is_the_largest_below_2_30():
+    P = exactnum._WITNESS_PRIME
+    assert is_prime(P) and P < 2**30 and not any(is_prime(k) for k in range(P + 1, 2**30))
 
 
 def _nearest_float(value) -> float:

@@ -480,6 +480,39 @@ def test_ratio_on_the_readme_config_at_depth_20():
     assert elapsed < 5, f"depth-20 ratio took {elapsed:.2f} s"
 
 
+def _record(monkeypatch, name):
+    """Record the arguments and result of each call of exactnum.<name>."""
+    calls = []
+    f = getattr(orbitweil.exactnum, name)
+
+    def recorded(*args):
+        calls.append((args, out := f(*args)))
+        return out
+
+    monkeypatch.setattr(orbitweil.exactnum, name, recorded)
+    return calls
+
+
+def test_a_ratio_far_below_one_encloses_each_log_once(monkeypatch):
+    # row 9 of the README orbit: lambda_S is about 3 2^-512 and h = log 2^512,
+    # so a loop from 64 bits after the point would double five times
+    row = run_ratio_experiment(squaring_cfg(depth=9)).rows[-1]
+    calls = _record(monkeypatch, "_log_magnitude")
+    row.lambda_S.ratio_interval(row.h)
+    assert len(calls) <= 2
+
+
+def test_ratio_exact_refutes_dense_orbit_candidates_without_a_root(monkeypatch):
+    # from (3:2) each ratio lies near 2^-n, and its candidate p/q has q > 1:
+    # the congruence mod one prime refutes it before any q-th root
+    rows = [r for r in run_ratio_experiment(squaring_cfg(seed=["3", "2"], depth=18)).rows
+            if r.n >= 14]
+    roots = _record(monkeypatch, "_perfect_power")
+    witnessed = _record(monkeypatch, "_witness")
+    assert [r.lambda_S.ratio_exact(r.h) for r in rows] == [None] * 5
+    assert roots == [] and [out for _, out in witnessed] == [False] * 5
+
+
 def test_runners_reject_duplicate_places_in_hand_built_config():
     inf = Place.archimedean()
     cfg = dataclasses.replace(squaring_cfg(depth=3, params={"eps_prime": "1"}),
