@@ -15,12 +15,12 @@ Conventions:
     a root index.  Enclosures on Python ints, an integer v and an error e
     at a scale 2^-w, serve only correctly rounded decimals and floats,
     float ratio bounds, and comparisons past the bit budget.  The log of a
-    whole magnitude is one fixed-point atanh series, run on one quotient
-    of the top bits of its numerator and denominator (_log_quotient), or
-    near 1 on (n - d)/(n + d) (_log_near_one).  One loop (_refine) doubles
-    w until a question is decided; floats and ratios start each log at
-    its own relative precision (_offset).  The module needs nothing
-    beyond the standard library.
+    whole magnitude is one fixed-point atanh series on the top bits of its
+    numerator and denominator, with square roots only while the quotient
+    is far from 1 (_log_quotient).  One loop (_refine) doubles w until a
+    question is decided; floats and ratios start each log at its own
+    relative precision (_offset).  The module needs nothing beyond the
+    standard library.
   * Fields and places are interned: one QuadField per d and one Place per
     (p, field, index), each checked once when first built, so they
     compare and hash by identity.
@@ -306,16 +306,17 @@ def sqrt_mod(a: int, p: int) -> int:
 # An enclosure at scale 2^-w is a pair (v, e) of integers, e >= 0, standing
 # for the interval [(v - e)/2^w, (v + e)/2^w].  Logs are computed in fixed
 # point as in Brent and Zimmermann, Modern Computer Arithmetic (2010), ch. 4:
-# n 2^s = 2^k r with r in [1, 2), and log r = 2 atanh((r - 1)/(r + 1)).
+# n 2^s/d = 2^k r with r in [2/3, 4/3], and log r = 2 atanh((r - 1)/(r + 1)).
 
 # The first precision of every loop, in bits: after the binary point for
 # decimals and comparisons, and past an operand's offset (_offset, the bits
-# its log starts below 1) for floats and ratios, so that a log near 0 gets
-# 64 significant bits at once too.  64 bits decide nearly every read-out.
+# its log starts below 1, rational or quadratic) for floats and ratios, so
+# that a log near 0 gets 64 significant bits at once too.  64 bits decide
+# nearly every read-out.
 _PREC_START = 64
 _PREC_CAP = 2**16
 
-# Guard bits of the log series; see _log2k for why 20 bits keep e <= 2.
+# Guard bits of the log series; see _log_quotient for why 20 bits keep e <= 2.
 _GUARD = 20
 
 # A float read-out needs no more offset than this: a value below 2^-1,075
@@ -341,19 +342,35 @@ def _refine(step, k: int = 0):
 
 
 def _offset(n, d: Optional[int], root: int = 1) -> int:
-    """k >= 0 with |log(n/d)|/root >= 2^-k, read from bit lengths, for rational n/d != 1.
+    """k >= 0 with |log m| >= root 2^-k for a LogMag's magnitude m != 1, from bit lengths.
 
-    A quadratic n (d None) and n = d take 0, which bounds nothing: loops
-    that start there escalate as before.
-
-    For n != d, |log(n/d)| >= |n - d|/max(n, d) (log(1 + x) >= x/(1 + x)),
-    and max(n, d) < 2^L for L = max(len(n), len(d)).  The top bits
+    m = 1 takes 0, which bounds nothing.  For a rational m = n/d,
+    |log(n/d)| >= |n - d|/max(n, d) (log(1 + x) >= x/(1 + x)), and
+    max(n, d) < 2^L for L = max(len(n), len(d)).  The top bits
     n' = floor(n/2^c), d' = floor(d/2^c), c = max(0, L - 64), give
     |n - d| > (|n' - d'| - 1) 2^c; only when they agree to within 1 is
     |n - d| taken exactly, and then n/d is within 2^-62 of 1.  Lengths
     three or more apart give |log(n/d)| > log 4 > 1, and k = 0 at once.
+
+    A real quadratic m = y = (A + B sqrt(D))/C (d None, A, B != 0) lies
+    strictly between F/C and (F + 1)/C, F = A + floor(B sqrt(D)) >= 0, so
+    |log y| exceeds the log of F/C when F > C, and of (F + 1)/C when
+    F + 1 < C, each bounded as above.  Else |A - C + B sqrt(D)| < 1 and
+    y < 2, so |log y| >= |y - 1|/2, and (A - C)^2 - D B^2 is a nonzero
+    integer (sqrt(D) is irrational): |y - 1| is that integer over
+    C |A - C - B sqrt(D)| < C (1 + 2|B| sqrt(D)) <= C M, for
+    M = 1 + 2|B| (isqrt(D) + 1), so |log y| > 2^-(1 + len(C) + len(M)).
     """
-    if d is None or n == d:
+    if d is None:
+        y, D = n, n.field.d
+        r = math.isqrt(y.B * y.B * D)
+        n, d = y.A + (r if y.B > 0 else -r - 1), y.C
+        if d - 1 <= n <= d:
+            M = 2 * abs(y.B) * (math.isqrt(D) + 1) + 1
+            return 1 + d.bit_length() + M.bit_length() + (root - 1).bit_length()
+        if n < d:
+            n += 1
+    if n == d:
         return 0
     nb, db = n.bit_length(), d.bit_length()
     L, k = max(nb, db), 0
@@ -385,33 +402,6 @@ def _atanh_sum(t: int, step) -> tuple[int, int]:
     return s, 3 * k + 2
 
 
-def _log_r(t: int, j: int, P: int, m: int) -> tuple[int, int]:
-    """Enclosure (V, E) of log r, r = t/2^j in [1, 2), at scale 2^-P, j <= P.
-
-    Square roots first (Brent and Zimmermann, sec. 4.2.2): u_0 = r and
-    u_i = floor(2^P sqrt(u_(i-1)))/2^P, each >= 1, for i <= m.  The floor
-    takes less than 2^-P off sqrt(u_(i-1)) >= 1, so log(u_(i-1))/2 - log u_i
-    lies in [0, 2^(1-P)], and log r - 2^m log u_m in [0, 2^(m+2-P)).  Then
-    log u_m = 2 atanh(x), x = (u_m - 1)/(u_m + 1) <= 1/3, summed from
-    X = floor(2^P x) with steps T -> floor(T Y/2^P), Y = floor(X^2/2^P):
-    for T <= 2^P/3, T x^2 - T Y/2^P < T (x^2 - (X/2^P)^2) + T/2^P <
-    2/9 + 1/3, and the floor loses below 1 more, as _atanh_sum needs.
-    So 2^P log r lies in [2^(m+1) S, 2^(m+1) S + 2^m (6K + 8)), and
-    E = 2^m (3K + 4) <= 2^m (P + 7).  log 1 is enclosed exactly.
-    """
-    if t == 1 << j:
-        return 0, 0
-    y = t << (P - j)
-    for _ in range(m):
-        y = math.isqrt(y << P)
-    one = 1 << P
-    x = ((y - one) << P) // (y + one)
-    sq = x * x >> P
-    s, err = _atanh_sum(x, lambda u: u * sq >> P)
-    err = (err + 2) << m
-    return (s << (m + 1)) + err, err
-
-
 @lru_cache(maxsize=None)
 def _ln2(Q: int) -> tuple[int, int]:
     """log 2 = 2 atanh(1/3) at scale 2^-Q: E = 3K + 2 <= Q + 5."""
@@ -419,120 +409,85 @@ def _ln2(Q: int) -> tuple[int, int]:
     return 2 * s + err, err
 
 
-def _log2k(n: int, s: int, w: int) -> tuple[int, int]:
-    """Enclosure (v, e) of log(n 2^s) at scale 2^-w, for integers n >= 1, s.
-
-    Write n 2^s = 2^k r with r in [1, 2), and work at scale 2^-P with
-    P = w + _GUARD + m, m the square roots of _log_r.  Only the top P + 1
-    bits t of n are read: n = t 2^c + (n mod 2^c), so log n - log(t 2^c)
-    lies in [0, 1/t] with t >= 2^P, one unit at scale 2^-P.  Then
-    log(n 2^s) = log(t/2^j) + k log 2.  _log_r bounds log(t/2^j) by
-    2^m (P + 7) units.  log 2 is read at scale 2^-(P + 64), so its error
-    of P + 69 units there, taken |k| < 2^64 times (no int has 2^64 bits),
-    and the floor back to scale 2^-P cost at most P + 70 units.  So
-    E <= 2^m (2P + 78) at scale 2^-P, and the floor to scale 2^-w adds
-    below one unit: e <= ceil(E/2^(P-w)) + 1, which is at most 2 whenever
-    2P + 78 <= 2^_GUARD, so for every w <= _PREC_CAP.
-    """
-    bits = n.bit_length()
-    k = bits - 1 + s
-    # at 2^16 bits, 64 square roots cost about what the series terms they save do
-    m = math.isqrt(w) // 4
-    shift = _GUARD + m
-    P = w + shift
-    cut = max(0, bits - 1 - P)
-    V, E = _log_r(n >> cut, bits - 1 - cut, P, m)
-    ln2, ln2_err = _ln2(P + 64)
-    kl = k * ln2
-    V += kl >> 64
-    E += _ceil_shift(abs(k) * ln2_err + (kl & (2**64 - 1)), 64) + (1 if cut else 0)
-    # |log(n 2^s) 2^w - floor(V/2^shift)| <= (E + V mod 2^shift)/2^shift
-    return V >> shift, _ceil_shift(E + (V & ((1 << shift) - 1)), shift)
-
-
-def _ceil_shift(x: int, n: int) -> int:
-    """ceil(x/2^n)."""
-    return -(-x >> n)
-
-
 def _log_quotient(n: int, d: int, s: int, w: int) -> tuple[int, int]:
-    """Enclosure (v, e) of log(n 2^s/d) at scale 2^-w, e <= 3, for ints n, d >= 1.
+    """Enclosure (v, e) of log(n 2^s/d) at scale 2^-w, e <= 2, for ints n, d >= 1.
 
-    One series for the whole quotient.  With K = w + _GUARD, n' = floor(n/2^a)
-    and d' = floor(d/2^b) keep the top K bits of n and d (a = 0 and n' = n
-    when n has at most K bits; so for d), and q = floor(n' 2^c/d') with
-    c = K + 1 + len(d') - len(n') >= 2, so q > 2^(len(n') - 1 + c - len(d'))
-    = 2^K.  For a real y with x = floor(y) >= 2^(K-1), log y - log x lies in
-    [0, 1/x) within [0, 2^(1-K)); an n' or d' cut from K + 1 bits or more
-    is such a floor, and so is q.  So log(n 2^s/d) - log(q 2^(s + a - b - c))
-    lies in (-2^(1-K), 2^(1-K) + 2^-K): n' and q round the log down, d'
-    rounds it up.  At scale 2^-w that is (-2^-19, 2^-18) units, and
-    _log2k's e <= 2 plus one unit covers it, with room for a caller that
-    hands in the floor of a real n or d >= 2^K, which moves the log by
-    below 2^-K, 2^-20 units, more.
+    The one log series (Brent and Zimmermann, sec. 4.2), run at scale 2^-P,
+    P = w + _GUARD + j with j = isqrt(w)/4; errors are in units of 2^-P.
+    Only the top P + 1 bits n' of n are read: n' >= 2^P once cut, so
+    log n - log(n' 2^a) lies in [0, 1); so for d.  With their lengths made
+    equal, n 2^s/d = 2^k r for r = n'/d' in (1/2, 2).  Where |r - 1| > 2^-j,
+    n' is doubled where 3n' < 2d', and d' where 3n' > 4d', to put r in
+    [2/3, 4/3]; then u_0 = floor(2^P r)/2^P, and
+    u_i = floor(2^P sqrt(u_(i-1)))/2^P while |u_(i-1) - 1| > 2^-j, for
+    i <= m.  Every u_i exceeds 1/2, so each floor moves a log by [0, 2),
+    and log r - 2^m log u_m lies in [0, 2^(m+2)); |log r| < 0.41 is halved
+    by each root, so m <= j.  Else u_m = r and m = 0.  Then
+    log u_m = +-2 atanh(x), x = |u_m - 1|/(u_m + 1) < 1/3, is summed from
+    X = floor(2^P x) with steps T -> floor(T Y/2^P), Y = floor(X^2/2^P):
+    for T <= 2^P/3, T x^2 - T Y/2^P < T (x^2 - (X/2^P)^2) + T/2^P <
+    2/9 + 1/3, and the floor loses below 1 more, as _atanh_sum needs.  Its
+    E_s = 3K + 2 <= P + 5, and as x <= 2^-j, K <= P/(2j) + 1 for j >= 1.
+    So V = 2^m (+-(2S + E_s) + 2) is within 2^m (E_s + 2) of 2^P log r,
+    and the cuts add below 1.  A caller may hand in, for n or d, the floor
+    of a real >= 2^(w + _GUARD): below 2^j more.  For k != 0, k log 2 comes
+    from log 2 at scale 2^-(P + 64), whose error of P + 69 units there,
+    taken |k| < 2^64 times (no int has 2^64 bits), and the floor back to
+    scale 2^-P cost at most P + 70.  In all, for every w <= _PREC_CAP,
+    E <= 2^j (P + 8) + P + 71 <= 2^j (2P + 79) < 2^(j+18) = 2^(P-w-2), and
+    the floor to scale 2^-w adds below one unit:
+    e = ceil((E + V mod 2^(P-w))/2^(P-w)) <= 2.
     """
-    K = w + _GUARD
-    a = max(0, n.bit_length() - K)
-    b = max(0, d.bit_length() - K)
-    n, d = n >> a, d >> b
-    c = K + 1 + d.bit_length() - n.bit_length()
-    v, e = _log2k((n << c) // d, s + a - b - c, w)
-    return v, e + 1
-
-
-def _log_near_one(n: int, d: int, w: int) -> Optional[tuple[int, int]]:
-    """Enclosure (v, e) of log(n/d) at scale 2^-w, e <= 2, or None if n/d is not near 1.
-
-    One series, with no square root and no log 2 (Brent and Zimmermann,
-    sec. 4.2): log(n/d) = 2 atanh(x), x = (n - d)/(n + d).  With
-    K = w + _GUARD and c = max(0, min(len(n), len(d)) - K), a = floor(n/2^c)
-    and b = floor(d/2^c) are n and d when c = 0, and both at least 2^(K-1)
-    otherwise, so log(n/d) - log(a/b) lies in (-2^(1-K), 2^(1-K)), within
-    (-2, 2) units at scale 2^-K (as in _log_quotient).  Say a > b (else
-    swap, and negate v).  n/d is near 1 when a - b <= b/2^j, j = m + 2 for
-    the m square roots _log2k would take, so x <= 2^-(j+1) <= 1/3 and the
-    series stops within about K/(2j) terms.  X = floor(2^K x) is exact,
-    and the steps T -> floor(T Y/2^K), Y = floor(X^2/2^K), meet
-    _atanh_sum's needs as in _log_r, so 2^K log(a/b) lies in [2S, 2S + 2E)
-    with E <= K + 5.  Hence |2^K log(n/d) - V| < E + 2 for V = 2S + E, and
-    the floor to scale 2^-w adds below one unit: e <= ceil((E + 2 + V mod
-    2^_GUARD)/2^_GUARD) <= 2 for every w <= _PREC_CAP.
-    """
-    # lengths two or more apart put n/d outside (1/2, 2), with no subtraction
-    if abs(n.bit_length() - d.bit_length()) > 1:
-        return None
-    K = w + _GUARD
-    c = max(0, min(n.bit_length(), d.bit_length()) - K)
-    a, b, sign = n >> c, d >> c, 1
-    if a < b:
-        a, b, sign = b, a, -1
-    if (a - b) << (math.isqrt(w) // 4 + 2) > b:
-        return None
-    x = ((a - b) << K) // (a + b)
-    sq = x * x >> K
-    s, err = _atanh_sum(x, lambda u: u * sq >> K)
-    V = 2 * s + err
-    return sign * (V >> _GUARD), _ceil_shift(err + 2 + (V & ((1 << _GUARD) - 1)), _GUARD)
+    j = math.isqrt(w) // 4
+    sh = _GUARD + j
+    P = w + sh
+    nb, db = n.bit_length(), d.bit_length()
+    L = nb if nb > db else db
+    if L > P + 1:
+        L = P + 1
+    a, b = nb - L, db - L
+    n = n >> a if a > 0 else n << -a
+    d = d >> b if b > 0 else d << -b
+    k = s + a - b
+    m = 0
+    if abs(n - d) > d >> j:
+        if 3 * n > d << 2:
+            d, k = d << 1, k + 1
+        elif 3 * n < d << 1:
+            n, k = n << 1, k - 1
+        one = 1 << P
+        y = (n << P) // d
+        while abs(y - one) > one >> j:
+            y, m = math.isqrt(y << P), m + 1
+        n, d = y, one
+    x = (abs(n - d) << P) // (n + d)
+    sq = x * x >> P
+    S, E = _atanh_sum(x, lambda u: u * sq >> P)
+    V = (2 + 2 * S + E if n > d else 2 - 2 * S - E) << m
+    E = ((E + 2) << m) + (1 << j) + 1
+    if k:
+        ln2, ln2_err = _ln2(P + 64)
+        kl = k * ln2
+        V += kl >> 64
+        E += -(-(abs(k) * ln2_err + (kl & (2**64 - 1))) >> 64)
+    return V >> sh, -(-(E + (V & ((1 << sh) - 1))) >> sh)
 
 
 def _log_magnitude(n, d: Optional[int], w: int) -> tuple[int, int]:
-    """Enclosure of log(n/d) at scale 2^-w, e <= 3, for the magnitude n/d of a LogMag.
+    """Enclosure of log(n/d) at scale 2^-w, e <= 2, for the magnitude n/d of a LogMag.
 
-    A rational n/d near 1 is one atanh series (_log_near_one), any other
-    one _log_quotient, and log 1 is enclosed exactly.  A real quadratic
-    n = y = (A + B sqrt(D))/C with d None is one _log_quotient too: with
-    N = |A| + |B| sqrt(D) >= |A| + |B| >= 2^(len(|A| + |B|) - 1) and
-    c = max(0, K + 1 - len(|A| + |B|)), K = w + _GUARD as there,
-    L = floor(N 2^c) = |A| 2^c + isqrt(B^2 D 4^c) >= 2^K, the floor of a
-    real >= 2^K that _log_quotient makes room for.  Of one sign, y = N/C is
-    L 2^-c/C.  Of opposite signs, y = |A^2 - D B^2|/(C N), with no
+    A rational n/d != 1 is one _log_quotient, and log 1 is enclosed
+    exactly.  A real quadratic n = y = (A + B sqrt(D))/C with d None is one
+    _log_quotient too: with N = |A| + |B| sqrt(D) >= |A| + |B| >=
+    2^(len(|A| + |B|) - 1) and c = max(0, w + _GUARD + 1 - len(|A| + |B|)),
+    L = floor(N 2^c) = |A| 2^c + isqrt(B^2 D 4^c) >= 2^(w + _GUARD), the
+    floor of a real that _log_quotient makes room for.  Of one sign, y = N/C
+    is L 2^-c/C.  Of opposite signs, y = |A^2 - D B^2|/(C N), with no
     cancellation, is |A^2 - D B^2| 2^c/(C L): C L <= C N 2^c < C (L + 1), so
     log(C N 2^c) - log(C L) lies in [0, 1/L), within the same room.
     """
     if d is not None:
-        if n == d:
-            return 0, 0
-        return _log_near_one(n, d, w) or _log_quotient(n, d, 0, w)
+        return (0, 0) if n == d else _log_quotient(n, d, 0, w)
     y = n
     D = y.field.d
     A, B = abs(y.A), abs(y.B)
@@ -667,11 +622,10 @@ class LogMag:
     def _enclose(self, w: int) -> tuple[int, int]:
         """Enclosure (v, e) of the value at scale 2^-w: [(v - e)/2^w, (v + e)/2^w].
 
-        log m takes e <= 3 (_log_magnitude: one series of e <= 2, plus one
-        unit for the truncations of its operands).  The division by root
-        rounds v down, |v/root - floor(v/root)| < 1, so e/root is rounded up
-        and one more unit added unless it divides exactly:
-        ceil(3/root) + 1 <= 3 for root >= 2, so e <= 3 for every root.
+        log m takes e <= 2 (_log_magnitude).  The division by r = root
+        rounds v down, |v/r - floor(v/r)| < 1, so e/r is rounded up and one
+        more unit added unless it divides exactly: ceil(2/r) + 1 <= 2 for
+        r >= 2, so e <= 2 for every root.
         """
         v, e = _log_magnitude(self._n, self._d, w)
         r = self._root

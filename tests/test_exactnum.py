@@ -405,7 +405,7 @@ def test_logmag_compare_and_ratio():
     assert lo <= math.log(3) / math.log(4) <= hi and hi - lo < 1e-12
 
 
-def test_ratio_interval_escalates_for_exact_denominators():
+def test_ratio_interval_escalates_for_exact_denominators(monkeypatch):
     # log(1 + 2^-400) is below 2^-320, so its 320-bit enclosure straddles 0
     near = LogMag.exact(Fraction(2**400 + 1, 2**400))
     lo, hi = LogMag.exact(3).ratio_interval(near)
@@ -419,10 +419,16 @@ def test_ratio_interval_escalates_for_exact_denominators():
     # (1 + sqrt 2)^200 = 2a - (1 - sqrt 2)^200 for its rational part a
     u = QuadField(2).element(1, 1) ** 200
     near_one = LogMag.exact(u / (2 * u.a))
+    # its offset, read from bit lengths, starts each log at its own precision
+    calls = _counting(monkeypatch, "_log_magnitude")
     lo, hi = LogMag.exact(3).ratio_interval(near_one)
+    assert len(calls) <= 2
     with mpmath.workprec(2000):
-        want = mpmath.log(3) / mpmath.log((1 + mpmath.sqrt(2)) ** 200 / (2 * int(u.a)))
+        log_near_one = mpmath.log((1 + mpmath.sqrt(2)) ** 200 / (2 * int(u.a)))
+        want = mpmath.log(3) / log_near_one
     assert lo <= want <= hi and (hi - lo) / abs(lo) < 1e-15
+    calls.clear()
+    assert near_one.to_float() == _float_of(log_near_one) and len(calls) == 1
 
 
 def test_ratio_interval_is_the_nearest_float_widened_by_one():
@@ -743,17 +749,55 @@ def test_to_float_starts_at_the_relative_precision_of_the_value(monkeypatch):
     assert math.copysign(1, tiny.to_float()) == 1 and math.copysign(1, (-tiny).to_float()) == -1
 
 
+@st.composite
+def _real_quadratic_parts(draw):
+    # (A, B, C) with A, B != 0 of either sign pattern; A/B near +-sqrt(d) at times,
+    # where A + B sqrt(d) of opposite signs cancels almost to 0
+    d = draw(st.sampled_from([2, 3, 5, 7, 13]))
+    B = draw(st.integers(1, 2**2000))
+    A = draw(st.one_of(
+        st.integers(1, 2**2000),
+        st.builds(lambda k: math.isqrt(d * B * B) + k, st.integers(0, 3)),
+    ))
+    sa, sb = draw(st.sampled_from([(1, 1), (1, -1), (-1, 1)]))
+    return d, sa * A, sb * B, draw(st.integers(1, 2**300))
+
+
+@st.composite
+def _quadratic_offsets(draw):
+    # (A + B sqrt(d))/C > 0 with A, B != 0, at times within 1/C of 1: C is
+    # then F or F + 1 for F = floor(A + B sqrt(d))
+    d, A, B, C = draw(_real_quadratic_parts())
+    if QuadField(d).element(A, B).sign() < 0:
+        A, B = -A, -B
+    if draw(st.booleans()):
+        r = math.isqrt(B * B * d)
+        C = A + (r if B > 0 else -r - 1) + draw(st.integers(0, 1))
+        assume(C >= 1)
+    return d, A, B, C
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     n=st.integers(1, 2**2000),
     d=st.integers(1, 2**2000),
     root=st.sampled_from([1, 2, 3, 7, 64]),
+    parts=_quadratic_offsets(),
 )
-def test_the_offset_bounds_the_log_from_below(n, d, root):
-    assume(n != d)
-    k = exactnum._offset(n, d, root)
-    with mpmath.workprec(4200):
-        assert abs(mpmath.log1p(mpmath.mpf(n - d) / d)) / root >= mpmath.mpf(2) ** -k
+@example(n=2, d=3, root=1, parts=(2, 3, 2, 5))  # F = C: within 1/5 above 1
+@example(n=3, d=2, root=1, parts=(2, 3, 2, 6))  # F + 1 = C: within 1/6 below 1
+def test_the_offset_bounds_the_log_from_below(n, d, root, parts):
+    # a rational magnitude n/d != 1, and a real quadratic one
+    if n != d:
+        k = exactnum._offset(n, d, root)
+        with mpmath.workprec(4200):
+            assert abs(mpmath.log1p(mpmath.mpf(n - d) / d)) / root >= mpmath.mpf(2) ** -k
+    D, A, B, C = parts
+    y = QuadField(D).element(Fraction(A, C), Fraction(B, C))
+    k = exactnum._offset(*LogMag.exact(y, root).form)
+    # enough bits past the cancellation of A + B sqrt(D) against C
+    with mpmath.workprec(4 * max(A.bit_length(), B.bit_length(), C.bit_length()) + 200):
+        assert abs(mpmath.log((A + B * mpmath.sqrt(D)) / C)) / root >= mpmath.mpf(2) ** -k
 
 
 @st.composite
@@ -771,14 +815,14 @@ def _near_one_magnitudes(draw):
 @given(_near_one_magnitudes())
 def test_the_near_one_series_encloses_the_log(nwd):
     n, d, w = nwd
-    out = exactnum._log_near_one(n, d, w)
-    assume(out is not None)
-    v, e = out
+    v, e = exactnum._log_quotient(n, d, 0, w)
     prec = w + 2 * d.bit_length() + 200
-    assert e <= 3 and _holds(v, e, w, lambda: mpmath.log1p(mpmath.mpf(n - d) / d), prec)
-    # the general series encloses the same value: the intervals meet
-    v2, e2 = exactnum._log_quotient(n, d, 0, w)
-    assert abs(v - v2) <= e + e2
+    assert e <= 2 and _holds(v, e, w, lambda: mpmath.log1p(mpmath.mpf(n - d) / d), prec)
+    # log n - log d, each reduced by a power of 2 and its square roots taken,
+    # encloses the same value: the intervals meet
+    v1, e1 = exactnum._log_quotient(n, 1, 0, w)
+    v2, e2 = exactnum._log_quotient(d, 1, 0, w)
+    assert abs(v - (v1 - v2)) <= e + e1 + e2
 
 
 def _float_of(x) -> float:
@@ -925,7 +969,7 @@ def test_the_enclosure_of_a_rational_log_holds_the_value(n, d, r, w):
         v, e = value._enclose(w)
         assert e <= 7 and _encloses(v, e, w, lambda: sign * (mpmath.log(n) - mpmath.log(d)) / r)
     for k in (n, d):
-        v, e = exactnum._log2k(k, 0, w)
+        v, e = exactnum._log_quotient(k, 1, 0, w)
         assert e <= 2 and _encloses(v, e, w, lambda: mpmath.log(k))
 
 
@@ -933,15 +977,17 @@ def test_the_enclosure_of_a_rational_log_holds_the_value(n, d, r, w):
 @given(
     j=st.integers(0, 300),
     frac=st.floats(0, 1, exclude_max=True),
-    P=st.sampled_from([80, 200, 400]),
-    m=st.sampled_from([0, 2, 5]),
+    w=st.sampled_from([80, 200, 400]),
 )
-def test_the_log_series_hold_their_bounds_at_the_working_scale(j, frac, P, m):
-    # the guard bits of _log2k would hide a missing error term in its output
-    assume(j <= P)
+def test_the_log_series_hold_their_bounds_at_the_working_scale(j, frac, w):
+    # guard bits would hide a missing error term in the output; with none,
+    # the series runs at P = w + isqrt(w)/4 and its error E <= 2^(P-w) (2P + 79)
     t = (1 << j) + int(frac * 2**j)
-    v, e = exactnum._log_r(t, j, P, m)
-    assert e <= (P + 7) << m and _encloses(v, e, P, lambda: mpmath.log(mpmath.mpf(t) / 2**j))
+    P = w + math.isqrt(w) // 4
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(exactnum, "_GUARD", 0)
+        v, e = exactnum._log_quotient(t, 1, -j, w)
+    assert e <= 2 * P + 80 and _encloses(v, e, w, lambda: mpmath.log(mpmath.mpf(t) / 2**j))
     v, e = exactnum._ln2(P)
     assert e <= P + 5 and _encloses(v, e, P, lambda: mpmath.log(2))
 
@@ -971,10 +1017,10 @@ def test_the_enclosure_of_a_real_quadratic_log_holds_the_value(d, a, b, r, w):
 
 
 def _holds(v: int, e: int, w: int, value, prec: int) -> bool:
-    # value() at prec >= 2,000 bits is within 2^-1,900 of the value, and the
-    # endpoints (v -+ e)/2^w with w <= 1,024 are exact there
+    # value() at prec bits is within 2^-(w + 100) of the value, and the
+    # endpoints (v -+ e)/2^w are exact there
     with mpmath.workprec(prec):
-        slack = mpmath.mpf(2) ** -1900
+        slack = mpmath.mpf(2) ** -(w + 100)
         return mpmath.mpf(v - e) / 2**w - slack <= value() <= mpmath.mpf(v + e) / 2**w + slack
 
 
@@ -1004,20 +1050,6 @@ def test_one_series_encloses_a_rational_log_to_its_bound(nd, r, w):
     assert e <= 3 and _holds(v, e, w, lambda: (mpmath.log(n) - mpmath.log(d)) / r, 2000)
 
 
-@st.composite
-def _real_quadratic_parts(draw):
-    # (A, B, C) with A, B != 0 of either sign pattern; A/B near +-sqrt(d) at times,
-    # where A + B sqrt(d) of opposite signs cancels almost to 0
-    d = draw(st.sampled_from([2, 3, 5, 7, 13]))
-    B = draw(st.integers(1, 2**2000))
-    A = draw(st.one_of(
-        st.integers(1, 2**2000),
-        st.builds(lambda k: math.isqrt(d * B * B) + k, st.integers(0, 3)),
-    ))
-    sa, sb = draw(st.sampled_from([(1, 1), (1, -1), (-1, 1)]))
-    return d, sa * A, sb * B, draw(st.integers(1, 2**300))
-
-
 @settings(max_examples=100, deadline=None)
 @given(parts=_real_quadratic_parts(), r=st.integers(1, 6), w=st.sampled_from([64, 128, 1024]))
 def test_one_series_encloses_a_real_quadratic_log_to_its_bound(parts, r, w):
@@ -1033,14 +1065,7 @@ def test_one_series_encloses_a_real_quadratic_log_to_its_bound(parts, r, w):
 
 
 def test_a_read_out_at_the_first_precision_runs_one_log_series(monkeypatch):
-    calls = []
-    log2k = exactnum._log2k
-
-    def counted(n, s, w):
-        calls.append(w)
-        return log2k(n, s, w)
-
-    monkeypatch.setattr(exactnum, "_log2k", counted)
+    calls = _counting(monkeypatch, "_log_quotient")
     F = QuadField(2)
     for x in (
         LogMag.exact(Fraction(10**30 + 7, 3**40)),
@@ -1050,7 +1075,91 @@ def test_a_read_out_at_the_first_precision_runs_one_log_series(monkeypatch):
     ):
         calls.clear()
         x.decimal_str(12)
-        assert calls == [exactnum._PREC_START]
+        assert [w for *_, w in calls] == [exactnum._PREC_START]
+
+
+@st.composite
+def _quotients(draw):
+    # (n, d, s, w): n/d on either side of 1, generic, near 1, or with an
+    # operand of 2^20 bits and more, near 1 or not
+    w = draw(st.sampled_from([64, 128, 1024, 4096]))
+    kind = draw(st.sampled_from(["generic", "near", "huge", "huge near"]))
+    if kind == "generic":
+        n, d = draw(st.integers(1, 2**400)), draw(st.integers(1, 2**400))
+    elif kind == "huge":
+        n, d = draw(_huge), draw(st.integers(1, 2**200) | _huge)
+    else:
+        d = draw(st.integers(2, 2**2000) if kind == "near" else _huge)
+        j = draw(st.integers(0, d.bit_length()))
+        n = max(1, d + draw(st.integers(-(d >> j), d >> j)))
+    if draw(st.booleans()):
+        n, d = d, n
+    return n, d, draw(st.integers(-300, 300)), w
+
+
+@settings(max_examples=150, deadline=None)
+@given(q=_quotients())
+@example(q=(2, 3, 0, 64))  # r = 2/3, the low reduction edge
+@example(q=(2**101 - 1, 3 * 2**100, -300, 64))  # just below it: n doubled
+@example(q=(4, 3, 300, 128))  # r = 4/3, the high reduction edge
+@example(q=(2**102 + 1, 3 * 2**100, 7, 128))  # just above it: d doubled
+@example(q=(5, 4, 0, 64))  # |r - 1| = 2^-j at j = 2: no square root
+@example(q=(3, 4, -1, 64))  # and below 1
+@example(q=(2**8 + 1, 2**8, 0, 1024))  # the root-loop edge at j = 8
+@example(q=(2**16 + 2, 2**16, 0, 4096))  # just past it at j = 16: roots
+def test_the_log_series_encloses_every_quotient(q):
+    n, d, s, w = q
+    v, e = exactnum._log_quotient(n, d, s, w)
+    assert e <= 2 and _holds(
+        v, e, w, lambda: mpmath.log(mpmath.mpf(n) / d) + s * mpmath.log(2), w + 200
+    )
+
+
+class _CountingMath:
+    """The math module, with the arguments of its isqrt calls recorded."""
+
+    def __init__(self):
+        self.isqrt_args = []
+
+    def __getattr__(self, name):
+        return getattr(math, name)
+
+    def isqrt(self, n):
+        self.isqrt_args.append(n)
+        return math.isqrt(n)
+
+
+def _series_terms(monkeypatch):
+    """The term counts K of the _atanh_sum calls made through exactnum (E = 3K + 2)."""
+    terms = []
+    atanh_sum = exactnum._atanh_sum
+
+    def counted(t, step):
+        S, E = atanh_sum(t, step)
+        terms.append((E - 2) // 3)
+        return S, E
+
+    monkeypatch.setattr(exactnum, "_atanh_sum", counted)
+    return terms
+
+
+def test_the_log_series_takes_square_roots_only_far_from_1(monkeypatch):
+    counting = _CountingMath()
+    monkeypatch.setattr(exactnum, "math", counting)
+    # log(1 + 3 2^-512) at 576 bits: the one isqrt is of w, for j, and the
+    # series runs on (n - d)/(n + d) with no square root
+    exactnum._log_magnitude(2**512 + 3, 2**512, 576)
+    assert counting.isqrt_args == [576]
+    # a generic 300-bit rational at 4,096 bits takes at most j = 16 roots, and
+    # its x <= 2^-16 ends the series within about P/(2j) terms, P = w + 20 + j
+    w, j = 4096, 16
+    P = w + 20 + j
+    exactnum._ln2(P + 64)  # cached first: only the quotient's own series counts
+    counting.isqrt_args.clear()
+    terms = _series_terms(monkeypatch)
+    exactnum._log_magnitude(3**189, 7**107, w)
+    assert len(counting.isqrt_args) <= 1 + j
+    assert len(terms) == 1 and terms[0] <= P // (2 * j) + 8
 
 
 def test_logmag_real_quadratic_is_exact():
