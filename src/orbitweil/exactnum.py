@@ -84,7 +84,9 @@ _MR_BOUND = 3_317_044_064_679_887_385_961_981
 def is_prime(n: int) -> bool:
     """The sieve's table below 1,000, deterministic Miller-Rabin above.
 
-    Raises ExactnumError for n >= 3.317e24.
+    Below 101^2 trial division by the 25 primes up to 97 decides alone: a
+    composite there has a prime factor below 101.  Raises ExactnumError
+    for n >= 3.317e24.
     """
     if n >= _MR_BOUND:
         raise ExactnumError(f"cannot prove {n} prime: not below the Miller-Rabin bound")
@@ -93,6 +95,8 @@ def is_prime(n: int) -> bool:
     for p in _SMALL_PRIMES[:25]:
         if n % p == 0:
             return False
+    if n < 101 * 101:
+        return True
     d = n - 1
     r = 0
     while d % 2 == 0:
@@ -352,22 +356,30 @@ def _offset(n, d: Optional[int], root: int = 1) -> int:
     |n - d| taken exactly, and then n/d is within 2^-62 of 1.  Lengths
     three or more apart give |log(n/d)| > log 4 > 1, and k = 0 at once.
 
-    A real quadratic m = y = (A + B sqrt(D))/C (d None, A, B != 0) lies
-    strictly between F/C and (F + 1)/C, F = A + floor(B sqrt(D)) >= 0, so
-    |log y| exceeds the log of F/C when F > C, and of (F + 1)/C when
-    F + 1 < C, each bounded as above.  Else |A - C + B sqrt(D)| < 1 and
-    y < 2, so |log y| >= |y - 1|/2, and (A - C)^2 - D B^2 is a nonzero
-    integer (sqrt(D) is irrational): |y - 1| is that integer over
-    C |A - C - B sqrt(D)| < C (1 + 2|B| sqrt(D)) <= C M, for
-    M = 1 + 2|B| (isqrt(D) + 1), so |log y| > 2^-(1 + len(C) + len(M)).
+    A real quadratic m = y = (A + B sqrt(D))/C (d None, A, B != 0) is
+    read from one isqrt: F_t = floor((A + B sqrt(D)) 2^t) is
+    A 2^t + isqrt(B^2 D 4^t), less one more if B < 0, for t = len(M) + 2
+    and M = 1 + 2|B| (isqrt(D) + 1).  y lies strictly between F/C and
+    (F + 1)/C, F = floor(F_t/2^t) >= 0, so |log y| exceeds the log of F/C
+    when F > C, and of (F + 1)/C when F + 1 < C, each bounded as above.
+    Else u = A - C + B sqrt(D) has |u| < 1 and y < 2, so |log y| >=
+    |u|/(2C).  (A - C)^2 - D B^2 is a nonzero integer (sqrt(D) is
+    irrational), so |u| > 1/|A - C - B sqrt(D)| > 1/M >= 2^(2 - t).  And
+    u 2^t lies strictly inside (l, l + 1), l = F_t - C 2^t, so
+    |u| 2^t > m for m = l or -l - 1, whichever is >= 0; m >= 3, and
+    |log y| > 2^-(t + len(C) + 2 - len(m)), within three bits of |log y|.
     """
     if d is None:
         y, D = n, n.field.d
-        r = math.isqrt(y.B * y.B * D)
-        n, d = y.A + (r if y.B > 0 else -r - 1), y.C
+        M = 2 * abs(y.B) * (math.isqrt(D) + 1) + 1
+        t = M.bit_length() + 2
+        r = math.isqrt(y.B * y.B * D << 2 * t)
+        Ft = (y.A << t) + (r if y.B > 0 else -r - 1)
+        n, d = Ft >> t, y.C
         if d - 1 <= n <= d:
-            M = 2 * abs(y.B) * (math.isqrt(D) + 1) + 1
-            return 1 + d.bit_length() + M.bit_length() + (root - 1).bit_length()
+            l = Ft - (d << t)
+            m = l if l >= 0 else -l - 1
+            return max(0, t + d.bit_length() + 2 - m.bit_length()) + (root - 1).bit_length()
         if n < d:
             n += 1
     if n == d:
@@ -512,8 +524,14 @@ def _quotient_ends(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int, in
 
 
 def _shifted_float(a: int, b: int, s: int) -> float:
-    """a 2^s/b, for b > 0, rounded to the nearest float by int true division."""
-    return (a << s) / b if s >= 0 else a / (b << -s)
+    """a 2^s/b, for b > 0, rounded to the nearest float by int true division.
+
+    Past the float range it rounds to inf of a's sign, as IEEE rounding does.
+    """
+    try:
+        return (a << s) / b if s >= 0 else a / (b << -s)
+    except OverflowError:
+        return math.copysign(math.inf, a)
 
 
 def _excludes_zero(x: tuple[int, int]) -> bool:
@@ -710,6 +728,9 @@ class LogMag:
             return self
         if a == 0:
             return _ZERO
+        if b == 1 and a > 0 and self._d is not None and self._root % a == 0:
+            # the primes of root/a divide root: the form stays canonical
+            return LogMag(self._n, self._d, self._root // a)
         n, d = _power(self._n, self._d, abs(a))
         if a < 0:
             n, d = (n._inverse(), None) if d is None else (d, n)
@@ -851,9 +872,11 @@ class LogMag:
 
         self/other rounded to the nearest float f, read from the first
         quotient of enclosures whose endpoints both round to f, and
-        widened by one float each way.  Only a ratio that is a float
-        midpoint, a rational whose numerator or denominator is at least
-        2^53, would run to the precision cap.
+        widened by one float each way.  A ratio past the float range
+        rounds to inf, so it reads (largest float, inf), and a negative one
+        (-inf, -largest float).  Only a ratio that is a float midpoint, a
+        rational whose numerator or denominator is at least 2^53, would run
+        to the precision cap.
         """
         if other.is_zero():
             raise UndecidableComparison("ratio denominator is zero")
@@ -877,6 +900,36 @@ class LogMag:
 
 
 _ZERO = LogMag(1, 1, 1)
+
+
+def _decimal_pair(x: LogMag, c: Fraction, y: LogMag, y_enclosures: dict) -> tuple[str, str]:
+    """(x, c y - x) rounded half-even to 12 digits, as decimal_str(12) renders each; c >= 0.
+
+    At each precision of Ziv's loop x and y are enclosed once, and c y - x
+    is enclosed by c (v_y - e_y) floored and c (v_y + e_y) ceiled, less
+    the ends of x.  Both are accepted as LogMag._read_out accepts one
+    value: once both ends of each enclosure round alike.  For LogMag
+    values c y - x is the log of an algebraic number, so no rounding
+    boundary, and a correctly rounded value is unique: each text is
+    decimal_str's.  y_enclosures keeps y's enclosures by (form, w), for
+    the next call with the same y.
+    """
+    scale = 10**12
+    a, b = c.numerator, c.denominator
+    key = y.form
+
+    def agree(w):
+        v, e = x._enclose(w)
+        one = 1 << w
+        lo = _round_div((v - e) * scale, one)
+        if lo != _round_div((v + e) * scale, one):
+            return None
+        yv, ye = y_enclosures.get((key, w)) or y_enclosures.setdefault((key, w), y._enclose(w))
+        low = _round_div((a * (yv - ye) // b - v - e) * scale, one)
+        return (lo, low) if low == _round_div((-(-a * (yv + ye) // b) - v + e) * scale, one) else None
+
+    lo, low = _refine(agree)
+    return _fixed_point(lo, 12), _fixed_point(low, 12)
 
 
 @lru_cache(maxsize=None)
@@ -1345,8 +1398,10 @@ def _split_valuation(y: QuadElem, p: int, index: int) -> int:
     so the factor = 0 mod 4, at index 0 iff A + B = 0 mod 4 (s_0 = 1 mod 4),
     takes ord_2(N) - 1 and the other takes 1.
     """
-    g = math.gcd(y.A, y.B)
-    A, B = y.A // g, y.B // g
+    A, B = y.A, y.B
+    g = math.gcd(A, B)
+    if g != 1:
+        A, B = A // g, B // g
     k = multiplicity(A * A - y.field.d * B * B, p)
     if index == 1:
         B = -B
@@ -1357,7 +1412,9 @@ def _split_valuation(y: QuadElem, p: int, index: int) -> int:
     else:
         own = k if 2 * (-A * pow(B, -1, p) % p) < p else 0
     # c = g/C in lowest terms, as gcd(g, C) = gcd(y.A, y.B, C) = 1
-    return own + multiplicity(g, p) - multiplicity(y.C, p)
+    if g != 1:
+        own += multiplicity(g, p)
+    return own if y.C == 1 else own - multiplicity(y.C, p)
 
 
 def _abs_quad(y: QuadElem, v: Place) -> LogMag:

@@ -207,6 +207,7 @@ class GapRow:
 class GapSeries:
     mode: str  # "orbit" or "sample"
     eps_prime: Fraction
+    slope: Fraction  # (eps' * twist + nvars)/twist: gap = slope * h - lambda_S
     rows: tuple
     skips: int
     negatives: tuple
@@ -327,13 +328,16 @@ def run_gap_experiment(cfg: ExperimentConfig, cache=None) -> GapSeries:
         points = _orbit_points(cfg.require("map", "seed"))
         mode, what = "orbit", "orbit step"
     coef = eps_prime * cfg.twist + d.nvars
+    # the audit has just proved lambda_all = weight * deg * h_raw: for that
+    # coefficient, h_raw * coef is lambda_all, in the same canonical form
+    audited_coef = coef == d.weight * d.degree
     rows = []
     negatives = []
-    for n, x, h_raw, lam, _ in _audited(cfg, points):
+    for n, x, h_raw, lam, lam_all in _audited(cfg, points):
         if lam is None:
             rows.append(GapRow(n, x, None, None, None, None, True, "support"))
             continue
-        gap = h_raw * coef - lam
+        gap = (lam_all if audited_coef else h_raw * coef) - lam
         sgn = gap.sign()
         if sgn < 0:
             negatives.append(x)
@@ -344,6 +348,7 @@ def run_gap_experiment(cfg: ExperimentConfig, cache=None) -> GapSeries:
     return GapSeries(
         mode=mode,
         eps_prime=eps_prime,
+        slope=Fraction(coef, cfg.twist),
         rows=tuple(rows),
         skips=skips,
         negatives=tuple(negatives),

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from ..exactnum import LogMag, decimal_fraction
+from ..exactnum import LogMag, _decimal_pair, decimal_fraction
 from ..polydyn import OrbitRecord
 
 def fmt12(value) -> str:
@@ -55,29 +55,33 @@ def write_orbit_csv(orbit: OrbitRecord, path: str) -> None:
 
 
 def write_gap_csv(series, path: str) -> None:
-    """Emit a gap series: n,point,h,lambda_S,gap,sign,skipped."""
+    """Emit a gap series: n,point,h,lambda_S,gap,sign,skipped.
+
+    gap = slope * h - lambda_S, so each distinct (lambda_S, h) is read out
+    once, lambda_S and gap together from one enclosure of each
+    (exactnum._decimal_pair), and each distinct h is rendered once; a
+    rational value has one canonical form, and keying on forms spares the
+    exact hash of a quadratic one.
+    """
     if not series.rows:
         raise ValueError("refusing to write an empty series")
-    # render each LogMag form once; a rational value has one canonical form,
-    # and keying on the form spares the exact hash of a quadratic one
-    rendered: dict[tuple, str] = {}
-
-    def cell(value) -> str:
-        if not isinstance(value, LogMag):
-            return fmt12(value)
-        key = value.form
-        text = rendered.get(key)
-        if text is None:
-            text = rendered[key] = fmt12(value)
-        return text
-
+    heights: dict[tuple, str] = {}
+    pairs: dict[tuple, tuple[str, str]] = {}
+    enclosures: dict = {}
     lines = ["n,point,h,lambda_S,gap,sign,skipped"]
     for r in series.rows:
-        sign_cell = "" if r.sign is None else str(r.sign)
-        lines.append(
-            f"{r.n},{r.point},{cell(r.h)},{cell(r.lambda_S)},"
-            f"{cell(r.gap)},{sign_cell},{int(r.skipped)}"
-        )
+        if r.skipped:
+            lines.append(f"{r.n},{r.point},,,,,1")
+            continue
+        h, lam = r.h, r.lambda_S
+        h_text = heights.get(h.form)
+        if h_text is None:
+            h_text = heights[h.form] = h.decimal_str(12)
+        key = (lam.form, h.form)
+        pair = pairs.get(key)
+        if pair is None:
+            pair = pairs[key] = _decimal_pair(lam, series.slope, h, enclosures)
+        lines.append(f"{r.n},{r.point},{h_text},{pair[0]},{pair[1]},{r.sign},0")
     _write_lines(path, lines)
 
 

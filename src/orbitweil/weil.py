@@ -21,8 +21,10 @@ is_default reads that off the families, and scaling s_D keeps it, as
 log|c|_v cancels in both paths.  Points are primitive integer
 vectors, so max_i |x_i|_v = 1 at every finite v; the terms are exact at
 every place and sum over all places to weight * e * h(x) on the nose.
-Over Q the closed form is built on ints: weight * ord_p(s_D(x)) * log p
-at a finite p, and weight * log(max_i |x_i|^e / |s_D(x)|) at infinity.
+The closed form is built on ints over Q and Q(sqrt d) alike, from
+s_D(x) = (A + B sqrt d)/C: weight * ord_w(s_D(x)) * log p at a place of
+Q or a split place, weight * ord_p(N(s_D(x))) * log p / 2 at an inert or
+ramified one, and weight * log(max_i |x_i|^e / |s_D(x)|_w) at infinity.
 
 LocalTable holds lambda_D(x, w) for one point, each place evaluated
 once from one value of s_D(x).  It is the one implementation of the sum
@@ -42,11 +44,16 @@ from math import gcd
 from typing import Optional, Union
 
 from .exactnum import (
+    COMPLEX,
+    INERT,
+    RAMIFIED,
     FieldMismatch,
     LogMag,
     Place,
     QuadElem,
     QuadField,
+    _log_p_power,
+    _split_valuation,
     abs_value,
     factorize,
     logmag_max,
@@ -182,19 +189,50 @@ def _choose_place(d: DivisorPresentation, v: Place) -> Place:
     return places_above(v, field)[0]
 
 
-def _closed_form_Q(sd: RationalLike, p: Optional[int], top: int) -> LogMag:
-    """e * log max_i |x_i|_p - log|s_D(x)|_p for rational s_D(x), on ints.
+def _closed_form(sd, w: Place, top: Optional[int]) -> LogMag:
+    """e * log max_i |x_i|_w - log|s_D(x)|_w on ints, for s_D(x) = (A + B sqrt(d))/C.
 
-    At a finite p it is ord_p(s_D(x)) * log p; at infinity log(top/|s_D(x)|),
-    top = max_i |x_i|^e, reduced by gcd(top, |numerator|): the denominator
-    of s_D(x) is prime to its numerator, and top/g to numerator/g.
+    B = 0 over Q and for a rational value.  top = max_i |x_i|^e is read at
+    infinity only: at a finite w, max_i |x_i|_w = 1.  With N = A^2 - d B^2:
+    - infinity, B = 0: log(top C/|A|), reduced by gcd(top, |A|): C is
+      prime to A, and top/g to |A|/g;
+    - real place i: log(top C/|A +- B sqrt(d)|), the magnitude
+      top C (A -+ B sqrt(d))/N up to sign;
+    - complex place: log(top^2 C^2/N)/2, as N = |A + B sqrt(d)|^2 > 0;
+    - a place of Q, or a split one where B = 0: ord_p(A/C) log p;
+    - split: ord_w(s_D(x)) log p, by _split_valuation;
+    - inert or ramified: (ord_p N - 2 ord_p C) log p/2, as |y|_w = |N(y)|_p^(1/2).
     """
+    if type(sd) is QuadElem:
+        A, B, C = sd.A, sd.B, sd.C
+    else:
+        A, B, C = sd.numerator, 0, sd.denominator
+    p = w.p
     if p is None:
-        n = abs(sd.numerator)
-        g = gcd(top, n)
-        return LogMag((top // g) * sd.denominator, n // g, 1)
-    k = multiplicity(sd, p)
-    return LogMag(p**k, 1, 1) if k >= 0 else LogMag(1, p**-k, 1)
+        if not B:
+            n = abs(A)
+            g = gcd(top, n)
+            return LogMag((top // g) * C, n // g, 1)
+        field = w.field
+        N, tc = A * A - field.d * B * B, top * C
+        if w.kind == COMPLEX:
+            n = tc * tc
+            g = gcd(n, N)
+            return LogMag(n // g, N // g, 1) * _HALF
+        m = QuadElem(field, tc * A, -tc * B if w.index == 0 else tc * B, N)
+        return LogMag._positive(m if m.sign() > 0 else -m, 1)
+    if w.kind in (INERT, RAMIFIED):
+        k = multiplicity(A * A - w.field.d * B * B, p)
+        if C != 1:
+            k -= 2 * multiplicity(C, p)
+        return _log_p_power(p, -k, 2)
+    if B:
+        k = _split_valuation(sd, p, w.index)
+    else:
+        k = multiplicity(A, p)
+        if C != 1:
+            k -= multiplicity(C, p)
+    return _log_p_power(p, -k)
 
 
 def weil_local(
@@ -204,30 +242,22 @@ def weil_local(
 
     sd is s_D(x), and top is max_i |x_i|^e with e = deg D, if the caller
     has them already.  A default presentation takes the closed form
-    weight * (e * log max_i |x_i|_w - log|s_D(x)|_w), on ints over Q; any
-    other runs max_j log|s_j(x)|_w - max_i log|t_i(x)|_w - log|s_D(x)|_w.
+    weight * (e * log max_i |x_i|_w - log|s_D(x)|_w), on ints over Q and
+    Q(sqrt d) alike (_closed_form); any other runs
+    max_j log|s_j(x)|_w - max_i log|t_i(x)|_w - log|s_D(x)|_w.
     """
     if d.nvars != len(x.coords):
         raise ValueError("point/divisor dimension mismatch")
-    field = d.field
     # a place of D's field, as LocalTable passes it, is chosen already
-    w = v if v.field is field else _choose_place(d, v)
+    w = v if v.field is d.field else _choose_place(d, v)
     if sd is None:
         sd = d.sd.evaluate(x.coords)
     if not sd:
         raise SupportHit(x, v)
-    p = w.p
     if d.is_default:
-        # x is a primitive integer vector, so max_i |x_i|_w = 1 at every
-        # finite w and the term is -weight * log|s_D(x)|_w alone there
-        if p is None and top is None:
+        if w.p is None and top is None:
             top = max(map(abs, x.coords)) ** d.degree
-        if field is None:
-            lam = _closed_form_Q(sd, p, top)
-        elif p is None:
-            lam = LogMag(top, 1, 1) - abs_value(sd, w)
-        else:
-            lam = -abs_value(sd, w)
+        lam = _closed_form(sd, w, top)
     else:
         sd_val = abs_value(sd, w)
         denom_vals = [t for t in (_abs_or_none(g.evaluate(x.coords), w) for g in d.denom) if t is not None]
@@ -331,10 +361,11 @@ class LocalTable:
 
     def local(self, v: Place) -> LogMag:
         """lambda_D(x, w) at the place w that weil_local chooses for v."""
-        w = _choose_place(self.divisor, v)
+        d = self.divisor
+        w = v if v.field is d.field else _choose_place(d, v)
         lam = self._terms.get(w)
         if lam is None:
-            lam = self._terms[w] = weil_local(self.divisor, self.point, w, sd=self._sd, top=self._top)
+            lam = self._terms[w] = weil_local(d, self.point, w, sd=self._sd, top=self._top)
         return lam
 
     def lambda_S(self, places) -> LogMag:
@@ -390,7 +421,10 @@ class LocalTable:
         # that too.
         for b in base:
             terms.append((None, LogMag.exact(b) * (d.weight * _base_exponent(d, values, b)), 1))
-        total = logmag_sum([lam for w, lam, deg in terms for _ in range(deg)])
+        # a term of local degree 2 is doubled, not listed twice: doubled, a
+        # term at root 2 is at root 1, and sends no later term through the
+        # lcm of roots in __add__
+        total = logmag_sum([lam if deg == 1 else lam * 2 for w, lam, deg in terms])
         if field is not None:
             total = total * _HALF
         if not parts:

@@ -339,6 +339,17 @@ def test_is_prime_agrees_with_trial_division_on_both_sides_of_the_table():
     assert all(is_prime(n) == by_trial(n) for n in range(-5, 3000))
 
 
+def test_is_prime_below_101_squared_is_trial_division_alone(monkeypatch):
+    # a composite below 101^2 has a prime factor up to 97: no Miller-Rabin base runs
+    calls = []
+    monkeypatch.setattr(exactnum, "pow", lambda *a: calls.append(a) or pow(*a), raising=False)
+    composite = {n for p in range(2, 101) for n in range(p * p, 101 * 101, p)}
+    assert [n for n in range(1000, 101 * 101) if is_prime(n)] == [
+        n for n in range(1000, 101 * 101) if n not in composite]
+    assert calls == []
+    assert is_prime(10211) and not is_prime(101 * 103) and calls  # past it, Miller-Rabin
+
+
 MR_BOUND = 3_317_044_064_679_887_385_961_981  # strong pseudoprime to bases 2..41
 
 
@@ -874,6 +885,65 @@ def test_ratio_interval_encloses_each_log_once_at_its_own_precision(monkeypatch)
     lam = LogMag.exact(Fraction(2**512 + 3, 2**512))
     lam.ratio_interval(LogMag.exact(2**512))
     assert [w for _, _, w in calls] == [64, 64 + 512]
+
+
+def test_a_ratio_past_the_float_range_reads_the_largest_float_and_inf():
+    big = LogMag.exact(Fraction(2**5000 + 1, 3))
+    small = LogMag.exact(Fraction(2**3000 + 1, 2**3000))  # log ~ 2^-3000
+    largest = sys.float_info.max
+    assert big.ratio_interval(small) == (largest, math.inf)
+    assert big.ratio(small) == (None, (largest, math.inf))
+    assert (-big).ratio_interval(small) == big.ratio_interval(-small) == (-math.inf, -largest)
+
+
+def test_the_quadratic_offset_near_1_is_within_a_few_bits(monkeypatch):
+    # y = (A + B sqrt 2)/C, C = A + floor(B sqrt 2): |log y| ~ frac(B sqrt 2)/C
+    rng = random.Random(72)
+    F = QuadField(2)
+    for bits in (50, 200, 1000):
+        for _ in range(4):
+            A, B = (rng.getrandbits(bits) | 1 << (bits - 1) for _ in range(2))
+            y = QuadElem(F, A, B, A + math.isqrt(2 * B * B))
+            k = exactnum._offset(y, None)
+            with mpmath.workprec(4 * bits + 200):
+                logy = abs(mpmath.log((y.A + y.B * mpmath.sqrt(2)) / y.C))
+                truth = -mpmath.log(logy, 2)
+                assert logy >= mpmath.mpf(2) ** -k
+            assert k - truth <= 4, (bits, k, truth)
+            calls = _counting(monkeypatch, "_log_magnitude")
+            LogMag.exact(y).to_float()
+            assert len(calls) == 1
+            monkeypatch.undo()
+
+
+def _positive_quadratic(a, b, c):
+    y = QuadField(2).element(Fraction(a, c), Fraction(b, c))
+    return y if y.sign() > 0 else -y
+
+
+_pair_logs = st.one_of(
+    st.builds(LogMag.exact, st.fractions(min_value=Fraction(1, 10**9), max_value=10**9).filter(bool),
+              st.sampled_from([1, 2, 3])),
+    st.builds(LogMag.exact, st.builds(_positive_quadratic, st.integers(-10**6, 10**6),
+                                      st.integers(1, 10**6), st.integers(1, 10**3)),
+              st.sampled_from([1, 2])),
+)
+_pair_heights = st.one_of(st.just(LogMag.zero()), st.builds(LogMag.exact, st.integers(2, 10**9)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(lam=_pair_logs, h=_pair_heights,
+       slope=st.sampled_from([Fraction(3), Fraction(5, 2), Fraction(4, 3)]))
+@example(lam=LogMag.exact(8), h=LogMag.exact(2), slope=Fraction(3))  # gap 0
+@example(lam=LogMag.exact(Fraction(10**9 + 1, 10**9)), h=LogMag.zero(), slope=Fraction(4, 3))
+def test_the_pair_read_out_rounds_lambda_and_the_gap(lam, h, slope):
+    gap = h * slope - lam
+    enclosures = {}
+    want = (lam.decimal_str(12), gap.decimal_str(12))
+    assert exactnum._decimal_pair(lam, slope, h, enclosures) == want
+    # h's enclosures are kept by (form, w) and read back by the next call
+    assert enclosures and all(key[0] == h.form for key in enclosures)
+    assert exactnum._decimal_pair(lam, slope, h, enclosures) == want
 
 
 def test_an_offset_counts_against_the_precision_cap():

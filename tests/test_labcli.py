@@ -1006,7 +1006,9 @@ def test_gap_csv_format(tmp_path):
     assert lines[1] == "0,(2:1),0.693147180560,0.693147180560,1.039720770840,1,0"
 
 
-def test_gap_csv_renders_each_distinct_value_once(tmp_path, monkeypatch):
+def test_gap_csv_reads_out_each_distinct_pair_once(tmp_path, monkeypatch):
+    from orbitweil.labcli import io
+
     cfg = parse_config({
         "divisor": {"form": {"2,1": "1", "1,2": "-1"}},  # x*y*(x-y)
         "places": ["inf", 2, 3],
@@ -1014,24 +1016,60 @@ def test_gap_csv_renders_each_distinct_value_once(tmp_path, monkeypatch):
         "params": {"eps_prime": "1"},
     })
     series = run_gap_experiment(cfg)
+    assert series.slope == 3  # (eps' * twist + nvars)/twist
     lines = ["n,point,h,lambda_S,gap,sign,skipped"] + [
         f"{r.n},({':'.join(map(str, r.point.coords))}),{fmt12(r.h)},{fmt12(r.lambda_S)},"
         f"{fmt12(r.gap)},{'' if r.sign is None else r.sign},{int(r.skipped)}"
         for r in series.rows
     ]
-    values = [v for r in series.rows for v in (r.h, r.lambda_S, r.gap) if v is not None]
-    calls = []
-    real = LogMag.decimal_str
+    usable = [r for r in series.rows if not r.skipped]
+    heights = {r.h.form for r in usable}
+    pairs = {(r.lambda_S.form, r.h.form) for r in usable}
+    rendered, read_out = [], []
+    real_str, real_pair = LogMag.decimal_str, io._decimal_pair
 
-    def counting(self, places=12):
-        calls.append(self)
-        return real(self, places)
+    def counting_str(self, places=12):
+        rendered.append(self.form)
+        return real_str(self, places)
 
-    monkeypatch.setattr(LogMag, "decimal_str", counting)
+    def counting_pair(lam, slope, h, enclosures):
+        read_out.append((lam.form, h.form))
+        return real_pair(lam, slope, h, enclosures)
+
+    monkeypatch.setattr(LogMag, "decimal_str", counting_str)
+    monkeypatch.setattr(io, "_decimal_pair", counting_pair)
     path = tmp_path / "gap.csv"
     write_gap_csv(series, str(path))
-    assert len(calls) == len(set(values)) < len(values)
+    # each h rendered once, each (lambda_S, h) read out once, and no gap rendered alone
+    assert sorted(rendered) == sorted(heights)
+    assert sorted(read_out) == sorted(pairs) and len(pairs) < len(usable)
     assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+
+
+def test_gap_rows_build_each_multiple_of_h_once(monkeypatch):
+    # the gap-sample workload's config: coef = eps' * twist + nvars = 3 equals
+    # weight * deg, so the gap is read off the audited total, not h_raw * 3 again
+    cfg = parse_config({
+        "divisor": {"field": "Q", "form": {"2,1": "1", "1,2": "-1"}, "weight": 1},
+        "places": ["inf", 2, 3],
+        "twist": 1,
+        "params": {"eps_prime": "1"},
+        "sample": {"height_bound": 50, "count": "all"},
+    })
+    calls = []
+    real = LogMag.__mul__
+
+    def counting(self, k):
+        calls.append(k)
+        return real(self, k)
+
+    monkeypatch.setattr(LogMag, "__mul__", counting)
+    series = run_gap_experiment(cfg)
+    usable = [r for r in series.rows if not r.skipped]
+    # per row: h_raw * weight * deg in the audit and h_raw * twist for the h column
+    assert len(usable) == 3093 and len(calls) == 2 * len(usable) == 6186
+    monkeypatch.undo()
+    assert all(r.gap == r.h * 3 - r.lambda_S for r in usable)
 
 
 def test_runners_evaluate_s_D_once_per_point(monkeypatch):

@@ -369,14 +369,68 @@ def test_closed_form_equals_general_path_over_Q(case, scale, negative, S):
     _assert_closed_form_is_general_path(d, x, S)
 
 
-@settings(max_examples=60, deadline=None)
-@given(d=_divisors_F, coords=_points, S=st.lists(st.sampled_from(_PLACES_F), unique=True))
-def test_closed_form_equals_general_path_over_Q_sqrt2(d, coords, S):
+# Q(sqrt 2): real, ramified at 2, split at 7; Q(sqrt 3): ramified at 2 and 3,
+# inert at 5, split at 11 and 13; Q(sqrt 17): split at 2 (the 2-adic branch)
+# and 13, inert at 3; Q(sqrt -1): complex, ramified at 2, inert at 3, split at 5
+_QUADRATIC_FIELDS = [QuadField(d) for d in (2, 3, 17, -1)]
+
+
+@st.composite
+def _quadratic_divisors(draw):
+    F = draw(st.sampled_from(_QUADRATIC_FIELDS))
+    coeffs = draw(st.lists(
+        st.builds(F.element, st.integers(-30, 30), st.integers(-30, 30)), min_size=2, max_size=3,
+    ).filter(lambda cs: any(c.b for c in cs)))
+    return F, _default_divisor(coeffs, draw(st.sampled_from([1, 2, Fraction(1, 2)])))
+
+
+@settings(max_examples=160, deadline=None)
+@given(
+    case=_quadratic_divisors(),
+    coords=_points,
+    scale=st.sampled_from([1, Fraction(12, 35), -6]),
+    negative=st.booleans(),
+    S=st.lists(st.sampled_from(_PLACES_Q), unique=True),
+)
+def test_closed_form_equals_general_path_over_quadratic_fields(case, coords, scale, negative, S):
+    F, d = case
+    # a scaled s_D(x), and weight -1, as over Q
+    d = d.scaled(scale)
+    if negative:
+        d = replace(d, weight=Fraction(-1))
     x = P(*coords)
     assume(not d.support_test(x))
-    # every place of Q(sqrt 2) above the sampled places of Q, both real ones included
-    above = [w for v in S if v.field is None for w in places_above(v, _F2)]
+    # every place of F above the sampled places of Q, both real ones included
+    above = [w for v in S for w in places_above(v, F)]
     _assert_closed_form_is_general_path(d, x, S + above)
+
+
+def test_default_presentations_take_no_abs_value(monkeypatch):
+    import orbitweil.exactnum as exactnum
+    import orbitweil.weil as weil
+
+    calls = []
+    real = exactnum.abs_value
+
+    def counting(val, w):
+        calls.append(w)
+        return real(val, w)
+
+    monkeypatch.setattr(weil, "abs_value", counting)
+    monkeypatch.setattr(exactnum, "abs_value", counting)
+    x = P(60, 7)
+    cases = [(_default_divisor([1, 0, -3, 5], Fraction(3, 2)), None)]
+    cases += [(_default_divisor([F.element(1, 1), F.element(-2, 1)], 1), F) for F in _QUADRATIC_FIELDS]
+    for d, F in cases:
+        S = _PLACES_Q + ([w for v in _PLACES_Q for w in places_above(v, F)] if F else [])
+        table = LocalTable(d, x)
+        table.lambda_S(S)
+        table.all_places(parts=True)
+    assert calls == []
+    # a presentation that is not default reads every section through abs_value
+    general = cases[1][0].with_extra_numerator(cases[1][0].numer[0])
+    weil_local(general, x, INF)
+    assert calls
 
 
 def test_a_hand_built_default_presentation_is_default():
