@@ -2,10 +2,12 @@
 
 Every runner works on exact data.  Heights and local terms are LogMag
 values, ratios are exact Fractions whenever a small verified one exists,
-and every non-skipped row is audited against the global height identity
-(sum of all local terms = weight * deg * h) before it enters a series; a
-violation aborts the run, because it would mean the local decomposition
-itself is wrong and nothing downstream could be trusted.
+and every distinct local datum of a non-skipped row (LocalTable.datum) is
+audited against the global height identity (sum of all local terms =
+weight * deg * h) before its first row enters a series; each row carries
+its datum's audited values.  A violation aborts the run, because it would
+mean the local decomposition itself is wrong and nothing downstream could
+be trusted.
 """
 
 from __future__ import annotations
@@ -135,17 +137,32 @@ def _orbit_points(cfg: ExperimentConfig):
 
 
 def _audited(cfg: ExperimentConfig, points):
-    """(n, x, h_raw, lambda_S, lambda_all) per point; the lambdas are None on Supp(D)."""
+    """(n, x, h_raw, lambda_S, lambda_all) per point; the lambdas are None on Supp(D).
+
+    lambda_S and the audited lambda_all are built once per distinct
+    LocalTable.datum and shared by every later row with that datum.  The
+    premise: points are primitive integer vectors, so h_raw = log max_i |x_i|,
+    and equal data give equal lambda_D(x, w) at every place w and equal
+    h_raw.  A repeated datum therefore repeats values the audit has proved
+    already, and the first row with a datum runs the audit, so a broken
+    identity aborts at the same row as without the memo.  The memo lives
+    for one call; rows come out in the order of points.
+    """
     d = cfg.divisor
     factor = d.weight * d.degree
+    seen = {}
     for n, x, h_raw in points:
         table = LocalTable(d, x)
         if table.on_support:
             yield n, x, h_raw, None, None
             continue
-        # lambda_S first: the audit then checks each of its places as a row
-        lam = table.lambda_S(cfg.places)
-        yield n, x, h_raw, lam, _audit_row(table, h_raw, factor)
+        key = table.datum
+        lams = seen.get(key)
+        if lams is None:
+            # lambda_S first: the audit then checks each of its places as a row
+            lam = table.lambda_S(cfg.places)
+            lams = seen[key] = lam, _audit_row(table, h_raw, factor)
+        yield n, x, h_raw, *lams
 
 
 _SKIP_CAUSES = {"support": "lies on the divisor support", "zero-height": "has height zero"}

@@ -30,7 +30,7 @@ LocalTable holds lambda_D(x, w) for one point, each place evaluated
 once from one value of s_D(x).  It is the one implementation of the sum
 over S (weil_sum) and of the sum over all places of Q or Q(sqrt d)
 (weil_global, galois_symmetrized); the experiment runners read both from
-one table.  The sum over all places factors nothing past trial division;
+one table per distinct LocalTable.datum.  The sum over all places factors nothing past trial division;
 over Q the support left over goes into one coprime base of exact log
 terms.
 """
@@ -358,6 +358,27 @@ class LocalTable:
     def on_support(self) -> bool:
         """Whether x lies on Supp(D), i.e. s_D(x) = 0."""
         return not self._sd
+
+    @property
+    def datum(self):
+        """A key that determines every lambda_D(x, w) and the sum over all places.
+
+        For a default presentation that is s_D(x) up to sign, with
+        max_i |x_i|^e: the closed form reads nothing else, and every
+        |.|_w, ord_w and real-place term is invariant under s -> -s.  A
+        rational value is keyed by its absolute value, a quadratic one by
+        (A, B, C) with (A, B) > (0, 0).  Any other presentation is keyed
+        by the point itself.
+        """
+        if not self.divisor.is_default:
+            return self.point.coords
+        sd = self._sd
+        if type(sd) is QuadElem:
+            A, B, C = sd.A, sd.B, sd.C
+            sd = (A, B, C) if (A, B) > (0, 0) else (-A, -B, C)
+        elif sd < 0:
+            sd = -sd
+        return sd, self._top
 
     def local(self, v: Place) -> LogMag:
         """lambda_D(x, w) at the place w that weil_local chooses for v."""

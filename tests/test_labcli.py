@@ -34,7 +34,7 @@ from orbitweil.labcli import experiments
 from orbitweil.labcli.cli import main
 from orbitweil.labcli.experiments import _closure_proxy, _kernel_vector, _sample_points
 from orbitweil.polydyn import HomogPoly, ProjPoint, height, iterate
-from orbitweil.weil import weil_local, weil_sum
+from orbitweil.weil import LocalTable, weil_local, weil_sum
 
 
 def squaring_cfg(**overrides):
@@ -1046,16 +1046,45 @@ def test_gap_csv_reads_out_each_distinct_pair_once(tmp_path, monkeypatch):
     assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
 
 
+# D = xy(x - y) over all 3,096 points of height <= 50, the gap-sample workload's
+# config: coef = eps' * twist + nvars = 3 equals weight * deg
+_GAP_SAMPLE = {
+    "divisor": {"field": "Q", "form": {"2,1": "1", "1,2": "-1"}, "weight": 1},
+    "places": ["inf", 2, 3],
+    "twist": 1,
+    "params": {"eps_prime": "1"},
+    "sample": {"height_bound": 50, "count": "all"},
+}
+
+# D = x - sqrt(2) y over all 1,960 points of height <= 40, the gap-quadratic
+# workload's config
+_GAP_QUADRATIC = {
+    "divisor": {
+        "field": {"d": 2},
+        "form": {"1,0": {"a": "1", "b": "0"}, "0,1": {"a": "0", "b": "-1"}},
+        "weight": 1,
+    },
+    "places": ["inf", 7],
+    "twist": 1,
+    "params": {"eps_prime": "1"},
+    "sample": {"height_bound": 40, "count": "all"},
+}
+
+
+def _sample_data(cfg):
+    """The distinct (|s_D(x)|, max_i |x_i|) over the sample's points off Supp(D)."""
+    pts = _sample_points(2, cfg.sample["height_bound"], "all", 0)
+    return {
+        (abs(v), max(map(abs, x.coords)))
+        for x in pts
+        if (v := cfg.divisor.sd.evaluate(x.coords))
+    }
+
+
 def test_gap_rows_build_each_multiple_of_h_once(monkeypatch):
-    # the gap-sample workload's config: coef = eps' * twist + nvars = 3 equals
-    # weight * deg, so the gap is read off the audited total, not h_raw * 3 again
-    cfg = parse_config({
-        "divisor": {"field": "Q", "form": {"2,1": "1", "1,2": "-1"}, "weight": 1},
-        "places": ["inf", 2, 3],
-        "twist": 1,
-        "params": {"eps_prime": "1"},
-        "sample": {"height_bound": 50, "count": "all"},
-    })
+    # the gap is read off the audited total, not h_raw * 3 again, and the
+    # audit's h_raw * 3 is built once per distinct local datum
+    cfg = parse_config(_GAP_SAMPLE)
     calls = []
     real = LogMag.__mul__
 
@@ -1066,10 +1095,96 @@ def test_gap_rows_build_each_multiple_of_h_once(monkeypatch):
     monkeypatch.setattr(LogMag, "__mul__", counting)
     series = run_gap_experiment(cfg)
     usable = [r for r in series.rows if not r.skipped]
-    # per row: h_raw * weight * deg in the audit and h_raw * twist for the h column
-    assert len(usable) == 3093 and len(calls) == 2 * len(usable) == 6186
+    # h_raw * weight * deg per datum in the audit, h_raw * twist per row for the h column
+    data = len(_sample_data(cfg))
+    assert len(usable) == 3093 and data == 1154
+    assert calls.count(3) == data and calls.count(1) == len(usable)
+    assert len(calls) == 4247
     monkeypatch.undo()
     assert all(r.gap == r.h * 3 - r.lambda_S for r in usable)
+
+
+@pytest.mark.parametrize("config, rows, data", [(_GAP_SAMPLE, 3093, 1154), (_GAP_QUADRATIC, 1960, 1960)])
+def test_gap_rows_sum_all_places_once_per_datum(monkeypatch, config, rows, data):
+    # 1,939 of xy(x - y)'s 3,093 rows repeat an earlier row's datum (x <-> y
+    # keeps it, for one); x - sqrt(2) y repeats none
+    cfg = parse_config(config)
+    calls = []
+    real = LocalTable.all_places
+
+    def counting(self, parts=False):
+        calls.append(self.datum)
+        return real(self, parts)
+
+    monkeypatch.setattr(LocalTable, "all_places", counting)
+    series = run_gap_experiment(cfg)
+    assert len(series.rows) - series.skips == rows
+    assert len(calls) == len(set(calls)) == data
+
+
+_MEMO_DIVISORS = {
+    "xy(x - y)": ("Q", {"2,1": "1", "1,2": "-1"}),
+    "x^2 - 2y^2": ("Q", {"2,0": "1", "0,2": "-2"}),
+    "x - sqrt(2) y": ({"d": 2}, {"1,0": {"a": "1", "b": "0"}, "0,1": {"a": "0", "b": "-1"}}),
+    "x - i y": ({"d": -1}, {"1,0": {"a": "1", "b": "0"}, "0,1": {"a": "0", "b": "-1"}}),
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    divisor=st.sampled_from(sorted(_MEMO_DIVISORS)),
+    weight=st.sampled_from(["1", "3/2"]),
+    twist=st.sampled_from([1, 2]),
+    eps_prime=st.sampled_from(["1", "1/3"]),
+    primes=st.lists(st.sampled_from([2, 3, 5, 7]), unique=True, max_size=3),
+    bound=st.integers(2, 6),
+)
+def test_gap_rows_match_a_fresh_table_per_point(divisor, weight, twist, eps_prime, primes, bound):
+    field, form = _MEMO_DIVISORS[divisor]
+    cfg = parse_config({
+        "divisor": {"field": field, "form": form, "weight": weight},
+        "places": ["inf", *primes],
+        "twist": twist,
+        "params": {"eps_prime": eps_prime},
+        "sample": {"height_bound": bound},
+    })
+    d = cfg.divisor
+    series = run_gap_experiment(cfg)
+    points = [(r.n, r.point, height(r.point)) for r in series.rows]
+    for r, (n, x, h_raw, lam, lam_all) in zip(series.rows, experiments._audited(cfg, points)):
+        assert (r.n, r.point) == (n, x)
+        table = LocalTable(d, x)
+        if table.on_support:
+            assert r.skipped and lam is None and lam_all is None
+            continue
+        fresh = table.lambda_S(cfg.places)
+        assert lam == r.lambda_S == fresh
+        assert lam_all == table.all_places() == h_raw * (d.weight * d.degree)
+        gap = h_raw * (series.slope * twist) - fresh
+        assert r.gap == gap and r.sign == gap.sign()
+        assert r.h == h_raw * twist
+
+
+def test_gap_sample_audit_fails_on_a_place_outside_S(monkeypatch):
+    from orbitweil import weil
+
+    cfg = parse_config(_GAP_SAMPLE)
+    # lambda_D(x, 5) off by log(1 + 2^-200): lambda_S at inf, 2, 3 is untouched,
+    # so only the sum over all places sees it, at the first row with 5 | s_D(x)
+    local = weil.weil_local
+    off = LogMag.exact(Fraction(2**200 + 1, 2**200))
+
+    def shifted(d, x, w, **kw):
+        lam = local(d, x, w, **kw)
+        return lam + off if w.p == 5 else lam
+
+    first = next(
+        x for x in _sample_points(2, 50, "all", 0)
+        if (v := cfg.divisor.sd.evaluate(x.coords)) and v % 5 == 0
+    )
+    monkeypatch.setattr(weil, "weil_local", shifted)
+    with pytest.raises(AuditFailure, match=rf"violated at \({first.coords[0]}:{first.coords[1]}\):"):
+        run_gap_experiment(cfg)
 
 
 def test_runners_evaluate_s_D_once_per_point(monkeypatch):
