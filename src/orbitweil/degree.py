@@ -51,10 +51,6 @@ class AlphaEstimate:
     spread: float
     root_value: float
 
-    @property
-    def converged(self) -> bool:
-        return self.verdict == CONVERGED
-
 
 def default_window(depth: int) -> int:
     return max(3, math.ceil(depth / 3))

@@ -4,12 +4,12 @@ normalized absolute values, and an exact-first log-magnitude value type.
 Conventions:
   * Absolute values are Q-normalized: |p|_p = 1/p, archimedean as usual,
     so the product formula sum_v log|q|_v = 0 holds on the nose.
-  * For a place w of F = Q(sqrt(d)) above p, abs_value returns the unique
-    extension of |.|_p to F_w: at split places the order of y is read off
-    ord_p(N(y)) and y mod p (or mod 4 at p = 2; see _split_valuation), and
-    |N(y)|_p^(1/2) at inert/ramified places.  Restricting to Q gives
-    back |.|_p exactly.  The weighted product formula over F reads
-    sum_w [F_w:Q_v] * log|y|_w = 0.
+  * abs_value reads rationals.  For a place w of F = Q(sqrt(d)) above p,
+    |.|_w is the unique extension of |.|_p to F_w: at split places the
+    order of y is read off ord_p(N(y)) and y mod p (or mod 4 at p = 2; see
+    _split_valuation), and |N(y)|_p^(1/2) at inert/ramified places; the
+    local terms of weil are built from these on ints.  The weighted
+    product formula over F reads sum_w [F_w:Q_v] * log|y|_w = 0.
   * Log-magnitudes are exact: the log of a positive rational, or of a
     positive element of a real Q(sqrt(d)) under sqrt(d) -> +sqrt(d), over
     a root index.  Enclosures on Python ints, an integer v and an error e
@@ -141,20 +141,6 @@ def factorize(n: int) -> tuple[dict[int, int], int]:
     return factors, n
 
 
-def rational_support(q: RationalLike) -> list[int]:
-    """Primes dividing numerator or denominator of a nonzero rational."""
-    q = Fraction(q)
-    if q == 0:
-        raise ValuationOfZero("support of zero")
-    primes: set[int] = set()
-    for n in (abs(q.numerator), q.denominator):
-        fac, cof = factorize(n)
-        if cof != 1:
-            raise ExactnumError(f"could not fully factor {n}")
-        primes.update(fac)
-    return sorted(primes)
-
-
 def integer_nth_root(n: int, r: int) -> int:
     """Floor of the r-th root of n >= 0."""
     if n < 0 or r < 1:
@@ -271,36 +257,6 @@ def legendre(a: int, p: int) -> int:
         return 0
     s = pow(a, (p - 1) // 2, p)
     return 1 if s == 1 else -1
-
-
-def sqrt_mod(a: int, p: int) -> int:
-    """Smallest nonnegative square root of a modulo an odd prime p."""
-    a %= p
-    if a == 0:
-        return 0
-    if legendre(a, p) != 1:
-        raise ValueError(f"{a} is not a quadratic residue mod {p}")
-    if p % 4 == 3:
-        r = pow(a, (p + 1) // 4, p)
-        return min(r, p - r)
-    # Tonelli-Shanks
-    q, s = p - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    z = 2
-    while legendre(z, p) != -1:
-        z += 1
-    m, c, t, r = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
-    while t != 1:
-        i, t2 = 0, t
-        while t2 != 1:
-            t2 = t2 * t2 % p
-            i += 1
-        b = pow(c, 1 << (m - i - 1), p)
-        m, c = i, b * b % p
-        t, r = t * c % p, r * b % p
-    return min(r, p - r)
 
 
 # ---------------------------------------------------------------------------
@@ -1058,16 +1014,6 @@ def logmag_sum(items: Iterable[LogMag]) -> LogMag:
     return total if d is None else LogMag(*_canonical_log(n, d, r))
 
 
-def logmag_max(items: Sequence[LogMag]) -> LogMag:
-    if not items:
-        raise ValueError("max of empty sequence")
-    best = items[0]
-    for it in items[1:]:
-        if it.compare(best) > 0:
-            best = it
-    return best
-
-
 # ---------------------------------------------------------------------------
 # quadratic fields
 # ---------------------------------------------------------------------------
@@ -1393,7 +1339,7 @@ def _split_valuation(y: QuadElem, p: int, index: int) -> int:
     Write y = c(A + Bs) with A, B coprime, so N = A^2 - dB^2 = (A + Bs)(A - Bs).
     Odd p: no p divides both factors (it would divide 2A and 2Bs), so all of
     ord_p(N) sits where A + Bs = 0 mod p, at index 0 iff t = -A/B mod p has
-    2t < p, as s_0 = sqrt_mod(d, p) is the smaller root; B -> -B for index 1.
+    2t < p, as s_0 is the smaller square root of d mod p; B -> -B for index 1.
     p = 2: if 2 | N then A, B are odd and the factors differ by 2Bs, of order 1,
     so the factor = 0 mod 4, at index 0 iff A + B = 0 mod 4 (s_0 = 1 mod 4),
     takes ord_2(N) - 1 and the other takes 1.
@@ -1417,36 +1363,8 @@ def _split_valuation(y: QuadElem, p: int, index: int) -> int:
     return own if y.C == 1 else own - multiplicity(y.C, p)
 
 
-def _abs_quad(y: QuadElem, v: Place) -> LogMag:
-    if not y:
-        raise ValuationOfZero("absolute value of zero")
-    if v.field is None:
-        if y.is_rational:
-            return _abs_rational(y.a, v)
-        raise FieldMismatch("quadratic element at a place of Q; choose a place above")
-    if v.field is not y.field:
-        raise FieldMismatch("element and place belong to different fields")
-    kind = v.kind
-    if kind in (INERT, RAMIFIED):
-        # ord_p N(y) = ord_p(A^2 - d B^2) - 2 ord_p(C)
-        n, _ = y._norm_pair()
-        return _log_p_power(v.p, multiplicity(n, v.p) - 2 * multiplicity(y.C, v.p), 2)
-    if kind == SPLIT:
-        return _log_p_power(v.p, _split_valuation(y, v.p, v.index))
-    if kind == COMPLEX:
-        # |a + b*i*sqrt(|d|)|^2 = a^2 + |d| b^2 = N(y) > 0, exactly rational
-        n, c = y._norm_pair()
-        g = math.gcd(n, c)
-        return LogMag(*_canonical_log(n // g, c // g, 2))
-    # real embedding sqrt(d) -> -sqrt(d) (index 1) reads conj(y) under the first
-    z = y if v.index == 0 else y.conjugate()
-    return LogMag._positive(z if z.sign() > 0 else -z, 1)
-
-
 def abs_value(x, v: Place) -> LogMag:
-    """log of the Q-normalized absolute value |x|_v, exact when possible."""
-    if isinstance(x, QuadElem):
-        return _abs_quad(x, v)
+    """log of the Q-normalized absolute value |x|_v of a rational x, exact."""
     if isinstance(x, (int, Fraction)):
         return _abs_rational(x, v)
     raise TypeError(f"unsupported value {x!r}")

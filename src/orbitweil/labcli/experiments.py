@@ -102,9 +102,6 @@ class RatioSeries:
     verdict: str
     verdict_value: object
 
-    def usable(self) -> list[RatioRow]:
-        return [r for r in self.rows if not r.skipped]
-
 
 def _nonincreasing(values, slack: float = 1e-9) -> bool:
     return all(b <= a * (1 + slack) + slack * 1e-300 for a, b in zip(values, values[1:]))
@@ -141,12 +138,14 @@ def _audited(cfg: ExperimentConfig, points):
 
     lambda_S and the audited lambda_all are built once per distinct
     LocalTable.datum and shared by every later row with that datum.  The
-    premise: points are primitive integer vectors, so h_raw = log max_i |x_i|,
-    and equal data give equal lambda_D(x, w) at every place w and equal
-    h_raw.  A repeated datum therefore repeats values the audit has proved
-    already, and the first row with a datum runs the audit, so a broken
-    identity aborts at the same row as without the memo.  The memo lives
-    for one call; rows come out in the order of points.
+    premise: every local term is weil_local's closed form, which reads
+    s_D(x) and max_i |x_i|^e alone, and points are primitive integer
+    vectors, so h_raw = log max_i |x_i|.  Equal data give equal
+    lambda_D(x, w) at every place w and equal h_raw.  A repeated datum
+    therefore repeats values the audit has proved already, and the first
+    row with a datum runs the audit, so a broken identity aborts at the
+    same row as without the memo.  The memo lives for one call; rows come
+    out in the order of points.
     """
     d = cfg.divisor
     factor = d.weight * d.degree

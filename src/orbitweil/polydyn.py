@@ -457,10 +457,6 @@ class OrbitRecord:
     seed: ProjPoint
     steps: tuple[OrbitStep, ...]
 
-    @property
-    def depth(self) -> int:
-        return len(self.steps) - 1
-
     def heights(self) -> list[LogMag]:
         return [s.h for s in self.steps]
 

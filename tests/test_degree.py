@@ -175,5 +175,5 @@ def test_ratio_bound_violations_at_injected_step():
 def test_root_and_ratio_estimators_agree():
     orbit = iterate(SQUARING, ProjPoint.normalize((2, 1)), 20)
     est = alpha_estimate(orbit)
-    assert est.converged
+    assert est.verdict == CONVERGED
     assert abs(est.root_value - float(est.value)) / float(est.value) < 0.05

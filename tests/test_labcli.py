@@ -450,12 +450,58 @@ def test_ratio_rejects_non_morphism():
         run_ratio_experiment(cfg)
 
 
-def test_ratio_audit_aborts_on_broken_identity():
-    cfg = axis_cfg(depth=4)
-    extra = HomogPoly.from_terms(2, {(1, 0): Fraction(2)})
-    broken = dataclasses.replace(cfg, divisor=cfg.divisor.with_extra_numerator(extra))
-    with pytest.raises(AuditFailure):
-        run_ratio_experiment(broken)
+def _place_kind(w):
+    if w.field is None:
+        return "infinity" if w.p is None else "prime"
+    return w.kind
+
+
+@pytest.mark.parametrize("d, kind", [
+    (None, "infinity"), (None, "prime"),
+    (3, "real"), (3, "ramified"), (3, "inert"), (3, "split"),
+    (-1, "complex"), (-1, "ramified"), (-1, "inert"), (-1, "split"),
+])
+def test_audit_fails_on_a_closed_form_fault_at_each_kind_of_place(monkeypatch, d, kind):
+    from orbitweil import weil
+
+    if d is None:  # s_D(x) = 2^(2^n) - 3 along the orbit of (2:1)
+        cfg, run = squaring_cfg(), run_ratio_experiment
+        points = [s.point for s in iterate(cfg.map, cfg.seed, cfg.depth).steps]
+    else:
+        # D = a x - sqrt(d) y: N(s_D(x)) = a^2 x^2 - d y^2, and the inert
+        # prime a divides it where a | y
+        a = {3: 5, -1: 3}[d]
+        cfg = parse_config({
+            "divisor": {"field": {"d": d}, "form": {"1,0": {"a": str(a), "b": "0"}, "0,1": {"a": "0", "b": "-1"}}},
+            "places": ["inf", 2, 3, 5] + ([11] if d == 3 else []),
+            "sample": {"height_bound": 12},
+            "params": {"eps_prime": "1"},
+        })
+        run, points = run_gap_experiment, _sample_points(2, 12, "all", 0)
+
+    def listed(x):
+        """The audit's places of this kind at x."""
+        if cfg.divisor.support_test(x):
+            return []
+        rows = LocalTable(cfg.divisor, x).all_places(parts=True)[1]
+        return [w for w, _ in rows if w is not None and _place_kind(w) == kind]
+
+    # the audit lists a finite place only where its prime divides N(s_D(x)):
+    # the first row that lists one of this kind is the first to fail
+    first, places = next((x, ws) for x in points if (ws := listed(x)))
+    s = cfg.divisor.sd.evaluate(first.coords)
+    norm = s if d is None else s.norm()
+    assert all(norm % w.p == 0 for w in places if w.p)
+    closed_form = weil._closed_form
+    off = LogMag.exact(Fraction(2**200 + 1, 2**200))
+
+    def faulty(sd, w, top):
+        lam = closed_form(sd, w, top)
+        return lam + off if _place_kind(w) == kind else lam
+
+    monkeypatch.setattr(weil, "_closed_form", faulty)
+    with pytest.raises(AuditFailure, match=rf"violated at \({first.coords[0]}:{first.coords[1]}\):"):
+        run(cfg)
 
 
 def test_ratio_audit_fails_on_a_base_term_off_by_one_exponent(monkeypatch):
@@ -463,11 +509,13 @@ def test_ratio_audit_fails_on_a_base_term_off_by_one_exponent(monkeypatch):
 
     cfg = squaring_cfg(depth=9)
     last = iterate(cfg.map, cfg.seed, 9).steps[-1].point
-    # s_D = 2^512 - 3 is left with a cofactor past trial division: a base row
-    assert weil.LocalTable(cfg.divisor, last).all_places(parts=True)[1][-1][0] is None
-    exponent = weil._base_exponent
-    monkeypatch.setattr(weil, "_base_exponent", lambda d, vals, b: exponent(d, vals, b) + 1)
-    with pytest.raises(AuditFailure):
+    # s_D = 2^512 - 3 is left whole past trial division: a base row of b = s_D
+    b = 2**512 - 3
+    assert weil.LocalTable(cfg.divisor, last).all_places(parts=True)[1][-1] == (None, LogMag.exact(b))
+    # the base row's exponent is multiplicity(s_D(x), b); no place row reads b
+    multiplicity = weil.multiplicity
+    monkeypatch.setattr(weil, "multiplicity", lambda x, p: multiplicity(x, p) + (p == b))
+    with pytest.raises(AuditFailure, match=rf"violated at \({last.coords[0]}:1\):"):
         run_ratio_experiment(cfg)
 
 
@@ -475,7 +523,7 @@ def test_ratio_on_the_readme_config_at_depth_20():
     t0 = time.monotonic()
     series = run_ratio_experiment(squaring_cfg(depth=20))  # audited at every row
     elapsed = time.monotonic() - t0
-    assert len(series.usable()) == 21
+    assert sum(not r.skipped for r in series.rows) == 21
     assert series.verdict == "trending-to-zero"
     assert elapsed < 5, f"depth-20 ratio took {elapsed:.2f} s"
 
@@ -586,8 +634,9 @@ def test_ratio_quadratic_divisor_runs():
         "depth": 4,
     })
     series = run_ratio_experiment(cfg)
-    assert len(series.usable()) == 5
-    for r in series.usable():
+    usable = [r for r in series.rows if not r.skipped]
+    assert len(usable) == 5
+    for r in usable:
         lo, hi = r.ratio_bounds
         assert lo <= hi
 

@@ -7,6 +7,7 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from local_oracle import rational_support
 from orbitweil.exactnum import (
     FieldMismatch,
     LogMag,
@@ -15,7 +16,6 @@ from orbitweil.exactnum import (
     QuadField,
     abs_value,
     logmag_sum,
-    rational_support,
 )
 from orbitweil.polydyn import (
     FAILED,

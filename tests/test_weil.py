@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from local_oracle import default_families, general_local
 from orbitweil.exactnum import (
     LogMag,
     Place,
@@ -12,12 +13,12 @@ from orbitweil.exactnum import (
     abs_value,
     factorize,
     logmag_sum,
+    multiplicity,
     places_above,
 )
 from orbitweil.polydyn import HomogPoly, ProjPoint, height
 from orbitweil.weil import (
     DivisorPresentation,
-    ExactnessLost,
     LocalTable,
     SupportHit,
     galois_symmetrized,
@@ -25,9 +26,7 @@ from orbitweil.weil import (
     weil_global,
     weil_local,
     weil_sum,
-    _base_exponent,
     _coprime_base,
-    _support_values,
 )
 
 INF = Place.archimedean()
@@ -39,6 +38,11 @@ def P(*coords):
 
 def line(a, b):
     return DivisorPresentation.hypersurface(HomogPoly.from_terms(2, {(1, 0): a, (0, 1): b}))
+
+
+def scaled(d, c):
+    """d with s_D scaled by a nonzero constant c: lambda_D moves by -weight * log|c|_v."""
+    return DivisorPresentation(d.sd * Fraction(c), d.weight)
 
 
 D_X3Y = line(1, -3)  # x - 3y
@@ -113,18 +117,20 @@ def test_weight_linearity():
 def test_scaled_presentation_shifts_by_log_c():
     x = P(16, 1)
     c = Fraction(3, 7)
-    scaled = D_X3Y.scaled(c)
+    d = scaled(D_X3Y, c)
     for v in (INF, Place.finite(3), Place.finite(7), Place.finite(13)):
-        assert weil_local(scaled, x, v) == weil_local(D_X3Y, x, v) - abs_value(c, v)
+        assert weil_local(d, x, v) == weil_local(D_X3Y, x, v) - abs_value(c, v)
 
 
 def test_extra_numerator_bounded_change():
+    # the reference's max/min presentation, with x + y added to the numerators
     x_pts = [P(16, 1), P(5, 2), P(-7, 9)]
-    extra = D_X3Y.with_extra_numerator(HomogPoly.from_terms(2, {(1, 0): 1, (0, 1): 1}))
+    numer, denom = default_families(2, 1)
+    extra = numer + (HomogPoly.from_terms(2, {(1, 0): 1, (0, 1): 1}),)
     for x in x_pts:
         for v in (INF, Place.finite(2), Place.finite(13)):
             lam0 = weil_local(D_X3Y, x, v)
-            lam1 = weil_local(extra, x, v)
+            lam1 = general_local(D_X3Y, x, v, extra, denom)
             # a larger generating family can only raise the max, and the
             # increase is bounded by the triangle constant of the new section
             assert lam1.compare(lam0) >= 0
@@ -207,13 +213,6 @@ def test_weil_local_at_extension_place_restricts():
 
 
 def test_presentation_validation():
-    with pytest.raises(ValueError):
-        # numerator minus denominator degree must match deg(sd): 2 - 2 != 1
-        DivisorPresentation(
-            HomogPoly.from_terms(2, {(1, 0): 1}),
-            (HomogPoly.monomial([2, 0]),),
-            (HomogPoly.monomial([0, 2]),),
-        )
     with pytest.raises(ValueError):
         DivisorPresentation.hypersurface(HomogPoly.zero(2, 1))
     with pytest.raises(ValueError):
@@ -340,14 +339,10 @@ _ternary_points = st.tuples(*[st.integers(-10**4, 10**4)] * 3).filter(any)
 
 
 def _assert_closed_form_is_general_path(d, x, places):
-    """weil_local of default d equals the max_j path on the same presentation."""
-    assert d.is_default
-    # one monomial listed twice: the same lambda through the max_j path
-    general = d.with_extra_numerator(d.numer[0])
-    assert not general.is_default
+    """weil_local equals the reference's max_j path on the default families."""
     _, parts = LocalTable(d, x).all_places(parts=True)
     for w in {*places, *(w for w, _ in parts if w is not None)}:
-        assert weil_local(d, x, w) == weil_local(general, x, w)
+        assert weil_local(d, x, w) == general_local(d, x, w)
 
 
 @settings(max_examples=100, deadline=None)
@@ -361,7 +356,7 @@ def test_closed_form_equals_general_path_over_Q(case, scale, negative, S):
     d, coords = case
     # s_D(x) a non-integral or negated multiple of the primitive form's value,
     # and weight -1, beside the drawn primitive, positive-weight divisors
-    d = d.scaled(scale)
+    d = scaled(d, scale)
     if negative:
         d = replace(d, weight=Fraction(-1))
     x = P(*coords)
@@ -395,7 +390,7 @@ def _quadratic_divisors(draw):
 def test_closed_form_equals_general_path_over_quadratic_fields(case, coords, scale, negative, S):
     F, d = case
     # a scaled s_D(x), and weight -1, as over Q
-    d = d.scaled(scale)
+    d = scaled(d, scale)
     if negative:
         d = replace(d, weight=Fraction(-1))
     x = P(*coords)
@@ -407,17 +402,16 @@ def test_closed_form_equals_general_path_over_quadratic_fields(case, coords, sca
 
 def test_default_presentations_take_no_abs_value(monkeypatch):
     import orbitweil.exactnum as exactnum
-    import orbitweil.weil as weil
 
     calls = []
-    real = exactnum.abs_value
+    real = exactnum._abs_rational
 
     def counting(val, w):
         calls.append(w)
         return real(val, w)
 
-    monkeypatch.setattr(weil, "abs_value", counting)
-    monkeypatch.setattr(exactnum, "abs_value", counting)
+    # abs_value reads every rational through exactnum._abs_rational
+    monkeypatch.setattr(exactnum, "_abs_rational", counting)
     x = P(60, 7)
     cases = [(_default_divisor([1, 0, -3, 5], Fraction(3, 2)), None)]
     cases += [(_default_divisor([F.element(1, 1), F.element(-2, 1)], 1), F) for F in _QUADRATIC_FIELDS]
@@ -427,25 +421,9 @@ def test_default_presentations_take_no_abs_value(monkeypatch):
         table.lambda_S(S)
         table.all_places(parts=True)
     assert calls == []
-    # a presentation that is not default reads every section through abs_value
-    general = cases[1][0].with_extra_numerator(cases[1][0].numer[0])
-    weil_local(general, x, INF)
+    # the reference reads every section through abs_value
+    general_local(cases[0][0], x, INF)
     assert calls
-
-
-def test_a_hand_built_default_presentation_is_default():
-    x = P(16, 3)
-    for g in (HomogPoly.from_terms(2, {(2, 0): 1, (1, 1): -3, (0, 2): 5}),
-              HomogPoly.from_terms(2, {(1, 0): _F2.element(1), (0, 1): _F2.element(0, -1)})):
-        ref = DivisorPresentation.hypersurface(g, weight=Fraction(2, 3))
-        d = DivisorPresentation(g, ref.numer[::-1], (HomogPoly.monomial([0, 0]),), ref.weight)
-        assert d.is_default
-        assert LocalTable(d, x).all_places(parts=True) == LocalTable(ref, x).all_places(parts=True)
-    # a single monomial is not the whole family: the general path, log 1 at (1:2)
-    x_only = DivisorPresentation(line(1, -3).sd, (HomogPoly.monomial([1, 0]),),
-                                 (HomogPoly.monomial([0, 0]),))
-    assert not x_only.is_default
-    assert weil_global(x_only, P(1, 2)) == LogMag.zero()
 
 
 def test_default_table_evaluates_s_D_once(monkeypatch):
@@ -473,48 +451,24 @@ def test_default_table_evaluates_s_D_once(monkeypatch):
 M61, M89 = 2**61 - 1, 2**89 - 1  # Mersenne primes; M61 * M89 is past trial division
 
 
-def _form(coeffs):
-    return HomogPoly.from_terms(2, dict(zip(monomials_of_degree(2, len(coeffs) - 1), coeffs)))
-
-
-def _twisted(d, h):
-    """d with both generating families multiplied by the form h: the same lambda."""
-    return DivisorPresentation(
-        d.sd, tuple(s * h for s in d.numer), tuple(t * h for t in d.denom), d.weight
-    )
-
-
-_small_coeffs = st.lists(st.integers(-9, 9), min_size=2, max_size=3).filter(any)
-
-
-@st.composite
-def _presentations_Q(draw):
-    d = draw(_divisors_Q)
-    kind = draw(st.sampled_from(["default", "scaled", "extra", "twisted"]))
-    if kind == "scaled":
-        return d.scaled(draw(st.sampled_from([Fraction(12, 35), -6, Fraction(1, 9)])))
-    if kind == "extra":
-        coeffs = draw(st.lists(st.integers(-9, 9), min_size=d.degree + 1, max_size=d.degree + 1))
-        return d.with_extra_numerator(_form(coeffs)) if any(coeffs) else d
-    return _twisted(d, _form(draw(_small_coeffs)))
-
-
 @settings(max_examples=150, deadline=None)
-@given(d=_presentations_Q(), coords=st.tuples(st.integers(-40, 40), st.integers(-40, 40)).filter(any))
-def test_base_terms_are_the_local_terms_of_their_primes(d, coords):
+@given(
+    d=_divisors_Q,
+    scale=st.sampled_from([1, Fraction(12, 35), -6, Fraction(1, 9)]),
+    coords=st.tuples(st.integers(-40, 40), st.integers(-40, 40)).filter(any),
+)
+def test_base_terms_are_the_local_terms_of_their_primes(d, scale, coords):
+    d = scaled(d, scale)
     x = P(*coords)
     assume(not d.support_test(x))
-    values = _support_values(d, x)
-    if not d.is_default:
-        j = 1 + len(d.numer)
-        assume(any(values[1:j]) and any(values[j:]))
-    ns = [n for v in values if v for n in (abs(v.numerator), v.denominator)]
+    s = d.sd.evaluate(x.coords)
+    ns = [abs(s.numerator), s.denominator]
     assume(all(factorize(n)[1] == 1 for n in ns))
-    # the base of the whole values: no prime is divided out beforehand
+    # the base of the whole value: no prime is divided out beforehand
     for b in _coprime_base(ns):
         primes = factorize(b)[0]
         local = logmag_sum([weil_local(d, x, Place.finite(p)) for p in primes])
-        assert LogMag.exact(b) * (d.weight * _base_exponent(d, values, b)) == local
+        assert LogMag.exact(b) * (d.weight * multiplicity(s, b)) == local
     # the place rows of all_places are the same local terms
     total, parts = LocalTable(d, x).all_places(parts=True)
     assert all(v is not None for v, _ in parts)
@@ -528,21 +482,15 @@ def test_coprime_base_refines_shared_factors():
     assert _coprime_base([1]) == []
 
 
-def test_base_makes_non_default_presentations_exact_past_trial_division():
+def test_base_keeps_scaled_and_weighted_presentations_exact_past_trial_division():
     x = P(M61 * M89 + 1, 1)  # s_D(x) = M61 * M89 for D = x - y
     line_xy = line(1, -1)
     h = height(x)
-    for d, b in (
-        (line_xy.scaled(Fraction(5, 7)), M61 * M89),
-        (_twisted(line_xy, line_xy.sd), M61 * M89),  # every value carries M61 * M89
-        # the denominator M61 is a proven prime: its place row, and M89 the base
-        (_twisted(line_xy, HomogPoly.from_terms(2, {(0, 1): M61})), M89),
-        (DivisorPresentation(line_xy.sd, line_xy.numer, line_xy.denom, Fraction(3, 2)), M61 * M89),
-    ):
+    for d in (scaled(line_xy, Fraction(5, 7)), DivisorPresentation(line_xy.sd, Fraction(3, 2))):
         total, parts = weil_global(d, x, parts=True)
         assert total == h * d.weight
-        assert (None, LogMag.exact(b) * d.weight) in parts
-        assert (Place.finite(M61) in dict(parts)) == (b == M89)
+        assert (None, LogMag.exact(M61 * M89) * d.weight) in parts
+        assert Place.finite(M61) not in dict(parts)
 
 
 def test_held_place_above_1000_is_its_own_row():
@@ -558,21 +506,11 @@ def test_held_place_above_1000_is_its_own_row():
     assert total == height(x)
 
 
-def test_quadratic_non_default_with_a_cofactor_still_loses_exactness():
-    F = QuadField(2)
-    g = HomogPoly.from_terms(2, {(1, 0): F.element(1), (0, 1): -F.sqrt_gen()})
-    x = P(M61 * M89, 1)  # N(s_D(x)) = (M61 M89)^2 - 2 is left with a cofactor
-    assert factorize(x.coords[0] ** 2 - 2)[1] != 1
-    dF = DivisorPresentation.hypersurface(g)
-    assert galois_symmetrized(dF, x) == height(x)
-    with pytest.raises(ExactnessLost):
-        galois_symmetrized(dF.with_extra_numerator(dF.numer[0]), x)
-
-
 def test_scaled_quadratic_presentation_is_default_past_trial_division():
     F = QuadField(2)
     g = HomogPoly.from_terms(2, {(1, 0): F.element(1), (0, 1): -F.sqrt_gen()})
     dF = DivisorPresentation.hypersurface(g)
     x = P(M61 * M89, 1)
-    assert dF.scaled(3).is_default
-    assert galois_symmetrized(dF.scaled(3), x) == height(x)
+    assert factorize(x.coords[0] ** 2 - 2)[1] != 1  # N(s_D(x)) is left with a cofactor
+    assert galois_symmetrized(dF, x) == height(x)
+    assert galois_symmetrized(scaled(dF, 3), x) == height(x)
