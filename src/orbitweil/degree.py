@@ -56,21 +56,19 @@ def default_window(depth: int) -> int:
     return max(3, math.ceil(depth / 3))
 
 
-def alpha_estimate(orbit: OrbitRecord, window: int | None = None) -> AlphaEstimate:
+def alpha_estimate(orbit: OrbitRecord) -> AlphaEstimate:
     """Estimate the height growth rate along an orbit.
 
-    The verdict is `converged` when the relative spread of the last `window`
-    ratios is below 1e-6; the reported value is then the common exact ratio
-    if the tail is exactly constant, or the tail mean otherwise.
+    The verdict is `converged` when the relative spread of the last
+    default_window(depth) ratios is below 1e-6; the reported value is then
+    the common exact ratio if the tail is exactly constant, or the tail mean
+    otherwise.
     """
     heights = orbit.heights()
     depth = len(heights) - 1
     if depth < 4:
         raise ValueError("need an orbit of length at least 4")
-    if window is None:
-        window = default_window(depth)
-    if window < 2 or window > depth:
-        raise ValueError("window does not fit the orbit")
+    window = default_window(depth)
 
     ratio_seq = tuple(ratio_entry(heights[n + 1], heights[n]) for n in range(depth))
     root_seq = tuple(
@@ -123,8 +121,8 @@ def _quartile_keep(values):
     return keep, drop
 
 
-def growth_fit(orbit: OrbitRecord, alpha, ell_max: int = 3) -> GrowthFit:
-    """Pick the polynomial order ell in [0, ell_max] that flattens the tail.
+def growth_fit(orbit: OrbitRecord, alpha) -> GrowthFit:
+    """Pick the polynomial order ell in [0, 3] that flattens the tail.
 
     For each candidate ell the sequence q_n = h+(f^n x) / (n^ell alpha^n) is
     formed over the tail window, entries beyond 3 interquartile ranges are
@@ -136,8 +134,6 @@ def growth_fit(orbit: OrbitRecord, alpha, ell_max: int = 3) -> GrowthFit:
     a = float(alpha)
     if a <= 0:
         raise ValueError("alpha must be positive")
-    if ell_max < 0:
-        raise ValueError("ell_max must be nonnegative")
     heights = orbit.heights()
     depth = len(heights) - 1
     if depth < 4:
@@ -150,7 +146,7 @@ def growth_fit(orbit: OrbitRecord, alpha, ell_max: int = 3) -> GrowthFit:
         raise ValueError("heights are constant on the window; alpha > 1 is inconsistent")
 
     best = None
-    for ell in range(ell_max + 1):
+    for ell in range(4):
         qs = [h / (n**ell * a**n) for n, h in zip(steps, hs)]
         keep, drop = _quartile_keep(qs)
         c1 = min(qs[i] for i in keep)

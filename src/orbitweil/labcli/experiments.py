@@ -7,7 +7,8 @@ audited against the global height identity (sum of all local terms =
 weight * deg * h) before its first row enters a series; each row carries
 its datum's audited values.  A violation aborts the run, because it would
 mean the local decomposition itself is wrong and nothing downstream could
-be trusted.
+be trusted.  The ratio and gap runners run the audit; the Theorem 17
+report reads the ratio series and decides each flag as lambda_S >= eps * h.
 """
 
 from __future__ import annotations
@@ -553,50 +554,34 @@ class Thm17Report:
 def thm17_set_membership(cfg: ExperimentConfig) -> Thm17Report:
     """Flag orbit points whose outside-S proximity drops eps below the liminf.
 
-    Every usable row passed the height audit, which proves lambda_all =
-    weight * deg * h_raw with h = twist * h_raw, so lambda_all / h is the
-    exact rational weight * deg / twist at every row: that constant is the
-    liminf and the "all" column.  A point is flagged when
-    (lambda_all - lambda_S) / h <= liminf - eps, compared exactly.  The
-    window is the last third of the usable rows, as printed by the report.
+    The usable rows are the non-skipped rows of run_ratio_experiment(cfg),
+    and each passed the height audit, which proves lambda_all = weight *
+    deg * h_raw with h = twist * h_raw.  So lambda_all / h is the exact
+    rational weight * deg / twist at every row: that constant is the liminf
+    and the "all" column.  A point is flagged when (lambda_all - lambda_S) / h
+    <= liminf - eps, which by that identity is lambda_S >= eps * h, decided
+    as q * lambda_S >= p * h for eps = p/q: one exact comparison at root 1.
+    The window is the last third of the usable rows, as printed by the report.
     """
     eps = cfg.param("eps")
     if eps is None:
         raise ConfigError("set-membership report needs eps (params.eps)")
     if eps <= 0:
         raise ConfigError("eps must be positive")
-    cfg.require("map", "seed", "divisor", "places")
-    usable = []  # (n, x, h, lambda_S, lambda_all) off Supp(D) and of nonzero height
-    reasons = set()
-    for n, x, h_raw, lam, lam_all in _audited(cfg, _orbit_points(cfg)):
-        if lam is None:
-            reasons.add("support")
-        elif h_raw.is_zero():
-            reasons.add("zero-height")
-        else:
-            usable.append((n, x, h_raw * cfg.twist, lam, lam_all))
-    if not usable:
-        raise _all_skipped("orbit step", reasons)
+    usable = [r for r in run_ratio_experiment(cfg).rows if not r.skipped]
     if len(usable) < 5:
         raise ValueError("need at least 5 usable rows for a liminf proxy")
-    k = max(1, math.ceil(len(usable) / 3))
+    k = math.ceil(len(usable) / 3)
     liminf = Fraction(cfg.divisor.weight * cfg.divisor.degree, cfg.twist)
-    threshold = liminf - eps
-    report_rows = []
-    flagged = []
-    flagged_points = []
-    for n, x, h, lam, lam_all in usable:
-        out_term = lam_all - lam
-        report_rows.append((n, liminf, ratio_entry(out_term, h)))
-        if out_term.compare(h * threshold) <= 0:
-            flagged.append(n)
-            flagged_points.append(x)
+    p, q = eps.numerator, eps.denominator
+    flagged = [r for r in usable if (r.lambda_S * q).compare(r.h * p) >= 0]
+    flagged_points = [r.point for r in flagged]
     return Thm17Report(
         eps=eps,
         liminf=liminf,
-        window=(usable[-k][0], usable[-1][0]),
-        rows=tuple(report_rows),
-        flagged=tuple(flagged),
+        window=(usable[-k].n, usable[-1].n),
+        rows=tuple((r.n, liminf, ratio_entry(r.lambda_all - r.lambda_S, r.h)) for r in usable),
+        flagged=tuple(r.n for r in flagged),
         flagged_points=tuple(flagged_points),
         closure=_closure_proxy(flagged_points),
     )

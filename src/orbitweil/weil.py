@@ -105,7 +105,10 @@ class DivisorPresentation:
         return self.sd.field
 
     def support_test(self, x: ProjPoint) -> bool:
-        return LocalTable(self, x).on_support
+        """Whether x lies on Supp(D), i.e. s_D(x) = 0."""
+        if self.nvars != len(x.coords):
+            raise ValueError("point/divisor dimension mismatch")
+        return not self.sd.evaluate(x.coords)
 
 
 def _choose_place(d: DivisorPresentation, v: Place) -> Place:

@@ -89,9 +89,6 @@ def test_alpha_estimate_validation():
     orbit = iterate(SQUARING, ProjPoint.normalize((2, 1)), 3)
     with pytest.raises(ValueError):
         alpha_estimate(orbit)
-    deep = iterate(SQUARING, ProjPoint.normalize((2, 1)), 6)
-    with pytest.raises(ValueError):
-        alpha_estimate(deep, window=7)
 
 
 def test_alpha_inconclusive_on_noise():

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import orbitweil
+from orbitweil.degree import ratio_entry
 from orbitweil.exactnum import LogMag, Place, QuadField
 from orbitweil.labcli import (
     AuditFailure,
@@ -981,6 +982,47 @@ def test_thm17_liminf_is_exact_under_a_weight_and_a_twist():
     rep = thm17_set_membership(cfg)
     assert type(rep.liminf) is Fraction and rep.liminf == Fraction(1, 6)
     assert all(all_r == Fraction(1, 6) for _, all_r, _ in rep.rows)
+
+
+_THM17_DIVISORS = {
+    "x - 3y": ("Q", {"1,0": "1", "0,1": "-3"}, ["inf", 3]),
+    "x - sqrt2 y": (
+        {"d": 2}, {"1,0": {"a": "1", "b": "0"}, "0,1": {"a": "0", "b": "-1"}}, ["inf", 7],
+    ),
+}
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    divisor=st.sampled_from(sorted(_THM17_DIVISORS)),
+    seed=st.sampled_from([["2", "1"], ["3", "2"], ["6", "1"]]),
+    depth=st.integers(4, 8),
+    weight=st.sampled_from(["1", "3/2", "1/2", "-1"]),
+    twist=st.integers(1, 3),
+    eps=st.sampled_from(["1/10", "1/4", "1", "5/2"]),
+)
+def test_thm17_flags_lambda_S_at_eps_h_as_the_liminf_test(divisor, seed, depth, weight, twist, eps):
+    field, form, places = _THM17_DIVISORS[divisor]
+    if field != "Q":
+        seed, depth = ["2", "1"], 6  # the config of the liminf test above
+    cfg = squaring_cfg(
+        seed=seed, depth=depth, places=places, twist=twist, params={"eps": eps},
+        divisor={"field": field, "form": form, "weight": weight},
+    )
+    rep = thm17_set_membership(cfg)
+    usable = [r for r in run_ratio_experiment(cfg).rows if not r.skipped]
+    liminf = Fraction(weight) * cfg.divisor.degree / twist
+    k = math.ceil(len(usable) / 3)
+    assert rep.liminf == liminf
+    assert rep.window == (usable[-k].n, usable[-1].n)
+    assert rep.rows == tuple(
+        (r.n, liminf, ratio_entry(r.lambda_all - r.lambda_S, r.h)) for r in usable
+    )
+    # the definition: (lambda_all - lambda_S) / h <= liminf - eps
+    old = [r for r in usable
+           if (r.lambda_all - r.lambda_S).compare(r.h * (liminf - Fraction(eps))) <= 0]
+    assert rep.flagged == tuple(r.n for r in old)
+    assert rep.flagged_points == tuple(r.point for r in old)
 
 
 def test_all_skipped_runs_name_height_zero_not_the_support():
