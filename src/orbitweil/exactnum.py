@@ -351,29 +351,33 @@ def _offset(n, d: Optional[int], root: int = 1) -> int:
     return k + (root - 1).bit_length()
 
 
-def _atanh_sum(t: int, step) -> tuple[int, int]:
-    """(S, E) with 0 <= 2^P atanh(x) - S < E, from T_0 = t and T_i = step(T_(i-1)).
+def _atanh_sum(t: int, y: int, P: int) -> tuple[int, int]:
+    """(S, E) with 0 <= 2^P atanh(x) - S < E, from T_0 = t and T_i = floor(T_(i-1) y/2^P).
 
-    Needs x in [0, 1/3], 0 <= 2^P x - t < 1, and 0 <= T x^2 - step(T) < 14/9
-    for 0 <= T <= 2^P/3.  Sums floor(T_i/(2i + 1)) while T_i > 0, say for
-    i < K.  The shortfall d_i of T_i against the exact term 2^P x^(2i+1)
-    is below 1 at i = 0 and below d_(i-1)/9 + 14/9 after, so below 7/4.
-    Each summed term is then short by under 7/4 + 1, and the tail past K
-    sums to at most d_K/(1 - x^2) < (7/4)(9/8) < 2: E = 3K + 2.  As
-    T_i <= 2^P 3^-(2i+1), K <= P/3 + 1.
+    Needs x in [0, 1/3], 0 <= 2^P x - t < 1, and 0 <= 2^P x^2 - y < 5/3.
+    Then for 0 <= T <= 2^P/3 the step loses 0 <= T x^2 - floor(T y/2^P) <
+    T (2^P x^2 - y)/2^P + 1 < 5/9 + 1 = 14/9.  Sums floor(T_i/(2i + 1))
+    while T_i > 0, say for i < K.  The shortfall d_i of T_i against the
+    exact term 2^P x^(2i+1) is below 1 at i = 0 and below d_(i-1)/9 + 14/9
+    after, so below 7/4.  Each summed term is then short by under 7/4 + 1,
+    and the tail past K sums to at most d_K/(1 - x^2) < (7/4)(9/8) < 2:
+    E = 3K + 2.  As T_i <= 2^P 3^-(2i+1), K <= P/3 + 1.
     """
-    s = k = 0
+    s, q = 0, 1  # q = 2i + 1
     while t:
-        s += t // (2 * k + 1)
-        t = step(t)
-        k += 1
-    return s, 3 * k + 2
+        s += t // q
+        t = t * y >> P
+        q += 2
+    return s, 3 * (q >> 1) + 2
 
 
 @lru_cache(maxsize=None)
 def _ln2(Q: int) -> tuple[int, int]:
-    """log 2 = 2 atanh(1/3) at scale 2^-Q: E = 3K + 2 <= Q + 5."""
-    s, err = _atanh_sum((1 << Q) // 3, lambda t: t // 9)
+    """log 2 = 2 atanh(1/3) at scale 2^-Q: E = 3K + 2 <= Q + 5.
+
+    t = floor(2^Q/3) and y = floor(2^Q/9) give 0 <= 2^Q x^2 - y < 1 at x = 1/3.
+    """
+    s, err = _atanh_sum((1 << Q) // 3, (1 << Q) // 9, Q)
     return 2 * s + err, err
 
 
@@ -393,8 +397,8 @@ def _log_quotient(n: int, d: int, s: int, w: int) -> tuple[int, int]:
     by each root, so m <= j.  Else u_m = r and m = 0.  Then
     log u_m = +-2 atanh(x), x = |u_m - 1|/(u_m + 1) < 1/3, is summed from
     X = floor(2^P x) with steps T -> floor(T Y/2^P), Y = floor(X^2/2^P):
-    for T <= 2^P/3, T x^2 - T Y/2^P < T (x^2 - (X/2^P)^2) + T/2^P <
-    2/9 + 1/3, and the floor loses below 1 more, as _atanh_sum needs.  Its
+    2^P x^2 - Y = 2^P (x - X/2^P)(x + X/2^P) + X^2/2^P - Y < 2x + 1 <= 5/3,
+    as _atanh_sum needs.  Its
     E_s = 3K + 2 <= P + 5, and as x <= 2^-j, K <= P/(2j) + 1 for j >= 1.
     So V = 2^m (+-(2S + E_s) + 2) is within 2^m (E_s + 2) of 2^P log r,
     and the cuts add below 1.  A caller may hand in, for n or d, the floor
@@ -429,8 +433,7 @@ def _log_quotient(n: int, d: int, s: int, w: int) -> tuple[int, int]:
             y, m = math.isqrt(y << P), m + 1
         n, d = y, one
     x = (abs(n - d) << P) // (n + d)
-    sq = x * x >> P
-    S, E = _atanh_sum(x, lambda u: u * sq >> P)
+    S, E = _atanh_sum(x, x * x >> P, P)
     V = (2 + 2 * S + E if n > d else 2 - 2 * S - E) << m
     E = ((E + 2) << m) + (1 << j) + 1
     if k:
@@ -669,6 +672,13 @@ class LogMag:
     def __sub__(self, other: "LogMag") -> "LogMag":
         if not isinstance(other, LogMag):
             return NotImplemented
+        q, d, r = other._n, self._d, self._root
+        if other._d is None and d is not None and other._root == r:
+            # n/(d q) = n C (A - B sqrt(D))/(d N(A + B sqrt(D))) for q = (A + B sqrt(D))/C:
+            # one element, with A, B != 0 as in q, so canonical as it stands
+            n = self._n * q.C
+            N = q.A * q.A - q.field.d * q.B * q.B
+            return LogMag(QuadElem(q.field, n * q.A, -n * q.B, d * N), None, r)
         return self + (-other)
 
     def __neg__(self) -> "LogMag":
@@ -679,7 +689,7 @@ class LogMag:
     def __mul__(self, k: RationalLike) -> "LogMag":
         if not isinstance(k, (int, Fraction)):
             return NotImplemented
-        a, b = k.numerator, k.denominator
+        a, b = k.as_integer_ratio()
         if a == b:
             return self
         if a == 0:
@@ -692,9 +702,22 @@ class LogMag:
             n, d = (n._inverse(), None) if d is None else (d, n)
         if d is None:
             return LogMag._positive(n, self._root * b)
-        return LogMag(*_canonical_log(n, d, self._root * b))
+        r = self._root * b
+        # a power of a canonical magnitude at root 1 is canonical at root 1
+        return LogMag(n, d, 1) if r == 1 else LogMag(*_canonical_log(n, d, r))
 
     __rmul__ = __mul__
+
+    def _halved(self) -> "LogMag":
+        """self * (1/2): (sqrt n, sqrt d, r) if n and d are squares, else (n, d, 2r).
+
+        Both are canonical for a canonical (n, d, r): a p-th power sqrt(n/d) would make n/d one.
+        """
+        n, d, r = self._n, self._d, self._root
+        if d is None:
+            return self * Fraction(1, 2)
+        a, b = math.isqrt(n), math.isqrt(d)
+        return LogMag(a, b, r) if a * a == n and b * b == d else LogMag(n, d, 2 * r)
 
     # -- comparison ----------------------------------------------------------
 
@@ -742,7 +765,11 @@ class LogMag:
         return _refine(separate)
 
     def sign(self) -> int:
-        return _cmp(self._n, self._d, 1, 1)
+        n, d = self._n, self._d
+        if d is None:
+            # n - 1 = (A - C + B sqrt(D))/C, with C > 0
+            return _quad_sign(n.A - n.C, n.B, n.field.d)
+        return (n > d) - (n < d)
 
     def is_zero(self) -> bool:
         return self._n == self._d
@@ -864,25 +891,26 @@ def _decimal_pair(x: LogMag, c: Fraction, y: LogMag, y_enclosures: dict) -> tupl
     At each precision of Ziv's loop x and y are enclosed once, and c y - x
     is enclosed by c (v_y - e_y) floored and c (v_y + e_y) ceiled, less
     the ends of x.  Both are accepted as LogMag._read_out accepts one
-    value: once both ends of each enclosure round alike.  For LogMag
-    values c y - x is the log of an algebraic number, so no rounding
-    boundary, and a correctly rounded value is unique: each text is
-    decimal_str's.  y_enclosures keeps y's enclosures by (form, w), for
-    the next call with the same y.
+    value: once both ends of each enclosure round alike, here half-up by
+    one shift, a monotone rounding, so the value between them rounds
+    alike too.  For LogMag values c y - x is the log of an algebraic
+    number, so no rounding boundary, where half-up and half-even part:
+    each text is decimal_str's correctly rounded one.  y_enclosures keeps
+    y's enclosures by (form, w), for the next call with the same y.
     """
     scale = 10**12
-    a, b = c.numerator, c.denominator
+    a, b = c.as_integer_ratio()
     key = y.form
 
     def agree(w):
         v, e = x._enclose(w)
-        one = 1 << w
-        lo = _round_div((v - e) * scale, one)
-        if lo != _round_div((v + e) * scale, one):
+        half = 1 << w - 1
+        lo = ((v - e) * scale + half) >> w
+        if lo != ((v + e) * scale + half) >> w:
             return None
         yv, ye = y_enclosures.get((key, w)) or y_enclosures.setdefault((key, w), y._enclose(w))
-        low = _round_div((a * (yv - ye) // b - v - e) * scale, one)
-        return (lo, low) if low == _round_div((-(-a * (yv + ye) // b) - v + e) * scale, one) else None
+        low = ((a * (yv - ye) // b - v - e) * scale + half) >> w
+        return (lo, low) if low == ((-(-a * (yv + ye) // b) - v + e) * scale + half) >> w else None
 
     lo, low = _refine(agree)
     return _fixed_point(lo, 12), _fixed_point(low, 12)
@@ -1002,6 +1030,8 @@ def logmag_sum(items: Iterable[LogMag]) -> LogMag:
     # (n, d, r): total's fields, or while d is not None the run's product
     n, d, r = total._n, total._d, total._root
     for x in it:
+        if x is _ZERO:  # adding log 1 leaves every form of the fold as it is
+            continue
         n2, d2 = x._n, x._d
         if d is not None and d2 is not None and x._root == r:
             g1, g2 = math.gcd(n, d2), math.gcd(n2, d)
@@ -1157,7 +1187,7 @@ class QuadElem:
         A, B, C = self.A, self.B, self.C
         if isinstance(other, int):
             return QuadElem(self.field, A * other, B * other, C)
-        o = self._coerce(other)
+        o = other if type(other) is QuadElem and other.field is self.field else self._coerce(other)
         if o is None:
             return NotImplemented
         return QuadElem(
@@ -1320,9 +1350,12 @@ def places_above(v: Place, field: QuadField) -> tuple[Place, ...]:
 # ---------------------------------------------------------------------------
 
 def _log_p_power(p: int, k: int, root: int = 1) -> LogMag:
-    """log(p^-k)/root, built from the ints directly."""
-    n, d = (1, p**k) if k >= 0 else (p**-k, 1)
-    return LogMag(*_canonical_log(n, d, root))
+    """log(p^-k)/root for root 1 or 2 in canonical form: p^k is a square iff k is even."""
+    if not k:
+        return _ZERO
+    if root == 2 and not k & 1:
+        k, root = k >> 1, 1
+    return LogMag(1, p**k, root) if k > 0 else LogMag(p**-k, 1, root)
 
 
 def _abs_rational(q: RationalLike, v: Place) -> LogMag:
@@ -1339,7 +1372,8 @@ def _split_valuation(y: QuadElem, p: int, index: int) -> int:
     Write y = c(A + Bs) with A, B coprime, so N = A^2 - dB^2 = (A + Bs)(A - Bs).
     Odd p: no p divides both factors (it would divide 2A and 2Bs), so all of
     ord_p(N) sits where A + Bs = 0 mod p, at index 0 iff t = -A/B mod p has
-    2t < p, as s_0 is the smaller square root of d mod p; B -> -B for index 1.
+    2t < p, as s_0 is the smaller square root of d mod p, else at index 1,
+    where B -> -B takes t to p - t; only that index counts ord_p(N).
     p = 2: if 2 | N then A, B are odd and the factors differ by 2Bs, of order 1,
     so the factor = 0 mod 4, at index 0 iff A + B = 0 mod 4 (s_0 = 1 mod 4),
     takes ord_2(N) - 1 and the other takes 1.
@@ -1348,15 +1382,13 @@ def _split_valuation(y: QuadElem, p: int, index: int) -> int:
     g = math.gcd(A, B)
     if g != 1:
         A, B = A // g, B // g
-    k = multiplicity(A * A - y.field.d * B * B, p)
-    if index == 1:
-        B = -B
-    if k == 0:
-        own = 0
-    elif p == 2:
-        own = k - 1 if (A + B) % 4 == 0 else 1
-    else:
-        own = k if 2 * (-A * pow(B, -1, p) % p) < p else 0
+    N = A * A - y.field.d * B * B
+    own = 0
+    if N % p == 0:
+        if p == 2:
+            own = multiplicity(N, 2) - 1 if (A + (-B if index else B)) % 4 == 0 else 1
+        elif (2 * (-A * pow(B, -1, p) % p) < p) != index:
+            own = multiplicity(N, p)
     # c = g/C in lowest terms, as gcd(g, C) = gcd(y.A, y.B, C) = 1
     if g != 1:
         own += multiplicity(g, p)

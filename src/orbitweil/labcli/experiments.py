@@ -31,7 +31,7 @@ from ..polydyn import (
     wellformed_check,
 )
 from ..singular import COMPOSE_CAP, EfdEstimate, efd_estimate, remark44_m0
-from ..weil import LocalTable
+from ..weil import LocalTable, _choose_place
 from .config import ConfigError, ExperimentConfig
 
 DEGENERATE = "degenerate"
@@ -146,10 +146,12 @@ def _audited(cfg: ExperimentConfig, points):
     therefore repeats values the audit has proved already, and the first
     row with a datum runs the audit, so a broken identity aborts at the
     same row as without the memo.  The memo lives for one call; rows come
-    out in the order of points.
+    out in the order of points.  The places of S are chosen in D's field
+    once for all rows.
     """
     d = cfg.divisor
     factor = d.weight * d.degree
+    places = [_choose_place(d, v) for v in cfg.places]
     seen = {}
     for n, x, h_raw in points:
         table = LocalTable(d, x)
@@ -160,7 +162,7 @@ def _audited(cfg: ExperimentConfig, points):
         lams = seen.get(key)
         if lams is None:
             # lambda_S first: the audit then checks each of its places as a row
-            lam = table.lambda_S(cfg.places)
+            lam = table.lambda_S(places)
             lams = seen[key] = lam, _audit_row(table, h_raw, factor)
         yield n, x, h_raw, *lams
 
@@ -194,7 +196,7 @@ def run_ratio_experiment(cfg: ExperimentConfig, cache=None) -> RatioSeries:
             continue
         exact, bounds = lam.ratio(h)
         rows.append(RatioRow(n, x, h, lam, lam_all, exact, bounds, False))
-    skips = sum(r.skipped for r in rows)
+    skips = sum([r.skipped for r in rows])
     if skips == len(rows):
         raise _all_skipped("orbit step", {r.reason for r in rows})
     degenerate = 2 * skips > cfg.depth
@@ -348,18 +350,22 @@ def run_gap_experiment(cfg: ExperimentConfig, cache=None) -> GapSeries:
     # the audit has just proved lambda_all = weight * deg * h_raw: for that
     # coefficient, h_raw * coef is lambda_all, in the same canonical form
     audited_coef = coef == d.weight * d.degree
+    scaled = {}  # h_raw * coef by h_raw's form: rows share few heights
     rows = []
     negatives = []
     for n, x, h_raw, lam, lam_all in _audited(cfg, points):
         if lam is None:
             rows.append(GapRow(n, x, None, None, None, None, True, "support"))
             continue
-        gap = (lam_all if audited_coef else h_raw * coef) - lam
+        hc = lam_all if audited_coef else scaled.get(h_raw.form)
+        if hc is None:
+            hc = scaled[h_raw.form] = h_raw * coef
+        gap = hc - lam
         sgn = gap.sign()
         if sgn < 0:
             negatives.append(x)
         rows.append(GapRow(n, x, h_raw * cfg.twist, lam, gap, sgn, False))
-    skips = sum(r.skipped for r in rows)
+    skips = sum([r.skipped for r in rows])
     if skips == len(rows):
         raise _all_skipped(what, {"support"})
     return GapSeries(

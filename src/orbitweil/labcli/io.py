@@ -74,10 +74,11 @@ def write_gap_csv(series, path: str) -> None:
             lines.append(f"{r.n},{r.point},,,,,1")
             continue
         h, lam = r.h, r.lambda_S
-        h_text = heights.get(h.form)
+        h_form = h.form
+        h_text = heights.get(h_form)
         if h_text is None:
-            h_text = heights[h.form] = h.decimal_str(12)
-        key = (lam.form, h.form)
+            h_text = heights[h_form] = h.decimal_str(12)
+        key = (lam.form, h_form)
         pair = pairs.get(key)
         if pair is None:
             pair = pairs[key] = _decimal_pair(lam, series.slope, h, enclosures)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations_with_replacement, product
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from typing import Mapping, Optional, Sequence, Union
 
 from .exactnum import (
@@ -55,7 +55,7 @@ class HomogPoly:
     arithmetic refuses mixed fields.
     """
 
-    __slots__ = ("nvars", "degree", "terms")
+    __slots__ = ("nvars", "degree", "terms", "_ints")
 
     def __init__(self, nvars: int, degree: int, terms: Mapping[tuple[int, ...], Coeff]):
         if nvars < 1:
@@ -69,6 +69,7 @@ class HomogPoly:
             for e, c in terms.items()
             if c
         }
+        self._ints = None
 
     @property
     def field(self) -> Optional[QuadField]:
@@ -176,40 +177,44 @@ class HomogPoly:
 
     # -- evaluation and composition -------------------------------------------
 
+    def _integral(self) -> tuple:
+        """(field, C, ((e, a, b), ...)): the form as sum_e (a + b sqrt(d)) x^e / C on ints."""
+        fields = {c.field for c in self.terms.values() if type(c) is QuadElem}
+        if len(fields) > 1:
+            raise FieldMismatch("elements of different quadratic fields")
+        pairs = [(c.A, c.B, c.C) if type(c) is QuadElem else (c.numerator, 0, c.denominator)
+                 for c in self.terms.values()]
+        C = lcm(*(c for _, _, c in pairs))
+        terms = tuple((e, a * (C // c), b * (C // c)) for e, (a, b, c) in zip(self.terms, pairs))
+        return (fields.pop() if fields else None), C, terms
+
     def evaluate(self, coords: Sequence[Union[int, Fraction]]) -> Coeff:
         """The value at rational coords: rational, or one QuadElem over the form's field.
 
-        The terms with QuadElem coefficients are summed as one triple of
-        ints (A + B*sqrt(d))/C, over the product of the denominators, and
-        reduced once at the end with the rational part.
+        The form is put once over one denominator C, with int coefficients
+        a + b sqrt(d) (_integral); each term adds a x^e and b x^e to ints A
+        and B, and the value (A + B sqrt(d))/C is reduced once at the end.
         """
         if len(coords) != self.nvars:
             raise ValueError("coordinate count mismatch")
-        total: Union[int, Fraction] = 0
-        field = None
+        if self._ints is None:
+            self._ints = self._integral()
+        field, C, terms = self._ints
         A = B = 0
-        C = 1
-        for e, c in self.terms.items():
-            quad = type(c) is QuadElem
-            # a rational term starts from its coefficient, a quadratic one from 1
-            term = 1 if quad else c
-            for x, k in zip(coords, e):
-                if k:
-                    term = term * x**k
-            if not quad:
-                total = term + total
-                continue
-            if c.field is not field:
-                if field is not None:
-                    raise FieldMismatch("elements of different quadratic fields")
-                field = c.field
-            n, m = term.numerator, term.denominator
-            Ci = c.C * m
-            A, B, C = A * Ci + c.A * n * C, B * Ci + c.B * n * C, C * Ci
+        # x^0 = 1 stays an int: a Fraction coordinate is raised only where k > 0
+        ints = {*map(type, coords)} <= {int}
+        for e, a, b in terms:
+            t = prod(map(pow, coords, e)) if ints else prod([x**k for x, k in zip(coords, e) if k])
+            A += a * t
+            if b:
+                B += b * t
         if field is None:
-            return total
-        n, m = total.numerator, total.denominator
-        return QuadElem(field, A * m + n * C, B * m, C * m)
+            return A if C == 1 else Fraction(A, C)
+        if type(A) is not int or type(B) is not int:
+            # rational coords: clear the denominators of A and B
+            m = lcm(A.denominator, B.denominator)
+            A, B, C = int(A * m), int(B * m), C * m
+        return QuadElem(field, A, B, C)
 
     def compose(self, forms: Sequence["HomogPoly"]) -> "HomogPoly":
         """Substitute x_i -> forms[i]; forms must share nvars and degree."""
@@ -299,7 +304,7 @@ class ProjPoint:
     @classmethod
     def _unchecked(cls, coords: Sequence[int]) -> "ProjPoint":
         """The point of coprime coords, its lead made positive, without __post_init__'s gcd."""
-        if next(c for c in coords if c) < 0:
+        if next(filter(None, coords)) < 0:
             coords = [-c for c in coords]
         point = object.__new__(cls)
         object.__setattr__(point, "coords", tuple(coords))
@@ -309,13 +314,13 @@ class ProjPoint:
         """`(x0:x1:...)`: decimal below 10**4300, Python's limit on int-to-decimal
         conversion, and `0x` hex from there on; `int(token, 0)` reads both back."""
         return "(" + ":".join(
-            str(c) if -_DECIMAL_LIMIT < c < _DECIMAL_LIMIT else hex(c) for c in self.coords
+            [str(c) if -_DECIMAL_LIMIT < c < _DECIMAL_LIMIT else hex(c) for c in self.coords]
         ) + ")"
 
 
 def height(x: ProjPoint) -> LogMag:
-    """Standard Weil height relative to O(1): log max |x_i| for primitive x."""
-    return LogMag.exact(max(abs(c) for c in x.coords))
+    """Standard Weil height relative to O(1): log max |x_i| for primitive x, at root 1."""
+    return LogMag(max(map(abs, x.coords)), 1, 1)
 
 
 # ---------------------------------------------------------------------------

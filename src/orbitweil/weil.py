@@ -44,6 +44,7 @@ from .exactnum import (
     QuadElem,
     QuadField,
     _log_p_power,
+    _quad_sign,
     _split_valuation,
     factorize,
     logmag_sum,
@@ -151,8 +152,12 @@ def _closed_form(sd, w: Place, top: Optional[int]) -> LogMag:
             n = tc * tc
             g = gcd(n, N)
             return LogMag(n // g, N // g, 1) * _HALF
-        m = QuadElem(field, tc * A, -tc * B if w.index == 0 else tc * B, N)
-        return LogMag._positive(m if m.sign() > 0 else -m, 1)
+        a, b = tc * A, -tc * B if w.index == 0 else tc * B
+        # (a + b sqrt(d))/N made positive; with A != 0 both parts stay nonzero
+        if (_quad_sign(a, b, field.d) > 0) != (N > 0):
+            a, b = -a, -b
+        m = QuadElem(field, a, b, N)
+        return LogMag(m, None, 1) if A else LogMag._positive(m, 1)
     if w.kind in (INERT, RAMIFIED):
         k = multiplicity(A * A - w.field.d * B * B, p)
         if C != 1:
@@ -173,20 +178,20 @@ def weil_local(
     """lambda_D(x, w) = weight * (e * log max_i |x_i|_w - log|s_D(x)|_w), exactly.
 
     w is v if v is a place of D's field (or D is rational), else the first
-    place above v.  sd is s_D(x), and top is max_i |x_i|^e with e = deg D,
-    if the caller has them already.  The closed form is built on ints over
-    Q and Q(sqrt d) alike (_closed_form).
+    place above v.  sd = s_D(x) and top = max_i |x_i|^e, e = deg D, come
+    together from a caller that has checked x against D already
+    (LocalTable, once per point); without them x is checked here.  The
+    closed form is built on ints over Q and Q(sqrt d) alike (_closed_form).
     """
-    if d.nvars != len(x.coords):
-        raise ValueError("point/divisor dimension mismatch")
+    if sd is None:
+        if d.nvars != len(x.coords):
+            raise ValueError("point/divisor dimension mismatch")
+        sd = d.sd.evaluate(x.coords)
+        if not sd:
+            raise SupportHit(x, v)
+        top = max(map(abs, x.coords)) ** d.degree
     # a place of D's field, as LocalTable passes it, is chosen already
     w = v if v.field is d.field else _choose_place(d, v)
-    if sd is None:
-        sd = d.sd.evaluate(x.coords)
-    if not sd:
-        raise SupportHit(x, v)
-    if w.p is None and top is None:
-        top = max(map(abs, x.coords)) ** d.degree
     lam = _closed_form(sd, w, top)
     return lam if d._unit_weight else lam * d.weight
 
@@ -221,25 +226,24 @@ def _coprime_base(ns) -> list[int]:
 class LocalTable:
     """lambda_D(x, w) at one point, evaluated once per place w and kept.
 
-    s_D(x) is evaluated once, and every local term and the support of the
-    sum over all places are read from that one value.
+    x is checked against D once: the dimensions match, and on_support
+    records whether x lies on Supp(D), i.e. s_D(x) = 0.  s_D(x) is
+    evaluated once, and every local term and the support of the sum over
+    all places are read from that one value.
     """
 
     def __init__(self, d: DivisorPresentation, x: ProjPoint):
-        if d.nvars != len(x.coords):
+        sd = d.sd
+        if sd.nvars != len(x.coords):
             raise ValueError("point/divisor dimension mismatch")
         self.divisor = d
         self.point = x
-        self._sd = d.sd.evaluate(x.coords)
+        self._sd = sd.evaluate(x.coords)
+        self.on_support = not self._sd
         # max_i |x_i|^e, e = deg D: the closed form's archimedean numerator,
         # built once for the one or two real places
-        self._top = max(map(abs, x.coords)) ** d.degree
+        self._top = max(map(abs, x.coords)) ** sd.degree
         self._terms: dict[Place, LogMag] = {}
-
-    @property
-    def on_support(self) -> bool:
-        """Whether x lies on Supp(D), i.e. s_D(x) = 0."""
-        return not self._sd
 
     @property
     def datum(self):
@@ -264,6 +268,8 @@ class LocalTable:
         w = v if v.field is d.field else _choose_place(d, v)
         lam = self._terms.get(w)
         if lam is None:
+            if self.on_support:
+                raise SupportHit(self.point, v)
             lam = self._terms[w] = weil_local(d, self.point, w, sd=self._sd, top=self._top)
         return lam
 
@@ -271,7 +277,7 @@ class LocalTable:
         """Sum of lambda_D(x, v) over a duplicate-free list of places, in order."""
         if len(set(places)) != len(places):
             raise ValueError("duplicate places in S")
-        return logmag_sum([self.local(v) for v in places])
+        return logmag_sum(map(self.local, places))
 
     def all_places(self, parts: bool = False):
         """Sum of [F_w:Q_v]/[F:Q] * lambda_D(x, w) over all places w of F.
@@ -287,9 +293,9 @@ class LocalTable:
         halved once.  parts=True adds the (place, weighted term) rows, then
         one (None, term) row per base element.
         """
-        d, s = self.divisor, self._sd
-        if not s:
+        if self.on_support:
             raise SupportHit(self.point)
+        d, s = self.divisor, self._sd
         field = d.field
         # s_D(x), or over Q(sqrt d) its norm (A^2 - d B^2)/C^2: an int unless C > 1
         if type(s) is QuadElem:
@@ -309,11 +315,16 @@ class LocalTable:
             # a prime is its own base element, so the others are prime to every place row
             big = [p for p in primes if p > 1000]
             base = [b for b in _coprime_base(cofactors + big) if b not in primes]
-        # (row key, lambda_D(x, w), [F_w:Q_v]); [F:Q] = 2 divides once at the end
-        places = [Place.archimedean(), *map(Place, sorted(primes))]
-        if field is not None:
-            places = [w for v in places for w in places_above(v, field)]
-        terms = [(w, self.local(w), w.local_degree) for w in places]
+        # row keys and [F_w:Q_v] * lambda_D(x, w); [F:Q] = 2 divides once at
+        # the end.  A term of local degree 2 is doubled, not listed twice:
+        # doubled, a term at root 2 is at root 1, and sends no later term
+        # through the lcm of roots in __add__
+        keys, terms = [], []
+        for v in (Place.archimedean(), *map(Place, sorted(primes))):
+            for w in (v,) if field is None else places_above(v, field):
+                lam = self.local(w)
+                keys.append(w)
+                terms.append(lam if w.local_degree == 1 else lam * 2)
         # Every prime p | b has ord_p(s) = E_b(s) * ord_p(b), E_b the
         # multiplicity of b in s, as the rest of s is prime to b.  So
         # lambda_D(x, p) = weight * ord_p(b) * E_b(s) * log p, and the
@@ -321,18 +332,16 @@ class LocalTable:
         # the norm, and the places above p, weighted by [F_w:Q_v], sum to
         # that too.
         for b in base:
-            terms.append((None, LogMag.exact(b) * (d.weight * multiplicity(s, b)), 1))
-        # a term of local degree 2 is doubled, not listed twice: doubled, a
-        # term at root 2 is at root 1, and sends no later term through the
-        # lcm of roots in __add__
-        total = logmag_sum([lam if deg == 1 else lam * 2 for w, lam, deg in terms])
+            keys.append(None)
+            terms.append(LogMag.exact(b) * (d.weight * multiplicity(s, b)))
+        total = logmag_sum(terms)
         if field is not None:
-            total = total * _HALF
+            total = total._halved()
         if not parts:
             return total
-        # [F_w:Q_v]/[F:Q] is 1/2 at a split or real w and at a base row, 1 at the others
+        # [F_w:Q_v]/[F:Q] * lambda_D(x, w): each weighted term halved over Q(sqrt d)
         rows: list[tuple[Optional[Place], LogMag]] = [
-            (key, lam * _HALF if field is not None and deg == 1 else lam) for key, lam, deg in terms
+            (key, lam if field is None else lam * _HALF) for key, lam in zip(keys, terms)
         ]
         return total, rows
 

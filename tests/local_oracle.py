@@ -15,7 +15,8 @@ the same divisor differs from it by a bounded function.  Here every
 section is evaluated and every absolute value is taken one element at a
 time (abs_value, abs_quad), so the closed form has an independent
 reference.  sqrt_mod and rational_support are the references of the
-split-place index and of the support of a rational.
+split-place index and of the support of a rational, and split_order
+reads ord_w off the p-adic root of d, without exactnum's residue test.
 """
 
 from __future__ import annotations
@@ -117,6 +118,32 @@ def sqrt_mod(a: int, p: int) -> int:
         m, c = i, b * b % p
         t, r = t * c % p, r * b % p
     return min(r, p - r)
+
+
+def split_order(y: QuadElem, p: int, index: int) -> int:
+    """ord_w(y) at the split place above p whose root of d is s_index, s_1 = -s_0.
+
+    For y = (A + B sqrt d)/C and the p-adic root s of d, (A + B s)(A - B s)
+    = A^2 - d B^2 with both factors integral, so ord_p(A + B s) is below
+    k = ord_p(A^2 - d B^2) + 1 and A + B s mod p^k decides it.  s_0 is
+    sqrt_mod(d, p) lifted by Newton's method for odd p, and at p = 2 the
+    root = 1 mod 4, one bit per step (s^2 = d mod 2^(j+1) fixes s mod 2^j).
+    """
+    d = y.field.d
+    k = multiplicity(y._norm_pair()[0], p) + 1
+    mod = p**k
+    if p == 2:
+        s, j = 1, 2
+        while j < k:
+            if (s * s - d) % 2 ** (j + 2):
+                s += 2**j
+            j += 1
+    else:
+        s, m = sqrt_mod(d, p), p
+        while m < mod:
+            m = min(m * m, mod)
+            s = (s - (s * s - d) * pow(2 * s, -1, m)) % m
+    return multiplicity((y.A + y.B * (-s if index else s)) % mod, p) - multiplicity(y.C, p)
 
 
 def rational_support(q) -> list[int]:

@@ -1204,8 +1204,8 @@ def _series_terms(monkeypatch):
     terms = []
     atanh_sum = exactnum._atanh_sum
 
-    def counted(t, step):
-        S, E = atanh_sum(t, step)
+    def counted(t, y, P):
+        S, E = atanh_sum(t, y, P)
         terms.append((E - 2) // 3)
         return S, E
 

@@ -1256,6 +1256,48 @@ def test_gap_rows_match_a_fresh_table_per_point(divisor, weight, twist, eps_prim
         assert r.h == h_raw * twist
 
 
+# tier1.yml's q2slope.json: x - sqrt(2) y at height <= 15, S = {inf, 2, 3, 7}
+# (ramified, inert and split), eps' = 1/3 and twist 2, so gap = (4/3) h - lambda_S
+_Q2_SLOPE = {
+    "divisor": {
+        "field": {"d": 2},
+        "form": {"1,0": {"a": "1", "b": "0"}, "0,1": {"a": "0", "b": "-1"}},
+        "weight": 1,
+    },
+    "places": ["inf", 2, 3, 7],
+    "twist": 2,
+    "params": {"eps_prime": "1/3"},
+    "sample": {"height_bound": 15},
+}
+
+# Python-level calls into orbitweil per row of that run and its CSV, measured
+# on CPython 3.11 in a fresh process (223 before the local terms and the gap
+# difference were built in one step)
+_Q2_SLOPE_CALLS_PER_ROW = 123
+
+
+def test_quadratic_gap_rows_stay_within_their_call_budget(tmp_path):
+    # a cost guard that reads no clock: 'call' events whose code lives in the
+    # orbitweil package, so the count does not move with the stdlib
+    cfg = parse_config(_Q2_SLOPE)
+    package = os.path.dirname(orbitweil.__file__) + os.sep
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code.co_filename.startswith(package):
+            calls += 1
+
+    sys.setprofile(count)
+    try:
+        series = run_gap_experiment(cfg)
+        write_gap_csv(series, str(tmp_path / "q2slope.csv"))
+    finally:
+        sys.setprofile(None)
+    assert len(series.rows) == 288
+    assert calls <= 1.1 * _Q2_SLOPE_CALLS_PER_ROW * len(series.rows), calls / len(series.rows)
+
+
 def test_gap_sample_audit_fails_on_a_place_outside_S(monkeypatch):
     from orbitweil import weil
 
